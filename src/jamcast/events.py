@@ -49,23 +49,6 @@ class AlertRecord:
 
 
 @dataclass(frozen=True, slots=True)
-class JamRecord:
-    """Passively captured jam telemetry: severity level plus speed/length/delay."""
-
-    location_x: float
-    location_y: float
-    street: str
-    city: str
-    country: str
-    road_type: float
-    pub_date_utc: int
-    level: int
-    speed: float
-    length: float
-    delay: float
-
-
-@dataclass(frozen=True, slots=True)
 class TimeParts:
     """Calendar decomposition of a publication instant in fixed-offset Pacific time."""
 

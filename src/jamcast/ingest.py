@@ -1,11 +1,19 @@
 """Parse, validate, clean and encode alert/jam JSONL streams into feature matrices.
 
-Parsing is line-tolerant: every non-empty line either yields a record or
+Jams stream through in blocks of `_BLOCK_LINES` non-empty lines and never
+become row objects. Each line is decoded once; objects holding every jam
+key are transposed into columns, and each column is checked with one
+set-of-types test and one numpy mask. Only rows failing a fast check go to
+the scalar validator `_jam_rejection`, whose order of checks decides which
+rejection reason wins. `clean` drops rows with ordered masks and `encode`
+fills the matrix from the columns, so memory holds one block of lines and
+decoded objects plus the output columns. Alerts keep a row parser.
+
+Parsing is line-tolerant: every non-empty line either yields a row or
 increments a rejection reason, and rows_accepted + rows_rejected always
 equals the number of non-empty lines seen. The parse/clean stages return
-lazy generators paired with reports that are complete once the generator
-is exhausted, so multi-million-row corpora stream through encode without
-materializing record lists.
+lazy block iterators paired with reports that are complete once the
+iterator is exhausted.
 
 Two feature sets are first-class: `honest` uses only fields with no
 functional tie to the jam level, `leaky` adds the level-coupled telemetry
@@ -15,7 +23,9 @@ functional tie to the jam level, `leaky` adds the level-coupled telemetry
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import operator
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,12 +34,7 @@ from typing import BinaryIO, Iterable, Iterator
 import numpy as np
 
 from jamcast.errors import SchemaError, ValidationError
-from jamcast.events import (
-    EVENT_TYPES,
-    AlertRecord,
-    JamRecord,
-    decompose_epoch_ms,
-)
+from jamcast.events import EVENT_TYPES, AlertRecord, decompose_epoch_ms
 
 MISSING = float("nan")
 
@@ -63,15 +68,9 @@ _LEAKY_EXTRA = (
     FeatureSpec("delay", "numeric", "delay"),
 )
 
-_NUMERIC_SOURCES = {
-    "location_x",
-    "location_y",
-    "road_type",
-    "speed",
-    "length",
-    "delay",
-}
-_CATEGORICAL_SOURCES = {"street", "city", "country"}
+_JAM_STRINGS = ("street", "city", "country")
+_JAM_NUMERICS = ("location_x", "location_y", "road_type", "speed", "length", "delay")
+_ALERT_STRINGS = (*_JAM_STRINGS, "report_description")
 _TIME_SOURCES = {"time.month", "time.day", "time.hour", "time.min", "time.sec", "time.weekday"}
 
 
@@ -117,9 +116,6 @@ class EncodingMap:
 
     by_feature: dict[str, dict[str, int]] = field(default_factory=dict)
 
-    def lookup(self, feature: str, category: str) -> int:
-        return self.by_feature.get(feature, {}).get(category, 0)
-
 
 @dataclass
 class IngestReport:
@@ -128,16 +124,16 @@ class IngestReport:
     rows_rejected: int = 0
     rejection_reasons: dict[str, int] = field(default_factory=dict)
 
-    def reject(self, reason: str) -> None:
-        self.rows_rejected += 1
-        self.rejection_reasons[reason] = self.rejection_reasons.get(reason, 0) + 1
+    def reject(self, reason: str, count: int = 1) -> None:
+        if count:
+            self.rows_rejected += count
+            self.rejection_reasons[reason] = self.rejection_reasons.get(reason, 0) + count
 
     def merge(self, other: "IngestReport") -> None:
         self.files_read += other.files_read
         self.rows_accepted += other.rows_accepted
-        self.rows_rejected += other.rows_rejected
         for reason, count in other.rejection_reasons.items():
-            self.rejection_reasons[reason] = self.rejection_reasons.get(reason, 0) + count
+            self.reject(reason, count)
 
     def as_dict(self) -> dict:
         return {
@@ -177,97 +173,166 @@ class FeatureMatrix:
 # ---------------------------------------------------------------------------
 # parsing
 
-_JAM_STRINGS = ("street", "city", "country")
-_JAM_NUMERICS = ("location_x", "location_y", "road_type", "speed", "length", "delay")
-_ALERT_STRINGS = ("street", "city", "country", "report_description")
-_ALERT_NUMERICS = ("location_x", "location_y", "road_type")
+_BLOCK_LINES = 2048  # non-empty lines parsed, cleaned and encoded together
+
+# per jam key: the JSON value types the fast check accepts, and the column dtype
+_INTEGER = (frozenset({int}), np.int64)
+_TEXT = (frozenset({str, type(None)}), object)
+_NUMBER = (frozenset({int, float, type(None)}), np.float64)
+_JAM_COLUMNS = {
+    "level": _INTEGER,
+    "pub_date": _INTEGER,
+    **dict.fromkeys(_JAM_STRINGS, _TEXT),
+    **dict.fromkeys(_JAM_NUMERICS, _NUMBER),
+}
+_jam_values = operator.itemgetter(*_JAM_COLUMNS)
+_raw_decode = json.JSONDecoder().raw_decode
 
 
-def _field_error(obj: dict, key: str) -> str | None:
-    if key not in obj:
-        return "missing_field"
-    return None
+@dataclass
+class JamBlock:
+    """Accepted jams as columns keyed by JSON field name: int64 `level` and `pub_date`,
+    float64 numbers (NaN for null) and object arrays of str ("" for null)."""
 
+    columns: dict[str, np.ndarray]
 
-def _as_float(value) -> tuple[float, str | None]:
-    if value is None:
-        return MISSING, None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return 0.0, "bad_field_type"
-    return float(value), None
+    def __len__(self) -> int:
+        return len(self.columns["level"])
 
+    def __getitem__(self, key: str) -> np.ndarray:
+        return self.columns[key]
 
-def _as_str(value) -> tuple[str, str | None]:
-    if value is None:
-        return "", None
-    if not isinstance(value, str):
-        return "", "bad_field_type"
-    return value, None
+    def take(self, keep: np.ndarray) -> "JamBlock":
+        return JamBlock({key: col[keep] for key, col in self.columns.items()})
 
 
 def _parse_common(obj: dict, strings, numerics) -> tuple[dict, str | None]:
-    out: dict = {}
-    for key in strings + numerics + ("pub_date",):
-        err = _field_error(obj, key)
-        if err:
-            return {}, err
+    """The checks jams and alerts share, in the order that picks the rejection reason."""
+    if any(key not in obj for key in strings + numerics + ("pub_date",)):
+        return {}, "missing_field"
+    out = {}
     for key in strings:
-        out[key], err = _as_str(obj[key])
-        if err:
-            return {}, err
+        if type(obj[key]) not in _TEXT[0]:
+            return {}, "bad_field_type"
+        out[key] = obj[key] or ""
     for key in numerics:
-        out[key], err = _as_float(obj[key])
-        if err:
-            return {}, err
-    pub = obj["pub_date"]
-    if isinstance(pub, bool) or not isinstance(pub, int):
+        value = obj[key]
+        if type(value) not in _NUMBER[0] or not _fits(value, np.float64):  # 1e400 written out
+            return {}, "bad_field_type"
+        out[key] = MISSING if value is None else float(value)
+    pub = out["pub_date_utc"] = obj["pub_date"]
+    if type(pub) is not int:
         return {}, "bad_field_type"
-    if pub <= 0:
+    if not 0 < pub < 2**63:  # epoch-ms must fit int64
         return {}, "invalid_pub_date"
-    out["pub_date_utc"] = pub
     return out, None
 
 
+def _jam_rejection(obj) -> str | None:
+    """Why parse rejects a decoded jam line, or None; the order of checks picks the reason."""
+    if not isinstance(obj, dict):
+        return "malformed_json"
+    if "level" not in obj:
+        return "missing_field"
+    level = obj["level"]
+    if type(level) is not int:
+        return "bad_field_type"
+    if not 1 <= level <= 5:
+        return "level_out_of_range"
+    return _parse_common(obj, _JAM_STRINGS, _JAM_NUMERICS)[1]
+
+
 def _iter_nonempty(stream: BinaryIO | Iterable[bytes]) -> Iterator[bytes]:
-    for raw in stream:
-        line = raw.strip()
-        if line:
-            yield line
+    return filter(None, map(operator.methodcaller("strip"), stream))
 
 
-def parse_jams(stream: BinaryIO | Iterable[bytes]) -> tuple[Iterator[JamRecord], IngestReport]:
-    """Lazily parse line-delimited jam JSON; bad lines are counted, never fatal.
+def _loads(line: bytes):
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
+        return None
 
-    The report is complete once the returned iterator is exhausted.
+
+def _decode(lines: list[bytes]) -> Iterator:
+    """Each line decoded once, exactly as json.loads(line); None where that raises.
+
+    Lines are decoded as slices of the block's UTF-8 text. A block that is
+    not valid UTF-8 or holds a NUL or a byte-order mark, which change how
+    json.loads reads bytes, goes through json.loads line by line.
     """
+    try:
+        text = b"\n".join(lines).decode()
+    except UnicodeDecodeError:
+        text = "\x00"
+    parts = text.split("\n")
+    if len(parts) != len(lines) or "\x00" in text or "\ufeff" in text:
+        yield from map(_loads, lines)
+        return
+    for part in parts:
+        try:
+            obj, end = _raw_decode(part)
+        except (ValueError, RecursionError):
+            obj = end = None
+        yield obj if end == len(part) else None
+
+
+def _column(values: tuple, types: frozenset, dtype) -> tuple[np.ndarray, np.ndarray | bool]:
+    """`values` as an array, and the mask of values of another type or out of dtype's range."""
+    present = set(map(type, values))
+    wrong = False
+    if not present <= types:
+        wrong = np.fromiter((type(v) not in types for v in values), bool, len(values))
+        values = [0 if w else v for v, w in zip(values, wrong)]
+    if dtype is object and type(None) in present:
+        values = ["" if v is None else v for v in values]
+    try:
+        return np.array(values, dtype=dtype), wrong
+    except OverflowError:
+        over = np.fromiter((not _fits(v, dtype) for v in values), bool, len(values))
+        values = [0 if o else v for v, o in zip(values, over)]
+        return np.array(values, dtype=dtype), wrong | over
+
+
+def _fits(value, dtype) -> bool:
+    try:
+        dtype(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def _parse_block(lines: list[bytes], report: IngestReport) -> JamBlock:
+    """Decode, transpose and check one block; rows failing a fast check get their reason."""
+    rows, whole, rejected = [], [], []
+    for obj in _decode(lines):
+        try:
+            rows.append(_jam_values(obj))
+            whole.append(obj)
+        except (TypeError, KeyError):  # not an object, or a jam key is missing
+            rejected.append(obj)
+    columns = {key: np.empty(0, dtype=dtype) for key, (_, dtype) in _JAM_COLUMNS.items()}
+    bad = np.zeros(len(whole), dtype=bool)
+    for key, values in zip(_JAM_COLUMNS, zip(*rows)):
+        columns[key], wrong = _column(values, *_JAM_COLUMNS[key])
+        bad |= wrong
+    bad |= (columns["level"] < 1) | (columns["level"] > 5) | (columns["pub_date"] <= 0)
+    for obj in itertools.chain(rejected, itertools.compress(whole, bad)):
+        report.reject(_jam_rejection(obj))
+    block = JamBlock(columns).take(~bad)
+    report.rows_accepted += len(block)
+    return block
+
+
+def parse_jams(stream: BinaryIO | Iterable[bytes]) -> tuple[Iterator[JamBlock], IngestReport]:
+    """Lazily parse jam JSONL into column blocks; the report is complete once they are read."""
     report = IngestReport()
 
-    def gen() -> Iterator[JamRecord]:
-        for line in _iter_nonempty(stream):
-            try:
-                obj = json.loads(line)
-            except (ValueError, UnicodeDecodeError):
-                report.reject("malformed_json")
-                continue
-            if not isinstance(obj, dict):
-                report.reject("malformed_json")
-                continue
-            if "level" not in obj:
-                report.reject("missing_field")
-                continue
-            level = obj["level"]
-            if isinstance(level, bool) or not isinstance(level, int):
-                report.reject("bad_field_type")
-                continue
-            if not 1 <= level <= 5:
-                report.reject("level_out_of_range")
-                continue
-            common, err = _parse_common(obj, _JAM_STRINGS, _JAM_NUMERICS)
-            if err:
-                report.reject(err)
-                continue
-            report.rows_accepted += 1
-            yield JamRecord(level=level, **common)
+    def gen() -> Iterator[JamBlock]:
+        lines = _iter_nonempty(stream)
+        while chunk := list(itertools.islice(lines, _BLOCK_LINES)):
+            block = _parse_block(chunk, report)
+            if len(block):
+                yield block
 
     return gen(), report
 
@@ -280,60 +345,56 @@ def parse_alerts(
 
     def gen() -> Iterator[AlertRecord]:
         for line in _iter_nonempty(stream):
-            try:
-                obj = json.loads(line)
-            except (ValueError, UnicodeDecodeError):
-                report.reject("malformed_json")
-                continue
+            obj = _loads(line)
             if not isinstance(obj, dict):
-                report.reject("malformed_json")
-                continue
-            if "type" not in obj:
-                report.reject("missing_field")
-                continue
-            event_type = obj["type"]
-            if not isinstance(event_type, str):
-                report.reject("bad_field_type")
-                continue
-            if event_type not in EVENT_TYPES:
-                report.reject("unknown_event_type")
-                continue
-            common, err = _parse_common(obj, _ALERT_STRINGS, _ALERT_NUMERICS)
+                err = "malformed_json"
+            elif "type" not in obj:
+                err = "missing_field"
+            elif not isinstance(obj["type"], str):
+                err = "bad_field_type"
+            elif obj["type"] not in EVENT_TYPES:
+                err = "unknown_event_type"
+            else:
+                common, err = _parse_common(obj, _ALERT_STRINGS, _JAM_NUMERICS[:3])
             if err:
                 report.reject(err)
-                continue
-            report.rows_accepted += 1
-            yield AlertRecord(event_type=event_type, **common)
+            else:
+                report.rows_accepted += 1
+                yield AlertRecord(event_type=obj["type"], **common)
 
     return gen(), report
 
 
 def clean(
-    records: Iterable[JamRecord],
+    blocks: Iterable[JamBlock],
     window: tuple[int, int] | None = None,
-) -> tuple[Iterator[JamRecord], IngestReport]:
+) -> tuple[Iterator[JamBlock], IngestReport]:
     """Drop semantically invalid jams; the report accounts for every drop.
 
-    Drops negative speed/length/delay, (0, 0) coordinates, and records
-    outside the optional [start_ms, end_ms) publication window.
+    Drops negative speed/length/delay, (0, 0) coordinates, and rows outside the
+    optional [start_ms, end_ms) publication window, each under the first rule it fails.
     """
     report = IngestReport()
 
-    def gen() -> Iterator[JamRecord]:
-        for rec in records:
-            if rec.speed < 0:
-                report.reject("negative_speed")
-            elif rec.length < 0:
-                report.reject("negative_length")
-            elif rec.delay < 0:
-                report.reject("negative_delay")
-            elif rec.location_x == 0 and rec.location_y == 0:
-                report.reject("null_island")
-            elif window is not None and not window[0] <= rec.pub_date_utc < window[1]:
-                report.reject("out_of_window")
-            else:
-                report.rows_accepted += 1
-                yield rec
+    def gen() -> Iterator[JamBlock]:
+        for block in blocks:
+            rules = [
+                ("negative_speed", block["speed"] < 0),
+                ("negative_length", block["length"] < 0),
+                ("negative_delay", block["delay"] < 0),
+                ("null_island", (block["location_x"] == 0) & (block["location_y"] == 0)),
+            ]
+            if window is not None:
+                pub = block["pub_date"]
+                rules.append(("out_of_window", (pub < window[0]) | (pub >= window[1])))
+            dropped = np.zeros(len(block), dtype=bool)
+            for reason, hit in rules:
+                report.reject(reason, int(np.count_nonzero(hit & ~dropped)))
+                dropped |= hit
+            kept = block.take(~dropped)
+            report.rows_accepted += len(kept)
+            if len(kept):
+                yield kept
 
     return gen(), report
 
@@ -341,27 +402,22 @@ def clean(
 # ---------------------------------------------------------------------------
 # encoding
 
-_ENCODE_CHUNK = 262144
-
 
 def _validate_schema_sources(schema: FeatureSchema) -> None:
+    sources = {"categorical": set(_JAM_STRINGS), "numeric": {*_JAM_NUMERICS, *_TIME_SOURCES}}
     for spec in schema.features:
-        if spec.kind == "categorical":
-            if spec.source not in _CATEGORICAL_SOURCES:
-                raise SchemaError(f"{spec.name}: no categorical source {spec.source!r}")
-        elif spec.kind == "numeric":
-            if spec.source not in _NUMERIC_SOURCES and spec.source not in _TIME_SOURCES:
-                raise SchemaError(f"{spec.name}: no numeric source {spec.source!r}")
-        else:
+        if spec.kind not in sources:
             raise SchemaError(f"{spec.name}: unknown feature kind {spec.kind!r}")
+        if spec.source not in sources[spec.kind]:
+            raise SchemaError(f"{spec.name}: no {spec.kind} source {spec.source!r}")
 
 
 def encode(
-    records: Iterable[JamRecord],
+    blocks: Iterable[JamBlock],
     schema: FeatureSchema,
     existing: EncodingMap | None = None,
 ) -> tuple[FeatureMatrix, EncodingMap]:
-    """Encode cleaned jam records into a FeatureMatrix in schema order.
+    """Encode cleaned jam blocks into a FeatureMatrix in schema order.
 
     Categorical indices are assigned 1..k in lexicographic order of the
     observed category text (deterministic, no hashing); index 0 is reserved
@@ -371,87 +427,48 @@ def encode(
     """
     _validate_schema_sources(schema)
     specs = schema.features
-    need_time = any(s.source in _TIME_SOURCES for s in specs)
-    cat_feats = [s for s in specs if s.kind == "categorical"]
-    frozen = existing is not None
     # first-seen provisional indices, remapped lexicographically at the end
-    prov: dict[str, dict[str, int]] = {s.name: {} for s in cat_feats}
+    prov: dict[str, dict[str, int]] = {s.name: {} for s in specs if s.kind == "categorical"}
 
-    chunks: list[np.ndarray] = []
-    label_chunks: list[np.ndarray] = []
-    cat_cols_need_remap = [i for i, s in enumerate(specs) if s.kind == "categorical"]
-
-    def flush(buf: list[JamRecord]) -> None:
-        n = len(buf)
-        if n == 0:
-            return
-        time_fields = None
-        if need_time:
-            pub = np.fromiter((r.pub_date_utc for r in buf), dtype=np.int64, count=n)
-            time_fields = decompose_epoch_ms(pub)
-        block = np.empty((n, len(specs)), dtype=np.float64)
+    chunks: list[np.ndarray] = [np.empty((0, len(specs)), dtype=np.float64)]
+    label_chunks: list[np.ndarray] = [np.empty(0, dtype=bool)]
+    for block in blocks:
+        time_fields = decompose_epoch_ms(block["pub_date"])
+        values = np.empty((len(block), len(specs)), dtype=np.float64)
         for j, spec in enumerate(specs):
             if spec.kind == "categorical":
-                col = np.empty(n, dtype=np.float64)
-                if frozen:
-                    mapping = existing.by_feature.get(spec.name, {})
-                    for i, rec in enumerate(buf):
-                        col[i] = mapping.get(getattr(rec, spec.source), 0)
+                cats = block[spec.source]
+                if existing is not None:
+                    lookup = existing.by_feature.get(spec.name, {})
+                    values[:, j] = [lookup.get(cat, 0) for cat in cats]
                 else:
-                    mapping = prov[spec.name]
-                    for i, rec in enumerate(buf):
-                        cat = getattr(rec, spec.source)
-                        idx = mapping.get(cat)
-                        if idx is None:
-                            idx = len(mapping)
-                            mapping[cat] = idx
-                        col[i] = idx
-                block[:, j] = col
+                    seen = prov[spec.name]
+                    values[:, j] = [seen.setdefault(cat, len(seen)) for cat in cats]
             elif spec.source in _TIME_SOURCES:
-                block[:, j] = time_fields[spec.source.split(".", 1)[1]]
+                values[:, j] = time_fields[spec.source.split(".", 1)[1]]
             else:
-                block[:, j] = np.fromiter(
-                    (getattr(r, spec.source) for r in buf), dtype=np.float64, count=n
-                )
-        levels = np.fromiter((r.level for r in buf), dtype=np.int64, count=n)
+                values[:, j] = block[spec.source]
+        levels = block["level"]
         if ((levels < 1) | (levels > 5)).any():
             raise ValidationError("jam level outside 1..5 reached encode")
-        chunks.append(block)
+        chunks.append(values)
         label_chunks.append(levels > 2)
 
-    buf: list[JamRecord] = []
-    for rec in records:
-        buf.append(rec)
-        if len(buf) >= _ENCODE_CHUNK:
-            flush(buf)
-            buf = []
-    flush(buf)
+    values = np.concatenate(chunks)
+    labels = np.concatenate(label_chunks)
 
-    if chunks:
-        values = np.vstack(chunks)
-        labels = np.concatenate(label_chunks)
-    else:
-        values = np.empty((0, len(specs)), dtype=np.float64)
-        labels = np.empty(0, dtype=bool)
-
-    if frozen:
+    if existing is not None:
         out_map = existing
     else:
-        final: dict[str, dict[str, int]] = {}
-        for spec in cat_feats:
-            mapping = prov[spec.name]
-            final[spec.name] = {cat: i + 1 for i, cat in enumerate(sorted(mapping))}
+        final = {
+            name: {cat: i + 1 for i, cat in enumerate(sorted(seen))} for name, seen in prov.items()
+        }
         out_map = EncodingMap(by_feature=final)
         # remap provisional (first-seen) indices to lexicographic ones
-        for j in cat_cols_need_remap:
-            name = specs[j].name
-            mapping = prov[name]
-            if not mapping:
-                continue
-            lut = np.zeros(len(mapping), dtype=np.float64)
-            for cat, p in mapping.items():
-                lut[p] = final[name][cat]
-            values[:, j] = lut[values[:, j].astype(np.int64)]
+        for j, spec in enumerate(specs):
+            if prov.get(spec.name):  # a dict iterates in first-seen order
+                lut = np.array([final[spec.name][cat] for cat in prov[spec.name]], dtype=np.float64)
+                values[:, j] = lut[values[:, j].astype(np.int64)]
 
     matrix = FeatureMatrix(values=values, labels=labels, schema=schema)
     return matrix, out_map
@@ -491,7 +508,7 @@ def ingest_files(
     ordered = sorted(str(p) for p in paths)
     parse_report = IngestReport()
 
-    def all_records() -> Iterator[JamRecord]:
+    def all_blocks() -> Iterator[JamBlock]:
         for path in ordered:
             with open(path, "rb") as fh:
                 gen, rep = parse_jams(fh)
@@ -499,7 +516,7 @@ def ingest_files(
             rep.files_read = 1
             parse_report.merge(rep)
 
-    cleaned, clean_report = clean(all_records(), window=window)
+    cleaned, clean_report = clean(all_blocks(), window=window)
     matrix, enc = encode(cleaned, schema, existing=existing)
     summary = IngestSummary(
         files=ordered, parse=parse_report, clean=clean_report, n_rows=matrix.n_rows
@@ -540,8 +557,8 @@ def save_matrix(
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         # one contiguous float64 block per feature, in schema order
-        fh.write(np.ascontiguousarray(matrix.values.T, dtype="<f8").tobytes())
-        fh.write(matrix.labels.astype(np.uint8).tobytes())
+        fh.write(np.ascontiguousarray(matrix.values.T, dtype="<f8").data)
+        fh.write(matrix.labels.astype(np.uint8).data)
 
 
 def load_matrix(path: str | Path) -> tuple[FeatureMatrix, EncodingMap]:

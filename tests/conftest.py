@@ -50,9 +50,14 @@ def alert_line(**overrides) -> bytes:
 
 
 def parse_all(lines: list[bytes]):
-    """Parse a list of byte lines fully; returns (records, report)."""
+    """Parse a list of byte lines fully; returns (column blocks, report)."""
     gen, report = parse_jams(BytesIO(b"\n".join(lines) + b"\n"))
     return list(gen), report
+
+
+def column(blocks, key: str) -> list:
+    """One field of parsed jam blocks as a list over all their rows, in order."""
+    return [value for block in blocks for value in block[key].tolist()]
 
 
 def synthetic_matrix(n_jams: int, seed: int = 42, feature_set: str = "leaky", **cfg):

@@ -2,19 +2,24 @@
 
 Everything here deliberately avoids the library's code paths: calendar
 arithmetic goes through datetime, AUC is the O(n^2) pairwise definition,
-histogram sums are plain Python loops, and the exact-greedy tree enumerates
-splits over raw (unquantized) values. Keeping these separate is what makes
-agreement with the library meaningful.
+histogram sums are plain Python loops, the exact-greedy tree enumerates
+splits over raw (unquantized) values, and jam ingest goes one record at a
+time through json.loads and scalar checks. Keeping these separate is what
+makes agreement with the library meaningful.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
+
+from jamcast.events import decompose_epoch_ms
+from jamcast.ingest import EncodingMap, FeatureMatrix, IngestReport
 
 PST = timezone(timedelta(hours=-8))
 
@@ -176,3 +181,166 @@ def exact_greedy_tree(values, g, h, *, max_depth, max_leaves, lam=1.0, gamma=0.0
             gsum, hsum = totals[nid]
             node.value = -gsum / (hsum + lam) + 0.0
     return nodes
+
+
+# ---------------------------------------------------------------------------
+# row-at-a-time jam ingest: the reference for the columnar block pipeline
+#
+# This is the row parser, clean and encode that jamcast ran before ingest
+# became columnar, with three fixes applied: deep nesting is malformed JSON,
+# an integer beyond float64 in a numeric field is a bad field type, and a
+# pub_date of 2^63 or more is an invalid pub_date. One record per row, one
+# check at a time.
+
+
+@dataclass(frozen=True)
+class JamRow:
+    location_x: float
+    location_y: float
+    street: str
+    city: str
+    country: str
+    road_type: float
+    pub_date_utc: int
+    level: int
+    speed: float
+    length: float
+    delay: float
+
+
+_REF_STRINGS = ("street", "city", "country")
+_REF_NUMERICS = ("location_x", "location_y", "road_type", "speed", "length", "delay")
+
+
+def _ref_as_float(value):
+    if value is None:
+        return float("nan"), None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return 0.0, "bad_field_type"
+    try:
+        return float(value), None
+    except OverflowError:
+        return 0.0, "bad_field_type"
+
+
+def _ref_as_str(value):
+    if value is None:
+        return "", None
+    if not isinstance(value, str):
+        return "", "bad_field_type"
+    return value, None
+
+
+def _ref_parse_common(obj: dict):
+    out: dict = {}
+    for key in _REF_STRINGS + _REF_NUMERICS + ("pub_date",):
+        if key not in obj:
+            return {}, "missing_field"
+    for key in _REF_STRINGS:
+        out[key], err = _ref_as_str(obj[key])
+        if err:
+            return {}, err
+    for key in _REF_NUMERICS:
+        out[key], err = _ref_as_float(obj[key])
+        if err:
+            return {}, err
+    pub = obj["pub_date"]
+    if isinstance(pub, bool) or not isinstance(pub, int):
+        return {}, "bad_field_type"
+    if pub <= 0 or pub >= 2**63:
+        return {}, "invalid_pub_date"
+    out["pub_date_utc"] = pub
+    return out, None
+
+
+def reference_parse_jams(stream):
+    """Every non-empty line through json.loads and the scalar checks; (rows, report)."""
+    report = IngestReport()
+    rows = []
+    for raw in stream:
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError):
+            report.reject("malformed_json")
+            continue
+        if not isinstance(obj, dict):
+            report.reject("malformed_json")
+            continue
+        if "level" not in obj:
+            report.reject("missing_field")
+            continue
+        level = obj["level"]
+        if isinstance(level, bool) or not isinstance(level, int):
+            report.reject("bad_field_type")
+            continue
+        if not 1 <= level <= 5:
+            report.reject("level_out_of_range")
+            continue
+        common, err = _ref_parse_common(obj)
+        if err:
+            report.reject(err)
+            continue
+        report.rows_accepted += 1
+        rows.append(JamRow(level=level, **common))
+    return rows, report
+
+
+def reference_clean(rows, window=None):
+    report = IngestReport()
+    kept = []
+    for rec in rows:
+        if rec.speed < 0:
+            report.reject("negative_speed")
+        elif rec.length < 0:
+            report.reject("negative_length")
+        elif rec.delay < 0:
+            report.reject("negative_delay")
+        elif rec.location_x == 0 and rec.location_y == 0:
+            report.reject("null_island")
+        elif window is not None and not window[0] <= rec.pub_date_utc < window[1]:
+            report.reject("out_of_window")
+        else:
+            report.rows_accepted += 1
+            kept.append(rec)
+    return kept, report
+
+
+def reference_encode(rows, schema, existing=None):
+    """Per-record getattr encoding with first-seen codes remapped lexicographically."""
+    specs = schema.features
+    n = len(rows)
+    prov = {s.name: {} for s in specs if s.kind == "categorical"}
+    values = np.empty((n, len(specs)), dtype=np.float64)
+    pub = np.fromiter((r.pub_date_utc for r in rows), dtype=np.int64, count=n)
+    time_fields = decompose_epoch_ms(pub)
+    for j, spec in enumerate(specs):
+        if spec.kind == "categorical":
+            for i, rec in enumerate(rows):
+                cat = getattr(rec, spec.source)
+                if existing is not None:
+                    values[i, j] = existing.by_feature.get(spec.name, {}).get(cat, 0)
+                else:
+                    mapping = prov[spec.name]
+                    values[i, j] = mapping.setdefault(cat, len(mapping))
+        elif spec.source.startswith("time."):
+            values[:, j] = time_fields[spec.source.split(".", 1)[1]]
+        else:
+            values[:, j] = np.fromiter(
+                (getattr(r, spec.source) for r in rows), dtype=np.float64, count=n
+            )
+    labels = np.array([r.level > 2 for r in rows], dtype=bool)
+    if existing is not None:
+        return FeatureMatrix(values=values, labels=labels, schema=schema), existing
+    final = {name: {c: i + 1 for i, c in enumerate(sorted(m))} for name, m in prov.items()}
+    for j, spec in enumerate(specs):
+        mapping = prov.get(spec.name)
+        if mapping:
+            lut = np.zeros(len(mapping), dtype=np.float64)
+            for cat, p in mapping.items():
+                lut[p] = final[spec.name][cat]
+            values[:, j] = lut[values[:, j].astype(np.int64)]
+    matrix = FeatureMatrix(values=values, labels=labels, schema=schema)
+    return matrix, EncodingMap(by_feature=final)

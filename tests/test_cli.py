@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from conftest import jam_line
 from jamcast.cli import main
 from jamcast.ingest import load_matrix
 from jamcast.trees.training import load_model
@@ -88,6 +89,40 @@ def test_ingest_tolerates_bad_lines(tmp_path):
     assert rc == 0
     report = json.loads((matrix_path.parent / "m.tjm.report.json").read_text())
     assert report["parse"]["rows_rejected"] == 2
+    assert report["n_rows"] == 50
+
+
+def _ingest_with(tmp_path, line: bytes) -> tuple[int, dict]:
+    """`jamcast ingest` on 50 generated jams plus one extra line; (exit code, report)."""
+    jams = _generate(tmp_path, n=50) / "jams.jsonl"
+    with open(jams, "ab") as fh:
+        fh.write(line + b"\n")
+    matrix_path = tmp_path / "m.tjm"
+    rc = main(["ingest", "--input", str(jams), "--out", str(matrix_path)])
+    return rc, json.loads((tmp_path / "m.tjm.report.json").read_text())
+
+
+def test_ingest_deep_nesting_is_malformed_json(tmp_path):
+    rc, report = _ingest_with(tmp_path, b"[" * 100_000)
+    assert rc == 0
+    assert report["parse"]["rejection_reasons"] == {"malformed_json": 1}
+    assert report["n_rows"] == 50
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("speed", 10**400, "bad_field_type"),
+        ("location_x", -(10**400), "bad_field_type"),
+        ("pub_date", 2**63, "invalid_pub_date"),
+        ("pub_date", 2**64 + 1, "invalid_pub_date"),
+    ],
+    ids=["speed_1e400", "location_x_minus_1e400", "pub_date_2p63", "pub_date_2p64"],
+)
+def test_ingest_integer_too_large_for_its_column(tmp_path, field, value, reason):
+    rc, report = _ingest_with(tmp_path, jam_line(**{field: value}))
+    assert rc == 0
+    assert report["parse"]["rejection_reasons"] == {reason: 1}
     assert report["n_rows"] == 50
 
 

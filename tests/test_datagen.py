@@ -3,6 +3,7 @@ from io import BytesIO
 import numpy as np
 import pytest
 
+from conftest import column
 from jamcast.datagen import GenConfig, generate_alerts, generate_jams
 from jamcast.errors import ValidationError
 from jamcast.events import EVENT_TYPES
@@ -40,7 +41,7 @@ def test_chunking_does_not_change_bytes(monkeypatch):
 def test_degenerate_weights_all_level_five():
     data = _jam_bytes(n_jams=300, seed=1, level_weights=(0, 0, 0, 0, 1))
     records, report = parse_jams(BytesIO(data))
-    levels = [r.level for r in records]
+    levels = column(records, "level")
     assert report.rows_rejected == 0
     assert set(levels) == {5}
 
@@ -49,7 +50,7 @@ def test_round_trip_zero_rejections():
     data = _jam_bytes(n_jams=5000, seed=9, coupling_noise=2.0)
     records, report = parse_jams(BytesIO(data))
     cleaned, creport = clean(records)
-    n = sum(1 for _ in cleaned)
+    n = sum(len(block) for block in cleaned)
     assert report.rows_rejected == 0
     assert creport.rows_rejected == 0
     assert n == 5000
@@ -63,9 +64,10 @@ def test_round_trip_zero_rejections():
 def test_speed_decreases_with_level():
     data = _jam_bytes(n_jams=100_000, seed=11, level_weights=(0.2, 0.2, 0.2, 0.2, 0.2))
     records, _ = parse_jams(BytesIO(data))
+    records = list(records)
     by_level = {lv: [] for lv in range(1, 6)}
-    for rec in records:
-        by_level[rec.level].append(rec.speed)
+    for level, speed in zip(column(records, "level"), column(records, "speed")):
+        by_level[level].append(speed)
     means = {lv: np.mean(v) for lv, v in by_level.items() if v}
     assert means[5] < means[1]
     # monotone decreasing across all levels with disjoint noise-free bands
@@ -77,9 +79,10 @@ def test_noise_free_bands_functionally_determine_level():
     # can never appear under two different levels
     data = _jam_bytes(n_jams=20_000, seed=13)
     records, _ = parse_jams(BytesIO(data))
+    records = list(records)
     level_of = {}
-    for rec in records:
-        assert level_of.setdefault(round(rec.speed, 2), rec.level) == rec.level
+    for level, speed in zip(column(records, "level"), column(records, "speed")):
+        assert level_of.setdefault(round(speed, 2), level) == level
 
 
 def test_all_event_types_appear():
@@ -115,6 +118,6 @@ def test_config_validation():
 def test_positive_fraction_near_two_thirds():
     data = _jam_bytes(n_jams=50_000, seed=21)
     records, _ = parse_jams(BytesIO(data))
-    labels = [r.level > 2 for r in records]
+    labels = [level > 2 for level in column(records, "level")]
     frac = np.mean(labels)
     assert 0.60 < frac < 0.73

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import alert_line, jam_line, parse_all
+from conftest import alert_line, column, jam_line, parse_all
+from jamcast.datagen import GenConfig, generate_jams
 from jamcast.errors import SchemaError
 from jamcast.ingest import (
     FeatureSchema,
@@ -30,10 +31,10 @@ def test_parse_wellformed_jam():
         b'"location_x":-118.4,"location_y":34.0,"road_type":3}'
     )
     records, report = parse_all([line])
-    assert len(records) == 1
+    assert len(column(records, "level")) == 1
     assert report.rows_accepted == 1 and report.rows_rejected == 0
     rec = records[0]
-    assert rec.level == 4 and rec.speed == 3.1 and rec.street == "I-405 N"
+    assert rec["level"][0] == 4 and rec["speed"][0] == 3.1 and rec["street"][0] == "I-405 N"
 
 
 def test_parse_level_out_of_range():
@@ -51,7 +52,7 @@ def test_parse_malformed_json():
 def test_parse_blank_lines_skipped():
     gen, report = parse_jams(BytesIO(b"\n\n" + jam_line() + b"\n\n"))
     records = list(gen)
-    assert len(records) == 1
+    assert len(column(records, "level")) == 1
     assert report.rows_accepted + report.rows_rejected == 1
 
 
@@ -67,7 +68,8 @@ def test_parse_missing_field_and_null_handling():
     assert report.rejection_reasons == {"missing_field": 1}
     # null numeric becomes the missing sentinel
     records, report = parse_all([jam_line(speed=None)])
-    assert len(records) == 1 and math.isnan(records[0].speed)
+    speeds = column(records, "speed")
+    assert len(speeds) == 1 and math.isnan(speeds[0])
 
 
 def test_parse_alert_event_types():
@@ -101,7 +103,7 @@ def test_parse_conservation(lines):
     records = list(gen)
     non_empty = sum(1 for x in lines if x.strip())
     assert report.rows_accepted + report.rows_rejected == non_empty
-    assert report.rows_accepted == len(records)
+    assert report.rows_accepted == len(column(records, "level"))
 
 
 def test_clean_rules():
@@ -115,9 +117,9 @@ def test_clean_rules():
         ]
     )
     kept, report = clean(records)
-    kept = list(kept)
-    assert len(kept) == 1
-    assert kept[0].delay == 120.0
+    delays = column(kept, "delay")
+    assert len(delays) == 1
+    assert delays[0] == 120.0
     assert report.rejection_reasons == {
         "negative_delay": 1,
         "null_island": 1,
@@ -130,14 +132,14 @@ def test_clean_rules():
 def test_clean_window():
     records, _ = parse_all([jam_line(pub_date=100), jam_line(pub_date=1514764800000)])
     kept, report = clean(records, window=(1514678400000, 1515456000000))
-    assert len(list(kept)) == 1
+    assert len(column(kept, "level")) == 1
     assert report.rejection_reasons == {"out_of_window": 1}
 
 
 def test_clean_keeps_nan_speed():
     records, _ = parse_all([jam_line(speed=None)])
     kept, report = clean(records)
-    assert len(list(kept)) == 1 and report.rows_rejected == 0
+    assert len(column(kept, "level")) == 1 and report.rows_rejected == 0
 
 
 def test_encode_single_row_shape():
@@ -238,3 +240,30 @@ def test_matrix_file_round_trip(tmp_path):
     path2 = tmp_path / "m2.tjm"
     save_matrix(path2, loaded, enc2, run_id="abc123")
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_staged_stages_write_the_ingest_files_bytes(tmp_path, monkeypatch):
+    """Each stage drained into a list before the next, as the benchmark's staged run does."""
+    import jamcast.ingest as ingest
+
+    monkeypatch.setattr(ingest, "_BLOCK_LINES", 97)
+    path = tmp_path / "jams.jsonl"
+    with open(path, "wb") as fh:
+        generate_jams(GenConfig(n_jams=1000, seed=4), fh)
+        for line in (b"not json", jam_line(level=9), jam_line(speed=-1), b"", jam_line(pub_date=0)):
+            fh.write(line + b"\n")
+    with open(path, "rb") as fh:
+        records, parse_report = parse_jams(fh)
+        records = list(records)
+    cleaned, clean_report = clean(records)
+    cleaned = list(cleaned)
+    matrix, encoding = encode(cleaned, schema_for("leaky"))
+    save_matrix(tmp_path / "staged.tjm", matrix, encoding)
+
+    whole, whole_encoding, summary = ingest_files([path], schema_for("leaky"))
+    save_matrix(tmp_path / "whole.tjm", whole, whole_encoding)
+    assert (tmp_path / "staged.tjm").read_bytes() == (tmp_path / "whole.tjm").read_bytes()
+    parse_report.files_read = 1
+    assert parse_report.as_dict() == summary.parse.as_dict()
+    assert clean_report.as_dict() == summary.clean.as_dict()
+    assert summary.parse.rows_rejected == 3 and summary.clean.rows_rejected == 1
