@@ -10,6 +10,7 @@ else 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob as globmod
 import json
 import os
@@ -21,6 +22,7 @@ from jamcast import __version__
 from jamcast.datagen import GenConfig, generate_alerts, generate_jams
 from jamcast.errors import ConfigError, JamcastError
 from jamcast.evaluation import (
+    TRAINERS,
     bench,
     render_table,
     reports_to_csv,
@@ -28,9 +30,9 @@ from jamcast.evaluation import (
 )
 from jamcast.ingest import ingest_files, load_matrix, save_matrix, schema_for
 from jamcast.manifest import build_manifest, make_run_id
-from jamcast.trees.training import TrainConfig, save_model, train_gbt, train_rf, train_xgb
+from jamcast.trees.training import TrainConfig, save_model
 
-_TRAINERS = {"rf": train_rf, "gbt": train_gbt, "xgb": train_xgb}
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,7 +70,8 @@ def _resolve_workers(value: int | None) -> int:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trees", type=int, default=None, help="number of trees")
+    # each dest is a TrainConfig field; None means the flag was not given
+    p.add_argument("--trees", dest="n_trees", type=int, default=None, help="number of trees")
     p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--max-leaves", type=int, default=None)
     p.add_argument("--learning-rate", type=float, default=None)
@@ -78,38 +81,21 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-bins", type=int, default=None)
     p.add_argument("--subsample-rows", type=float, default=None, help="rf bagging fraction")
     p.add_argument("--subsample-features", type=float, default=None)
-    p.add_argument("--no-bootstrap", action="store_true", help="rf: sample without replacement")
+    p.add_argument(
+        "--no-bootstrap",
+        dest="bootstrap",
+        action="store_false",
+        default=None,
+        help="rf: sample without replacement",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None, help="data-parallel workers")
 
 
-def _train_config(args, n_trees_default: int) -> TrainConfig:
-    base = TrainConfig()
-    return TrainConfig(
-        n_trees=args.trees if args.trees is not None else n_trees_default,
-        max_depth=args.max_depth if args.max_depth is not None else base.max_depth,
-        max_leaves=args.max_leaves if args.max_leaves is not None else base.max_leaves,
-        learning_rate=(
-            args.learning_rate if args.learning_rate is not None else base.learning_rate
-        ),
-        lam=args.lam if args.lam is not None else base.lam,
-        gamma=args.gamma if args.gamma is not None else base.gamma,
-        min_child_weight=(
-            args.min_child_weight if args.min_child_weight is not None else base.min_child_weight
-        ),
-        max_bins=args.max_bins if args.max_bins is not None else base.max_bins,
-        subsample_rows=(
-            args.subsample_rows if args.subsample_rows is not None else base.subsample_rows
-        ),
-        subsample_features=(
-            args.subsample_features
-            if args.subsample_features is not None
-            else base.subsample_features
-        ),
-        bootstrap=not args.no_bootstrap,
-        seed=args.seed,
-        n_workers=_resolve_workers(args.workers),
-    )
+def _train_config(args) -> TrainConfig:
+    """TrainConfig from the training flags given; the others keep the defaults."""
+    given = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS and v is not None}
+    return TrainConfig(**given, n_workers=_resolve_workers(args.workers))
 
 
 def build_parser() -> _Parser:
@@ -256,10 +242,10 @@ def _cmd_ingest(args, argv: list[str]) -> int:
 
 
 def _cmd_train(args, argv: list[str]) -> int:
-    config = _train_config(args, n_trees_default=TrainConfig().n_trees)
+    config = _train_config(args)
     config.validate()
     matrix, _ = load_matrix(args.matrix)
-    trainer = _TRAINERS[args.model]
+    trainer = TRAINERS[args.model]
     model = trainer(matrix, config=config)
 
     config_doc = {k: v for k, v in config.__dict__.items() if k != "n_workers"}
@@ -284,9 +270,9 @@ def _cmd_train(args, argv: list[str]) -> int:
 def _cmd_bench(args, argv: list[str]) -> int:
     kinds = [k.strip() for k in args.models.split(",") if k.strip()]
     for kind in kinds:
-        if kind not in _TRAINERS:
+        if kind not in TRAINERS:
             raise ConfigError(f"unknown model kind {kind!r}")
-    config = _train_config(args, n_trees_default=TrainConfig().n_trees)
+    config = _train_config(args)
     config.validate()
     matrix, _ = load_matrix(args.matrix)
     reports = bench(

@@ -146,7 +146,11 @@ class IngestReport:
 
 @dataclass
 class FeatureMatrix:
-    """Encoded design matrix: row-major float64 values plus boolean labels."""
+    """Encoded design matrix: (n_rows, n_features) float64 values plus boolean labels.
+
+    `encode` builds the values column-major (one contiguous block per
+    feature, as .tjm files store them); `load_matrix` returns them row-major.
+    """
 
     values: np.ndarray
     labels: np.ndarray
@@ -430,32 +434,38 @@ def encode(
     # first-seen provisional indices, remapped lexicographically at the end
     prov: dict[str, dict[str, int]] = {s.name: {} for s in specs if s.kind == "categorical"}
 
-    chunks: list[np.ndarray] = [np.empty((0, len(specs)), dtype=np.float64)]
+    # per feature, its column chunk of every block; empty-start for no blocks
+    columns: list[list[np.ndarray] | None] = [[np.empty(0)] for _ in specs]
     label_chunks: list[np.ndarray] = [np.empty(0, dtype=bool)]
     for block in blocks:
         time_fields = decompose_epoch_ms(block["pub_date"])
-        values = np.empty((len(block), len(specs)), dtype=np.float64)
         for j, spec in enumerate(specs):
             if spec.kind == "categorical":
                 cats = block[spec.source]
                 if existing is not None:
                     lookup = existing.by_feature.get(spec.name, {})
-                    values[:, j] = [lookup.get(cat, 0) for cat in cats]
+                    col = np.array([lookup.get(cat, 0) for cat in cats], dtype=np.int64)
                 else:
                     seen = prov[spec.name]
-                    values[:, j] = [seen.setdefault(cat, len(seen)) for cat in cats]
+                    codes = [seen.setdefault(cat, len(seen)) for cat in cats]
+                    col = np.array(codes, dtype=np.int64)
             elif spec.source in _TIME_SOURCES:
-                values[:, j] = time_fields[spec.source.split(".", 1)[1]]
+                # calendar fields are below 60, so one byte holds them exactly
+                col = time_fields[spec.source.split(".", 1)[1]].astype(np.int8)
             else:
-                values[:, j] = block[spec.source]
+                col = block[spec.source]
+            columns[j].append(col)
         levels = block["level"]
         if ((levels < 1) | (levels > 5)).any():
             raise ValidationError("jam level outside 1..5 reached encode")
-        chunks.append(values)
         label_chunks.append(levels > 2)
 
-    values = np.concatenate(chunks)
+    # one contiguous block per feature; each feature's chunks are freed as it is filled
     labels = np.concatenate(label_chunks)
+    by_feature = np.empty((len(specs), len(labels)), dtype=np.float64)
+    for j in range(len(specs)):
+        np.concatenate(columns[j], out=by_feature[j])
+        columns[j] = None
 
     if existing is not None:
         out_map = existing
@@ -468,10 +478,9 @@ def encode(
         for j, spec in enumerate(specs):
             if prov.get(spec.name):  # a dict iterates in first-seen order
                 lut = np.array([final[spec.name][cat] for cat in prov[spec.name]], dtype=np.float64)
-                values[:, j] = lut[values[:, j].astype(np.int64)]
+                by_feature[j] = lut[by_feature[j].astype(np.int64)]
 
-    matrix = FeatureMatrix(values=values, labels=labels, schema=schema)
-    return matrix, out_map
+    return FeatureMatrix(values=by_feature.T, labels=labels, schema=schema), out_map
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +565,10 @@ def save_matrix(
         fh.write(_TJM_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        # one contiguous float64 block per feature, in schema order
-        fh.write(np.ascontiguousarray(matrix.values.T, dtype="<f8").data)
+        # one contiguous float64 block per feature, in schema order; a column
+        # of a column-major matrix (as encode builds it) is written uncopied
+        for column in matrix.values.T:
+            fh.write(np.ascontiguousarray(column, dtype="<f8").data)
         fh.write(matrix.labels.astype(np.uint8).data)
 
 

@@ -8,7 +8,6 @@ from jamcast.trees.grower import (
     TreeNode,
     build_histograms,
     find_best_split,
-    grow_tree,
     leaf_weight,
     logistic_grad_hess,
     sigmoid,
@@ -35,7 +34,6 @@ __all__ = [
     "TreeNode",
     "build_histograms",
     "find_best_split",
-    "grow_tree",
     "leaf_weight",
     "logistic_grad_hess",
     "sigmoid",

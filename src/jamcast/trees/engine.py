@@ -1,10 +1,14 @@
 """Training execution engines: the same partition-local code runs inline or forked.
 
 A PartitionState owns one contiguous row range: its labels, margins,
-gradients and per-node row sets. Histograms for a node are always the
+gradients and per-node row sets, and each of its methods is one training
+step. An engine has a single primitive, `_run(method, args, build_id)`: call
+PartitionState `method(*args)` on every partition, then, when `build_id` is
+not None, return node `build_id`'s histogram, which is always the
 fixed-shape reduction of the per-partition histograms in partition order
-(see jamcast.parallel), so an inline engine and a process pool produce
-bit-identical trees.
+(see jamcast.parallel). InlineSource runs a step as a loop over its
+partitions and PoolSource as one lockstep round-trip to forked workers, so
+both produce bit-identical trees.
 
 The pool forks workers after the binned matrix exists (inherited
 copy-on-write) and clamps the process count to the machine's cores; the
@@ -22,12 +26,13 @@ from typing import Sequence
 
 import numpy as np
 
+from jamcast.errors import JamcastError
 from jamcast.parallel import N_HIST_PARTS, partition_rows, reduce_histograms
 from jamcast.trees.grower import GradHistogram, build_histograms, sigmoid
 
 
 class PartitionState:
-    """Row-partition-local training state; identical arithmetic everywhere."""
+    """Row-partition-local training state; each method is one training step."""
 
     def __init__(self, lo: int, hi: int, binned, labels: np.ndarray):
         self.lo = lo
@@ -39,9 +44,6 @@ class PartitionState:
         self.h = np.zeros(hi - lo)
         self.nodes: dict[int, np.ndarray] = {}
 
-    def _all_rows(self) -> np.ndarray:
-        return np.arange(self.lo, self.hi, dtype=np.int64)
-
     def init_boost(self, base_margin: float) -> None:
         self.margin = np.full(self.hi - self.lo, base_margin, dtype=np.float64)
 
@@ -49,17 +51,11 @@ class PartitionState:
         p = sigmoid(self.margin)
         self.g = p - self.y
         self.h = p * (1.0 - p) if second_order else np.ones_like(p)
-        self.nodes = {0: self._all_rows()}
-
-    def set_gradients(self, g: np.ndarray, h: np.ndarray) -> None:
-        """Externally supplied per-row gradients for this partition's range."""
-        self.g = np.asarray(g, dtype=np.float64)
-        self.h = np.asarray(h, dtype=np.float64)
-        self.nodes = {0: self._all_rows()}
+        self.nodes = {0: np.arange(self.lo, self.hi, dtype=np.int64)}
 
     def begin_tree_weighted(self, mult: np.ndarray) -> None:
-        """Bootstrap-weighted tree start: g = y * w, h = w, rows with w > 0."""
-        w = np.asarray(mult, dtype=np.float64)
+        """Bootstrap-weighted tree start from whole-matrix weights: g = y * w, h = w."""
+        w = np.asarray(mult[self.lo : self.hi], dtype=np.float64)
         self.g = self.y * w
         self.h = w
         self.nodes = {0: np.nonzero(w > 0)[0].astype(np.int64) + self.lo}
@@ -87,7 +83,8 @@ class PartitionState:
         self.nodes[left_id] = rows[go_left]
         self.nodes[right_id] = rows[~go_left]
 
-    def apply_leaf_deltas(self, deltas: Sequence[tuple[int, float]]) -> None:
+    def finalize_tree(self, deltas: Sequence[tuple[int, float]]) -> None:
+        """Add each leaf's margin delta to its rows, then drop the tree's row sets."""
         for nid, delta in deltas:
             rows = self.nodes.get(nid)
             if rows is not None and rows.size:
@@ -95,121 +92,94 @@ class PartitionState:
         self.nodes = {}
 
 
-def _make_states(binned, labels: np.ndarray) -> list[PartitionState]:
-    plan = partition_rows(binned.n_rows, N_HIST_PARTS)
-    return [PartitionState(lo, hi, binned, labels) for lo, hi in plan.ranges]
+def _step(states: Sequence[PartitionState], method: str | None, args: tuple, build_id):
+    """One training step over `states`: each one's node `build_id` histogram, if asked."""
+    if method is not None:
+        for st in states:
+            getattr(st, method)(*args)
+    return None if build_id is None else [st.node_hist(build_id) for st in states]
 
 
-class InlineSource:
-    """Single-process engine over the fixed partition grain."""
+def _reduce(binned, sums) -> GradHistogram:
+    parts = [GradHistogram(sums=s, n_real_bins=binned.n_real_bins) for s in sums]
+    return reduce_histograms(parts)
 
-    def __init__(self, binned, reducer=reduce_histograms, labels: np.ndarray | None = None):
-        if labels is None:
-            labels = np.zeros(binned.n_rows, dtype=np.float64)
-        self.binned = binned
-        self.reducer = reducer
-        self.states = _make_states(binned, labels)
 
-    # -- gradient/bookkeeping entry points -------------------------------
+class _Engine:
+    """The training protocol: every step is one `_run` over all partitions."""
+
     def init_boost(self, base_margin: float) -> None:
-        for st in self.states:
-            st.init_boost(base_margin)
+        self._run("init_boost", (base_margin,))
 
     def begin_round(self, second_order: bool) -> None:
-        for st in self.states:
-            st.begin_round(second_order)
-
-    def set_gradients(self, g: np.ndarray, h: np.ndarray) -> None:
-        for st in self.states:
-            st.set_gradients(g[st.lo : st.hi], h[st.lo : st.hi])
+        self._run("begin_round", (second_order,))
 
     def begin_tree_weighted(self, mult: np.ndarray) -> None:
-        for st in self.states:
-            st.begin_tree_weighted(mult[st.lo : st.hi])
+        self._run("begin_tree_weighted", (mult,))
 
     def finalize_tree(self, deltas: Sequence[tuple[int, float]]) -> None:
-        for st in self.states:
-            st.apply_leaf_deltas(deltas)
+        self._run("finalize_tree", (deltas,))
 
-    # -- HistSource protocol ---------------------------------------------
     def node_hist(self, node_id: int) -> GradHistogram:
-        parts = [
-            GradHistogram(sums=st.node_hist(node_id), n_real_bins=self.binned.n_real_bins)
-            for st in self.states
-        ]
-        return self.reducer(parts)
-
-    def apply_split(self, node_id, feature, bin_threshold, missing_goes_left, left_id, right_id):
-        for st in self.states:
-            st.apply_split(node_id, feature, bin_threshold, missing_goes_left, left_id, right_id)
+        return self._run(None, (), node_id)
 
     def expand(
-        self, node_id, feature, bin_threshold, missing_goes_left, left_id, right_id, build_id
+        self, node_id, feature, bin_threshold, missing_goes_left, left_id, right_id, build_id=None
     ) -> GradHistogram | None:
         """Apply a split, then build the requested child histogram (if any)."""
-        self.apply_split(node_id, feature, bin_threshold, missing_goes_left, left_id, right_id)
-        return self.node_hist(build_id) if build_id is not None else None
+        split = (node_id, feature, bin_threshold, missing_goes_left, left_id, right_id)
+        return self._run("apply_split", split, build_id)
+
+
+def _own_steps(cls):
+    """Bind the protocol steps in `cls` itself, not only through inheritance.
+
+    perfbench/tracer.py times each engine class's steps by patching the
+    entries of that class's own `__dict__`.
+    """
+    for name, fn in vars(_Engine).items():
+        if not name.startswith("_"):
+            setattr(cls, name, fn)
+    return cls
+
+
+@_own_steps
+class InlineSource(_Engine):
+    """Single-process engine over the fixed partition grain."""
+
+    def __init__(self, binned, labels: np.ndarray):
+        self.binned = binned
+        plan = partition_rows(binned.n_rows, N_HIST_PARTS)
+        self.states = [PartitionState(lo, hi, binned, labels) for lo, hi in plan.ranges]
+
+    def _run(self, method, args, build_id=None) -> GradHistogram | None:
+        sums = _step(self.states, method, args, build_id)
+        return None if sums is None else _reduce(self.binned, sums)
 
     def close(self) -> None:
         pass
 
 
 def _worker_main(conn, part_ids, part_ranges, binned, labels, shm_buf, hist_shape) -> None:
-    """Forked worker loop: owns a set of partitions, answers lockstep commands.
+    """Forked worker loop: runs each received step on its partitions until None.
 
     Histograms are written into this worker's slots of the shared buffer;
     replies carry no payload.
     """
     states = [PartitionState(lo, hi, binned, labels) for lo, hi in part_ranges]
     slots = np.frombuffer(shm_buf, dtype=np.float64).reshape((N_HIST_PARTS,) + hist_shape)
-
-    def write_hists(node_id: int) -> None:
-        for pid, st in zip(part_ids, states):
-            slots[pid] = st.node_hist(node_id)
-
     try:
-        while True:
-            msg = conn.recv()
-            op = msg[0]
-            if op == "stop":
-                break
-            elif op == "hist":
-                write_hists(msg[1])
-                conn.send(None)
-            elif op == "expand":
-                _, node_id, fargs, left_id, right_id, build_id = msg
-                for st in states:
-                    st.apply_split(node_id, *fargs, left_id, right_id)
-                if build_id is not None:
-                    write_hists(build_id)
-                conn.send(None)
-            elif op == "init_boost":
-                for st in states:
-                    st.init_boost(msg[1])
-                conn.send(None)
-            elif op == "round":
-                for st in states:
-                    st.begin_round(msg[1])
-                conn.send(None)
-            elif op == "weighted":
-                for st, m in zip(states, msg[1]):
-                    st.begin_tree_weighted(m)
-                conn.send(None)
-            elif op == "split":
-                for st in states:
-                    st.apply_split(*msg[1])
-                conn.send(None)
-            elif op == "leaves":
-                for st in states:
-                    st.apply_leaf_deltas(msg[1])
-                conn.send(None)
-            else:  # pragma: no cover - protocol misuse
-                raise RuntimeError(f"unknown op {op!r}")
+        while (msg := conn.recv()) is not None:
+            sums = _step(states, *msg)
+            for pid, s in zip(part_ids, sums or ()):
+                slots[pid] = s
+            conn.send(None)
     finally:
         conn.close()
 
 
-class PoolSource:
+@_own_steps
+class PoolSource(_Engine):
     """Engine backed by forked worker processes.
 
     The fixed partition grain is distributed contiguously over workers;
@@ -219,33 +189,23 @@ class PoolSource:
     workers would only contend for the same cores.
     """
 
-    def __init__(self, binned, n_workers: int, reducer=reduce_histograms, labels=None):
-        if labels is None:
-            labels = np.zeros(binned.n_rows, dtype=np.float64)
+    def __init__(self, binned, labels: np.ndarray, n_workers: int):
         self.binned = binned
-        self.reducer = reducer
-        self.n_workers = n_workers
         n_procs = max(1, min(n_workers, N_HIST_PARTS, os.cpu_count() or 1))
         plan = partition_rows(binned.n_rows, N_HIST_PARTS)
         assign = partition_rows(N_HIST_PARTS, n_procs)
-        self._hist_shape = (binned.n_features, binned.hist_bins, 3)
+        hist_shape = (binned.n_features, binned.hist_bins, 3)
         ctx = mp.get_context("fork")
-        shm_elems = N_HIST_PARTS * int(np.prod(self._hist_shape))
-        self._shm = ctx.RawArray("d", shm_elems)
-        self._slots = np.frombuffer(self._shm, dtype=np.float64).reshape(
-            (N_HIST_PARTS,) + self._hist_shape
-        )
+        shm = ctx.RawArray("d", N_HIST_PARTS * int(np.prod(hist_shape)))
+        self._slots = np.frombuffer(shm, dtype=np.float64).reshape((N_HIST_PARTS,) + hist_shape)
         self._conns = []
         self._procs = []
-        self._worker_parts: list[tuple[tuple[int, int], ...]] = []
         for w_lo, w_hi in assign.ranges:
-            part_ids = list(range(w_lo, w_hi))
-            parts = plan.ranges[w_lo:w_hi]
-            self._worker_parts.append(parts)
             parent_conn, child_conn = ctx.Pipe()
+            parts = (range(w_lo, w_hi), plan.ranges[w_lo:w_hi])
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, part_ids, parts, binned, labels, self._shm, self._hist_shape),
+                args=(child_conn, *parts, binned, labels, shm, hist_shape),
                 daemon=True,
             )
             proc.start()
@@ -253,62 +213,36 @@ class PoolSource:
             self._conns.append(parent_conn)
             self._procs.append(proc)
 
-    def _broadcast(self, msg) -> None:
-        for conn in self._conns:
-            conn.send(msg)
-        for conn in self._conns:
-            conn.recv()
+    def _run(self, method, args, build_id=None) -> GradHistogram | None:
+        """Send one step to every worker, then wait for all of them to finish it."""
+        msg = (method, args, build_id)
+        try:
+            for worker, conn in enumerate(self._conns):
+                conn.send(msg)
+            for worker, conn in enumerate(self._conns):
+                conn.recv()
+        except (EOFError, OSError):
+            proc = self._procs[worker]
+            self.close()
+            raise JamcastError(
+                f"pool worker {worker} (pid {proc.pid}) died with exit code {proc.exitcode}"
+            ) from None
+        return None if build_id is None else _reduce(self.binned, self._slots)
 
-    def _collect(self) -> GradHistogram:
-        parts = [
-            GradHistogram(sums=self._slots[p], n_real_bins=self.binned.n_real_bins)
-            for p in range(N_HIST_PARTS)
-        ]
-        return self.reducer(parts)
-
-    def init_boost(self, base_margin: float) -> None:
-        self._broadcast(("init_boost", base_margin))
-
-    def begin_round(self, second_order: bool) -> None:
-        self._broadcast(("round", second_order))
-
-    def begin_tree_weighted(self, mult: np.ndarray) -> None:
-        for conn, parts in zip(self._conns, self._worker_parts):
-            conn.send(("weighted", [mult[lo:hi] for lo, hi in parts]))
-        for conn in self._conns:
-            conn.recv()
-
-    def finalize_tree(self, deltas: Sequence[tuple[int, float]]) -> None:
-        self._broadcast(("leaves", list(deltas)))
-
-    def node_hist(self, node_id: int) -> GradHistogram:
-        self._broadcast(("hist", node_id))
-        return self._collect()
-
-    def apply_split(self, node_id, feature, bin_threshold, missing_goes_left, left_id, right_id):
-        self._broadcast(
-            ("split", (node_id, feature, bin_threshold, missing_goes_left, left_id, right_id))
-        )
-
-    def expand(
-        self, node_id, feature, bin_threshold, missing_goes_left, left_id, right_id, build_id
-    ) -> GradHistogram | None:
-        self._broadcast(
-            ("expand", node_id, (feature, bin_threshold, missing_goes_left), left_id, right_id, build_id)
-        )
-        return self._collect() if build_id is not None else None
+    apply_split = _Engine.expand  # perfbench/tracer.py wraps it by name
 
     def close(self) -> None:
         for conn in self._conns:
             try:
-                conn.send(("stop",))
-                conn.close()
-            except (BrokenPipeError, OSError):
+                conn.send(None)
+            except OSError:  # the worker is already gone
                 pass
+            conn.close()
         for proc in self._procs:
             proc.join(timeout=10)
             if proc.is_alive():  # pragma: no cover - defensive cleanup
                 proc.terminate()
+                proc.join()
         self._conns = []
         self._procs = []
 
@@ -316,9 +250,9 @@ class PoolSource:
 def open_engine(binned, labels: np.ndarray, n_workers: int):
     """Inline engine for one worker, forked pool otherwise (fork platforms only)."""
     if n_workers <= 1:
-        return InlineSource(binned, labels=labels)
+        return InlineSource(binned, labels)
     try:
         mp.get_context("fork")
     except ValueError:  # pragma: no cover - non-fork platform fallback
-        return InlineSource(binned, labels=labels)
-    return PoolSource(binned, n_workers, labels=labels)
+        return InlineSource(binned, labels)
+    return PoolSource(binned, labels, n_workers)

@@ -448,24 +448,3 @@ def grow_best_first(
             st = states[nid]
             node.value = leaf_value(st.g, st.h)
     return DecisionTree(nodes=nodes)
-
-
-def grow_tree(binned, g: np.ndarray, h: np.ndarray, config, reducer=None) -> DecisionTree:
-    """Grow a boosting tree over full-matrix gradients with a given reducer.
-
-    This is the single-process entry point; the reducer combines the fixed
-    per-partition histograms (jamcast.parallel.reduce_histograms by default).
-    """
-    # local import keeps grower importable without the parallel module
-    from jamcast.parallel import reduce_histograms
-    from jamcast.trees.engine import InlineSource
-
-    if reducer is None:
-        reducer = reduce_histograms
-    g = np.asarray(g, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if g.shape != (binned.n_rows,) or h.shape != (binned.n_rows,):
-        raise ValidationError("g and h must be per-row vectors")
-    source = InlineSource(binned, reducer)
-    source.set_gradients(g, h)
-    return grow_best_first(source, config, binned.edges, objective="boost")

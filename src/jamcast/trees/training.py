@@ -252,17 +252,6 @@ def predict(ensemble: Ensemble, rows) -> np.ndarray:
     return sigmoid(margin)
 
 
-def predict_margin(ensemble: Ensemble, rows) -> np.ndarray:
-    """Raw additive margin (boosting kinds only)."""
-    if ensemble.kind == "rf":
-        raise ValidationError("rf ensembles have no margin")
-    values = rows.values if hasattr(rows, "values") else np.asarray(rows, dtype=np.float64)
-    margin = np.full(values.shape[0], ensemble.base_margin, dtype=np.float64)
-    for tree in ensemble.trees:
-        margin += ensemble.learning_rate * tree.predict_values(values)
-    return margin
-
-
 # ---------------------------------------------------------------------------
 # serialization: versioned, human-diffable JSON; byte-identical given the
 # same trained model (no timestamps, no worker count)

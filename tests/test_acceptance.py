@@ -24,8 +24,9 @@ from jamcast.evaluation import (
 from jamcast.ingest import ingest_files, schema_for
 from jamcast.parallel import reduce_histograms
 from jamcast.trees.binning import quantize
-from jamcast.trees.grower import GradHistogram, grow_tree, logistic_grad_hess
+from jamcast.trees.grower import GradHistogram, logistic_grad_hess
 from jamcast.trees.training import TrainConfig, predict, save_model, train_xgb
+from helpers import grow_tree
 from oracles import brute_auc, exact_greedy_tree, logloss
 
 SEED = 42

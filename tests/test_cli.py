@@ -1,10 +1,11 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from conftest import jam_line
+from helpers import jam_line
 from jamcast.cli import main
 from jamcast.ingest import load_matrix
 from jamcast.trees.training import load_model
@@ -165,6 +166,40 @@ def test_train_worker_invariant_model_files(tmp_path):
     assert main(base + ["--out", str(p1), "--workers", "1"]) == 0
     assert main(base + ["--out", str(p8), "--workers", "8"]) == 0
     assert p1.read_bytes() == p8.read_bytes()
+
+
+_DIE_IN_WORKER = """
+import multiprocessing, os, sys
+from jamcast.cli import main
+from jamcast.trees.engine import PartitionState
+
+parent = os.getpid()
+
+def die_in_worker(self, second_order):
+    if os.getpid() != parent:
+        os._exit(7)
+
+PartitionState.begin_round = die_in_worker
+rc = main(sys.argv[1:])
+print("live workers:", len(multiprocessing.active_children()))
+sys.exit(rc)
+"""
+
+
+def test_train_reports_a_dead_worker(tmp_path):
+    matrix_path = _ingest(tmp_path)
+    out = tmp_path / "dead.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _DIE_IN_WORKER, "train", "--matrix", str(matrix_path),
+         "--model", "xgb", "--trees", "2", "--workers", "2", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert re.fullmatch(r"error: pool worker 0 \(pid \d+\) died with exit code 7\n", proc.stderr)
+    assert proc.stdout == "live workers: 0\n"
+    assert not out.exists()
 
 
 def test_workers_env_var(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ from io import BytesIO
 import numpy as np
 import pytest
 
-from conftest import column
+from helpers import column
 from jamcast.datagen import GenConfig, generate_alerts, generate_jams
 from jamcast.errors import ValidationError
 from jamcast.events import EVENT_TYPES

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import synthetic_matrix
+from helpers import synthetic_matrix
 from jamcast.errors import UndefinedMetricError, ValidationError
 from jamcast.evaluation import (
     ConfusionMatrix,

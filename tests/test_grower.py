@@ -11,13 +11,13 @@ from jamcast.trees.binning import quantize
 from jamcast.trees.grower import (
     build_histograms,
     find_best_split,
-    grow_tree,
     leaf_weight,
     logistic_grad_hess,
     sigmoid,
     split_gain,
 )
 from jamcast.trees.training import TrainConfig
+from helpers import grow_tree
 from oracles import exact_greedy_tree, logloss, naive_histogram
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from io import BytesIO
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import alert_line, column, jam_line, parse_all
+from helpers import alert_line, column, jam_line, parse_all
 from jamcast.datagen import GenConfig, generate_jams
 from jamcast.errors import SchemaError
 from jamcast.ingest import (
@@ -240,6 +241,31 @@ def test_matrix_file_round_trip(tmp_path):
     path2 = tmp_path / "m2.tjm"
     save_matrix(path2, loaded, enc2, run_id="abc123")
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("feature_set", ["honest", "leaky"])
+def test_encode_and_save_matrix_hold_the_matrix_once(tmp_path, feature_set):
+    buf = BytesIO()
+    generate_jams(GenConfig(n_jams=20_000, seed=5), buf)
+    buf.seek(0)
+    records, _ = parse_jams(buf)
+    cleaned, _ = clean(records)
+    blocks = list(cleaned)
+
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    (matrix, enc), encode_peak = traced_peak(encode, blocks, schema_for(feature_set))
+    _, save_peak = traced_peak(save_matrix, tmp_path / "m.tjm", matrix, enc)
+    nbytes = matrix.values.nbytes
+    assert encode_peak < 1.5 * nbytes
+    assert save_peak < 0.5 * nbytes
 
 
 def test_staged_stages_write_the_ingest_files_bytes(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jamcast.ingest as ingest
-from conftest import JAM_LINE_DEFAULTS
+from helpers import JAM_LINE_DEFAULTS
 from jamcast.ingest import EncodingMap, clean, encode, parse_jams, save_matrix, schema_for
 from oracles import reference_clean, reference_encode, reference_parse_jams
 
@@ -81,7 +81,8 @@ def jam_lines(draw) -> bytes:
         )
     )
     if frame == "utf16":
-        return text.encode(draw(st.sampled_from(["utf-16-le", "utf-16-be", "utf-16"])))
+        encoding = draw(st.sampled_from(["utf-16-le", "utf-16-be", "utf-16"]))
+        return text.encode(encoding, "surrogatepass")
     if frame == "raw_ctl":  # control characters left unescaped inside strings
         text = text.replace("\\u000b", "\x0b").replace("\\u0085", "\x85")
     line = text.encode("utf-8", "surrogatepass")

@@ -13,7 +13,6 @@ from jamcast.trees.training import (
     load_model,
     model_to_doc,
     predict,
-    predict_margin,
     save_model,
     train_gbt,
     train_rf,
@@ -145,8 +144,7 @@ def test_margin_update_identity(small_matrix):
     margins = np.full(train.n_rows, model.base_margin)
     for tree in model.trees:
         margins += model.learning_rate * tree.predict_values(train.values)
-    recomputed = predict_margin(model, train)
-    np.testing.assert_allclose(margins, recomputed, atol=1e-9, rtol=0)
+    np.testing.assert_allclose(predict(model, train), sigmoid(margins), atol=1e-12, rtol=0)
 
 
 def test_monotone_binning_invariance():
