@@ -1,16 +1,12 @@
-"""Domain types for traffic events and the pure label/calendar derivations.
+"""The jam label rule and the fixed-PST calendar decomposition, on numpy arrays.
 
-Everything here is a pure function on immutable values. Pacific time is a
-fixed UTC-8 offset (no DST): the data window this pipeline models lies
-entirely inside PST, and applying DST rules would change labels for no
-modelled benefit. Documented as a limitation.
+Both are pure functions of a whole column. Pacific time is a fixed UTC-8
+offset (no DST): the data window this pipeline models lies entirely inside
+PST, and applying DST rules would change labels for no modelled benefit.
+Documented as a limitation.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from datetime import datetime
-from enum import IntEnum
 
 import numpy as np
 
@@ -23,56 +19,19 @@ PACIFIC_OFFSET_SECONDS = 8 * 3600  # fixed PST, no DST
 _DAY = 86400
 
 
-class Weekday(IntEnum):
-    MONDAY = 0
-    TUESDAY = 1
-    WEDNESDAY = 2
-    THURSDAY = 3
-    FRIDAY = 4
-    SATURDAY = 5
-    SUNDAY = 6
+def jam_labels(levels: np.ndarray) -> np.ndarray:
+    """Jam labels: true iff the severity level exceeds 2.
 
-
-@dataclass(frozen=True, slots=True)
-class AlertRecord:
-    """User-reported traffic event (accident, jam, hazard, road closure)."""
-
-    location_x: float
-    location_y: float
-    street: str
-    city: str
-    country: str
-    road_type: float
-    report_description: str
-    event_type: str
-    pub_date_utc: int
-
-
-@dataclass(frozen=True, slots=True)
-class TimeParts:
-    """Calendar decomposition of a publication instant in fixed-offset Pacific time."""
-
-    date_pst: datetime
-    month: int
-    day: int
-    hour: int
-    min: int
-    sec: int
-    weekday: Weekday
-
-
-def derive_label(level: int) -> bool:
-    """Jam label: true iff severity level exceeds 2.
-
-    Levels run 1 (almost no jam) to 5 (standstill); anything else is a hard
-    validation error rather than a clamp, since a silently clamped level
-    would corrupt the label.
+    Levels run 1 (almost no jam) to 5 (standstill); a non-integer level or
+    one outside that range is a hard validation error rather than a clamp,
+    since a silently clamped level would corrupt the label.
     """
-    if not isinstance(level, (int, np.integer)) or isinstance(level, bool):
-        raise ValidationError(f"level must be an integer, got {level!r}")
-    if not 1 <= level <= 5:
-        raise ValidationError(f"level must be in 1..5, got {level}")
-    return level > 2
+    levels = np.asarray(levels)
+    if levels.dtype.kind not in "iu":
+        raise ValidationError(f"levels must be integers, got dtype {levels.dtype}")
+    if ((levels < 1) | (levels > 5)).any():
+        raise ValidationError("jam level outside 1..5")
+    return levels > 2
 
 
 def _civil_from_days(days: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -94,6 +53,7 @@ def decompose_epoch_ms(pub_date_utc: np.ndarray) -> dict[str, np.ndarray]:
     """Vectorized calendar fields (fixed PST) for an int64 epoch-ms array.
 
     Returns year/month/day/hour/min/sec/weekday arrays; weekday is 0=Monday.
+    Sub-second parts of each instant are truncated.
     """
     ms = np.asarray(pub_date_utc, dtype=np.int64)
     pst = ms // 1000 - PACIFIC_OFFSET_SECONDS
@@ -109,21 +69,3 @@ def decompose_epoch_ms(pub_date_utc: np.ndarray) -> dict[str, np.ndarray]:
         "sec": sod % 60,
         "weekday": (days + 3) % 7,  # 1970-01-01 was a Thursday
     }
-
-
-def decompose_time(pub_date_utc: int) -> TimeParts:
-    """Decompose a UTC epoch-ms instant into fixed-PST calendar parts."""
-    if pub_date_utc <= 0:
-        raise ValidationError(f"pub_date_utc must be positive, got {pub_date_utc}")
-    f = decompose_epoch_ms(np.array([pub_date_utc], dtype=np.int64))
-    year, month, day = int(f["year"][0]), int(f["month"][0]), int(f["day"][0])
-    hour, minute, sec = int(f["hour"][0]), int(f["min"][0]), int(f["sec"][0])
-    return TimeParts(
-        date_pst=datetime(year, month, day, hour, minute, sec),
-        month=month,
-        day=day,
-        hour=hour,
-        min=minute,
-        sec=sec,
-        weekday=Weekday(int(f["weekday"][0])),
-    )

@@ -1,4 +1,4 @@
-"""Parse, validate, clean and encode alert/jam JSONL streams into feature matrices.
+"""Parse, validate, clean and encode jam JSONL streams into feature matrices.
 
 Jams stream through in blocks of `_BLOCK_LINES` non-empty lines and never
 become row objects. Each line is decoded once; objects holding every jam
@@ -7,7 +7,7 @@ set-of-types test and one numpy mask. Only rows failing a fast check go to
 the scalar validator `_jam_rejection`, whose order of checks decides which
 rejection reason wins. `clean` drops rows with ordered masks and `encode`
 fills the matrix from the columns, so memory holds one block of lines and
-decoded objects plus the output columns. Alerts keep a row parser.
+decoded objects plus the output columns.
 
 Parsing is line-tolerant: every non-empty line either yields a row or
 increments a rejection reason, and rows_accepted + rows_rejected always
@@ -26,6 +26,7 @@ import hashlib
 import itertools
 import json
 import operator
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,9 +35,7 @@ from typing import BinaryIO, Iterable, Iterator
 import numpy as np
 
 from jamcast.errors import SchemaError, ValidationError
-from jamcast.events import EVENT_TYPES, AlertRecord, decompose_epoch_ms
-
-MISSING = float("nan")
+from jamcast.events import decompose_epoch_ms, jam_labels
 
 # ---------------------------------------------------------------------------
 # schema
@@ -70,7 +69,6 @@ _LEAKY_EXTRA = (
 
 _JAM_STRINGS = ("street", "city", "country")
 _JAM_NUMERICS = ("location_x", "location_y", "road_type", "speed", "length", "delay")
-_ALERT_STRINGS = (*_JAM_STRINGS, "report_description")
 _TIME_SOURCES = {"time.month", "time.day", "time.hour", "time.min", "time.sec", "time.weekday"}
 
 
@@ -112,7 +110,7 @@ def schema_for(feature_set: str) -> FeatureSchema:
 
 @dataclass
 class EncodingMap:
-    """Per categorical feature: text -> dense index >= 1; index 0 is unknown."""
+    """Per categorical feature: text -> dense index >= 1; index 0 is reserved."""
 
     by_feature: dict[str, dict[str, int]] = field(default_factory=dict)
 
@@ -148,8 +146,9 @@ class IngestReport:
 class FeatureMatrix:
     """Encoded design matrix: (n_rows, n_features) float64 values plus boolean labels.
 
-    `encode` builds the values column-major (one contiguous block per
-    feature, as .tjm files store them); `load_matrix` returns them row-major.
+    `encode` and `load_matrix` both hold the values column-major, one
+    contiguous block per feature as .tjm files store them, and return the
+    row-major view of that block.
     """
 
     values: np.ndarray
@@ -210,28 +209,6 @@ class JamBlock:
         return JamBlock({key: col[keep] for key, col in self.columns.items()})
 
 
-def _parse_common(obj: dict, strings, numerics) -> tuple[dict, str | None]:
-    """The checks jams and alerts share, in the order that picks the rejection reason."""
-    if any(key not in obj for key in strings + numerics + ("pub_date",)):
-        return {}, "missing_field"
-    out = {}
-    for key in strings:
-        if type(obj[key]) not in _TEXT[0]:
-            return {}, "bad_field_type"
-        out[key] = obj[key] or ""
-    for key in numerics:
-        value = obj[key]
-        if type(value) not in _NUMBER[0] or not _fits(value, np.float64):  # 1e400 written out
-            return {}, "bad_field_type"
-        out[key] = MISSING if value is None else float(value)
-    pub = out["pub_date_utc"] = obj["pub_date"]
-    if type(pub) is not int:
-        return {}, "bad_field_type"
-    if not 0 < pub < 2**63:  # epoch-ms must fit int64
-        return {}, "invalid_pub_date"
-    return out, None
-
-
 def _jam_rejection(obj) -> str | None:
     """Why parse rejects a decoded jam line, or None; the order of checks picks the reason."""
     if not isinstance(obj, dict):
@@ -243,7 +220,16 @@ def _jam_rejection(obj) -> str | None:
         return "bad_field_type"
     if not 1 <= level <= 5:
         return "level_out_of_range"
-    return _parse_common(obj, _JAM_STRINGS, _JAM_NUMERICS)[1]
+    if any(key not in obj for key in _JAM_COLUMNS):
+        return "missing_field"
+    for key, (types, dtype) in _JAM_COLUMNS.items():
+        value = obj[key]
+        # a float64 column must also hold the value: 1e400 written out does not fit
+        if type(value) not in types or (dtype is np.float64 and not _fits(value, dtype)):
+            return "bad_field_type"
+    if not 0 < obj["pub_date"] < 2**63:  # epoch-ms must fit int64
+        return "invalid_pub_date"
+    return None
 
 
 def _iter_nonempty(stream: BinaryIO | Iterable[bytes]) -> Iterator[bytes]:
@@ -341,34 +327,6 @@ def parse_jams(stream: BinaryIO | Iterable[bytes]) -> tuple[Iterator[JamBlock], 
     return gen(), report
 
 
-def parse_alerts(
-    stream: BinaryIO | Iterable[bytes],
-) -> tuple[Iterator[AlertRecord], IngestReport]:
-    """Lazily parse line-delimited alert JSON against the alert schema."""
-    report = IngestReport()
-
-    def gen() -> Iterator[AlertRecord]:
-        for line in _iter_nonempty(stream):
-            obj = _loads(line)
-            if not isinstance(obj, dict):
-                err = "malformed_json"
-            elif "type" not in obj:
-                err = "missing_field"
-            elif not isinstance(obj["type"], str):
-                err = "bad_field_type"
-            elif obj["type"] not in EVENT_TYPES:
-                err = "unknown_event_type"
-            else:
-                common, err = _parse_common(obj, _ALERT_STRINGS, _JAM_NUMERICS[:3])
-            if err:
-                report.reject(err)
-            else:
-                report.rows_accepted += 1
-                yield AlertRecord(event_type=obj["type"], **common)
-
-    return gen(), report
-
-
 def clean(
     blocks: Iterable[JamBlock],
     window: tuple[int, int] | None = None,
@@ -416,18 +374,12 @@ def _validate_schema_sources(schema: FeatureSchema) -> None:
             raise SchemaError(f"{spec.name}: no {spec.kind} source {spec.source!r}")
 
 
-def encode(
-    blocks: Iterable[JamBlock],
-    schema: FeatureSchema,
-    existing: EncodingMap | None = None,
-) -> tuple[FeatureMatrix, EncodingMap]:
+def encode(blocks: Iterable[JamBlock], schema: FeatureSchema) -> tuple[FeatureMatrix, EncodingMap]:
     """Encode cleaned jam blocks into a FeatureMatrix in schema order.
 
     Categorical indices are assigned 1..k in lexicographic order of the
     observed category text (deterministic, no hashing); index 0 is reserved
-    for categories unseen by a frozen map. With `existing` the map is used
-    read-only, as for test-set encoding. Labels come from the jam level and
-    nothing else.
+    and never assigned. Labels come from the jam level and nothing else.
     """
     _validate_schema_sources(schema)
     specs = schema.features
@@ -441,24 +393,16 @@ def encode(
         time_fields = decompose_epoch_ms(block["pub_date"])
         for j, spec in enumerate(specs):
             if spec.kind == "categorical":
-                cats = block[spec.source]
-                if existing is not None:
-                    lookup = existing.by_feature.get(spec.name, {})
-                    col = np.array([lookup.get(cat, 0) for cat in cats], dtype=np.int64)
-                else:
-                    seen = prov[spec.name]
-                    codes = [seen.setdefault(cat, len(seen)) for cat in cats]
-                    col = np.array(codes, dtype=np.int64)
+                seen = prov[spec.name]
+                codes = [seen.setdefault(cat, len(seen)) for cat in block[spec.source]]
+                col = np.array(codes, dtype=np.int64)
             elif spec.source in _TIME_SOURCES:
                 # calendar fields are below 60, so one byte holds them exactly
                 col = time_fields[spec.source.split(".", 1)[1]].astype(np.int8)
             else:
                 col = block[spec.source]
             columns[j].append(col)
-        levels = block["level"]
-        if ((levels < 1) | (levels > 5)).any():
-            raise ValidationError("jam level outside 1..5 reached encode")
-        label_chunks.append(levels > 2)
+        label_chunks.append(jam_labels(block["level"]))
 
     # one contiguous block per feature; each feature's chunks are freed as it is filled
     labels = np.concatenate(label_chunks)
@@ -467,20 +411,15 @@ def encode(
         np.concatenate(columns[j], out=by_feature[j])
         columns[j] = None
 
-    if existing is not None:
-        out_map = existing
-    else:
-        final = {
-            name: {cat: i + 1 for i, cat in enumerate(sorted(seen))} for name, seen in prov.items()
-        }
-        out_map = EncodingMap(by_feature=final)
-        # remap provisional (first-seen) indices to lexicographic ones
-        for j, spec in enumerate(specs):
-            if prov.get(spec.name):  # a dict iterates in first-seen order
-                lut = np.array([final[spec.name][cat] for cat in prov[spec.name]], dtype=np.float64)
-                by_feature[j] = lut[by_feature[j].astype(np.int64)]
+    final = {name: {c: i + 1 for i, c in enumerate(sorted(cats))} for name, cats in prov.items()}
+    # remap provisional (first-seen) indices to lexicographic ones
+    for j, spec in enumerate(specs):
+        if prov.get(spec.name):  # a dict iterates in first-seen order
+            lut = np.array([final[spec.name][cat] for cat in prov[spec.name]], dtype=np.float64)
+            by_feature[j] = lut[by_feature[j].astype(np.int64)]
 
-    return FeatureMatrix(values=by_feature.T, labels=labels, schema=schema), out_map
+    matrix = FeatureMatrix(values=by_feature.T, labels=labels, schema=schema)
+    return matrix, EncodingMap(by_feature=final)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +445,6 @@ class IngestSummary:
 def ingest_files(
     paths: Iterable[str | Path],
     schema: FeatureSchema,
-    existing: EncodingMap | None = None,
     window: tuple[int, int] | None = None,
 ) -> tuple[FeatureMatrix, EncodingMap, IngestSummary]:
     """Parse -> clean -> encode a set of jam JSONL files, streaming.
@@ -526,7 +464,7 @@ def ingest_files(
             parse_report.merge(rep)
 
     cleaned, clean_report = clean(all_blocks(), window=window)
-    matrix, enc = encode(cleaned, schema, existing=existing)
+    matrix, enc = encode(cleaned, schema)
     summary = IngestSummary(
         files=ordered, parse=parse_report, clean=clean_report, n_rows=matrix.n_rows
     )
@@ -573,23 +511,30 @@ def save_matrix(
 
 
 def load_matrix(path: str | Path) -> tuple[FeatureMatrix, EncodingMap]:
+    """Read a .tjm file, holding its values once; a corrupt or short file is a ValidationError."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _TJM_MAGIC:
+        if fh.read(4) != _TJM_MAGIC:
             raise ValidationError(f"{path}: not a tjm matrix file")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen))
-        if header.get("version") != TJM_VERSION:
-            raise ValidationError(f"{path}: unsupported tjm version {header.get('version')}")
-        n, f = header["n_rows"], header["n_features"]
-        columns = np.frombuffer(fh.read(n * f * 8), dtype="<f8").reshape(f, n)
-        values = np.ascontiguousarray(columns.T)
-        labels = np.frombuffer(fh.read(n), dtype=np.uint8).astype(bool)
-    schema = FeatureSchema(
-        features=tuple(FeatureSpec(*row) for row in header["features"]),
-        feature_set=header["feature_set"],
-    )
-    encoding = EncodingMap(
-        by_feature={k: {c: int(i) for c, i in v.items()} for k, v in header["encoding"].items()}
-    )
-    return FeatureMatrix(values=values, labels=labels, schema=schema), encoding
+        try:
+            (hlen,) = struct.unpack("<I", fh.read(4))
+            header = json.loads(fh.read(hlen))
+            version, n, f = header.get("version"), header["n_rows"], header["n_features"]
+            features = tuple(FeatureSpec(*row) for row in header["features"])
+            schema = FeatureSchema(features=features, feature_set=header["feature_set"])
+            cats = {k: {c: int(i) for c, i in v.items()} for k, v in header["encoding"].items()}
+        except (struct.error, ValueError, KeyError, TypeError, AttributeError, ArithmeticError,
+                RecursionError) as exc:
+            raise ValidationError(f"{path}: corrupt tjm header ({exc!r})") from None
+        if version != TJM_VERSION:
+            raise ValidationError(f"{path}: unsupported tjm version {version}")
+        if type(n) is not int or n < 0 or f != len(features):
+            raise ValidationError(f"{path}: tjm header has a bad shape ({n} x {f})")
+        # the size is checked before allocating, so a corrupt n_rows cannot ask for all memory
+        if os.fstat(fh.fileno()).st_size - fh.tell() < n * (f * 8 + 1):
+            raise ValidationError(f"{path}: truncated tjm file")
+        columns = np.empty((f, n), dtype="<f8")  # read in place; the matrix is its transpose
+        labels = np.empty(n, dtype=np.uint8)
+        fh.readinto(columns)
+        fh.readinto(labels)
+    matrix = FeatureMatrix(values=columns.T, labels=labels.astype(bool), schema=schema)
+    return matrix, EncodingMap(by_feature=cats)

@@ -60,15 +60,10 @@ def build_manifest(
     artifacts: list[str | Path],
     seed: int | None,
     n_workers: int | None,
-    digest_outputs: bool = True,
 ) -> RunManifest:
     input_digests = {str(p): file_digest(p) for p in inputs}
     run_id = make_run_id(command, config, input_digests)
-    output_digests = (
-        {str(p): file_digest(p) for p in artifacts if Path(p).exists()}
-        if digest_outputs
-        else {}
-    )
+    output_digests = {str(p): file_digest(p) for p in artifacts if Path(p).exists()}
     return RunManifest(
         command=command,
         command_line=list(command_line),

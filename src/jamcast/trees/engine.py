@@ -28,7 +28,7 @@ import numpy as np
 
 from jamcast.errors import JamcastError
 from jamcast.parallel import N_HIST_PARTS, partition_rows, reduce_histograms
-from jamcast.trees.grower import GradHistogram, build_histograms, sigmoid
+from jamcast.trees.grower import GradHistogram, build_histograms, logistic_grad_hess
 
 
 class PartitionState:
@@ -48,9 +48,9 @@ class PartitionState:
         self.margin = np.full(self.hi - self.lo, base_margin, dtype=np.float64)
 
     def begin_round(self, second_order: bool) -> None:
-        p = sigmoid(self.margin)
-        self.g = p - self.y
-        self.h = p * (1.0 - p) if second_order else np.ones_like(p)
+        self.g, self.h = logistic_grad_hess(self.margin, self.y)
+        if not second_order:
+            self.h = np.ones_like(self.g)
         self.nodes = {0: np.arange(self.lo, self.hi, dtype=np.int64)}
 
     def begin_tree_weighted(self, mult: np.ndarray) -> None:
@@ -163,17 +163,21 @@ class InlineSource(_Engine):
 def _worker_main(conn, part_ids, part_ranges, binned, labels, shm_buf, hist_shape) -> None:
     """Forked worker loop: runs each received step on its partitions until None.
 
-    Histograms are written into this worker's slots of the shared buffer;
-    replies carry no payload.
+    Histograms are written into this worker's slots of the shared buffer.
+    The reply is None, or the type and message of the exception the step
+    raised, which the parent reports.
     """
     states = [PartitionState(lo, hi, binned, labels) for lo, hi in part_ranges]
     slots = np.frombuffer(shm_buf, dtype=np.float64).reshape((N_HIST_PARTS,) + hist_shape)
     try:
         while (msg := conn.recv()) is not None:
-            sums = _step(states, *msg)
-            for pid, s in zip(part_ids, sums or ()):
-                slots[pid] = s
-            conn.send(None)
+            error = None
+            try:
+                for pid, s in zip(part_ids, _step(states, *msg) or ()):
+                    slots[pid] = s
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+            conn.send(error)
     finally:
         conn.close()
 
@@ -214,19 +218,28 @@ class PoolSource(_Engine):
             self._procs.append(proc)
 
     def _run(self, method, args, build_id=None) -> GradHistogram | None:
-        """Send one step to every worker, then wait for all of them to finish it."""
+        """Send one step to every worker, then wait for all of them to finish it.
+
+        A worker that died or whose step raised stops the pool and is
+        reported as a JamcastError naming the worker.
+        """
         msg = (method, args, build_id)
+        failed = None
         try:
             for worker, conn in enumerate(self._conns):
                 conn.send(msg)
             for worker, conn in enumerate(self._conns):
-                conn.recv()
+                error = conn.recv()
+                if error is not None and failed is None:
+                    failed = (worker, f"failed: {error}")
         except (EOFError, OSError):
+            failed = (worker, None)
+        if failed is not None:
+            worker, what = failed
             proc = self._procs[worker]
             self.close()
-            raise JamcastError(
-                f"pool worker {worker} (pid {proc.pid}) died with exit code {proc.exitcode}"
-            ) from None
+            what = what or f"died with exit code {proc.exitcode}"
+            raise JamcastError(f"pool worker {worker} (pid {proc.pid}) {what}")
         return None if build_id is None else _reduce(self.binned, self._slots)
 
     apply_split = _Engine.expand  # perfbench/tracer.py wraps it by name

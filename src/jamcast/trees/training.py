@@ -86,9 +86,6 @@ class Ensemble:
     bin_edges: list[np.ndarray] = field(default_factory=list)
     feature_names: tuple[str, ...] | None = None
 
-    def predict(self, rows) -> np.ndarray:
-        return predict(self, rows)
-
 
 def _unpack(matrix, labels):
     if hasattr(matrix, "values") and hasattr(matrix, "labels"):

@@ -26,28 +26,10 @@ JAM_LINE_DEFAULTS = {
     "delay": 120.0,
 }
 
-ALERT_LINE_DEFAULTS = {
-    "location_x": -118.4,
-    "location_y": 34.0,
-    "street": "I-405 N",
-    "city": "Los Angeles",
-    "country": "US",
-    "road_type": 3,
-    "report_description": "object on the road",
-    "type": "accident",
-    "pub_date": 1514764800000,
-}
-
 
 def jam_line(**overrides) -> bytes:
     """One serialized jam event with sane defaults."""
     obj = dict(JAM_LINE_DEFAULTS)
-    obj.update(overrides)
-    return json.dumps(obj).encode()
-
-
-def alert_line(**overrides) -> bytes:
-    obj = dict(ALERT_LINE_DEFAULTS)
     obj.update(overrides)
     return json.dumps(obj).encode()
 

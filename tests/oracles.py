@@ -28,7 +28,7 @@ def calendar_decompose(pub_ms: int) -> dict:
     """Fixed UTC-8 calendar fields via datetime (independent of jamcast.events).
 
     Second granularity: sub-second parts of the instant are truncated, as in
-    the library's TimeParts.
+    the library's decompose_epoch_ms.
     """
     dt = datetime.fromtimestamp(pub_ms // 1000, tz=timezone.utc).astimezone(PST)
     return {
@@ -308,7 +308,7 @@ def reference_clean(rows, window=None):
     return kept, report
 
 
-def reference_encode(rows, schema, existing=None):
+def reference_encode(rows, schema):
     """Per-record getattr encoding with first-seen codes remapped lexicographically."""
     specs = schema.features
     n = len(rows)
@@ -319,12 +319,8 @@ def reference_encode(rows, schema, existing=None):
     for j, spec in enumerate(specs):
         if spec.kind == "categorical":
             for i, rec in enumerate(rows):
-                cat = getattr(rec, spec.source)
-                if existing is not None:
-                    values[i, j] = existing.by_feature.get(spec.name, {}).get(cat, 0)
-                else:
-                    mapping = prov[spec.name]
-                    values[i, j] = mapping.setdefault(cat, len(mapping))
+                mapping = prov[spec.name]
+                values[i, j] = mapping.setdefault(getattr(rec, spec.source), len(mapping))
         elif spec.source.startswith("time."):
             values[:, j] = time_fields[spec.source.split(".", 1)[1]]
         else:
@@ -332,8 +328,6 @@ def reference_encode(rows, schema, existing=None):
                 (getattr(r, spec.source) for r in rows), dtype=np.float64, count=n
             )
     labels = np.array([r.level > 2 for r in rows], dtype=bool)
-    if existing is not None:
-        return FeatureMatrix(values=values, labels=labels, schema=schema), existing
     final = {name: {c: i + 1 for i, c in enumerate(sorted(m))} for name, m in prov.items()}
     for j, spec in enumerate(specs):
         mapping = prov.get(spec.name)

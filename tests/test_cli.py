@@ -168,37 +168,65 @@ def test_train_worker_invariant_model_files(tmp_path):
     assert p1.read_bytes() == p8.read_bytes()
 
 
-_DIE_IN_WORKER = """
+_FAIL_IN_WORKER = """
 import multiprocessing, os, sys
 from jamcast.cli import main
 from jamcast.trees.engine import PartitionState
 
 parent = os.getpid()
 
-def die_in_worker(self, second_order):
+def fail_in_worker(self, second_order):
     if os.getpid() != parent:
-        os._exit(7)
+        {failure}
 
-PartitionState.begin_round = die_in_worker
+PartitionState.begin_round = fail_in_worker
 rc = main(sys.argv[1:])
 print("live workers:", len(multiprocessing.active_children()))
 sys.exit(rc)
 """
 
 
-def test_train_reports_a_dead_worker(tmp_path):
+def _train_failing_in_worker(tmp_path, failure: str) -> subprocess.CompletedProcess:
+    """`train --workers 2` in a subprocess whose pool workers run `failure` in begin_round."""
     matrix_path = _ingest(tmp_path)
-    out = tmp_path / "dead.json"
+    out = tmp_path / "failed.json"
     proc = subprocess.run(
-        [sys.executable, "-c", _DIE_IN_WORKER, "train", "--matrix", str(matrix_path),
-         "--model", "xgb", "--trees", "2", "--workers", "2", "--out", str(out)],
+        [sys.executable, "-c", _FAIL_IN_WORKER.format(failure=failure), "train",
+         "--matrix", str(matrix_path), "--model", "xgb", "--trees", "2", "--workers", "2",
+         "--out", str(out)],
         capture_output=True,
         text=True,
         timeout=60,
     )
+    assert proc.stdout == "live workers: 0\n"
+    assert not out.exists()
+    return proc
+
+
+def test_train_reports_a_dead_worker(tmp_path):
+    proc = _train_failing_in_worker(tmp_path, "os._exit(7)")
     assert proc.returncode == 1
     assert re.fullmatch(r"error: pool worker 0 \(pid \d+\) died with exit code 7\n", proc.stderr)
-    assert proc.stdout == "live workers: 0\n"
+
+
+def test_train_reports_a_worker_error(tmp_path):
+    proc = _train_failing_in_worker(tmp_path, 'raise ValueError("margin went sideways")')
+    assert proc.returncode == 1
+    assert re.fullmatch(
+        r"error: pool worker 0 \(pid \d+\) failed: ValueError: margin went sideways\n",
+        proc.stderr,
+    )
+
+
+def test_train_on_a_truncated_matrix_exits_one(tmp_path, capsys):
+    matrix_path = _ingest(tmp_path)
+    data = matrix_path.read_bytes()
+    matrix_path.write_bytes(data[: len(data) // 2])
+    out = tmp_path / "m.json"
+    rc = main(["train", "--matrix", str(matrix_path), "--model", "xgb", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: .*m\.tjm: truncated tjm file\n", err)
     assert not out.exists()
 
 

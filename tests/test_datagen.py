@@ -1,3 +1,5 @@
+import hashlib
+import json
 from io import BytesIO
 
 import numpy as np
@@ -7,7 +9,19 @@ from helpers import column
 from jamcast.datagen import GenConfig, generate_alerts, generate_jams
 from jamcast.errors import ValidationError
 from jamcast.events import EVENT_TYPES
-from jamcast.ingest import clean, parse_alerts, parse_jams
+from jamcast.ingest import clean, parse_jams
+
+ALERT_KEYS = [
+    "location_x",
+    "location_y",
+    "street",
+    "city",
+    "country",
+    "road_type",
+    "report_description",
+    "type",
+    "pub_date",
+]
 
 
 def _jam_bytes(**cfg) -> bytes:
@@ -20,6 +34,30 @@ def _alert_bytes(**cfg) -> bytes:
     buf = BytesIO()
     generate_alerts(GenConfig(**cfg), buf)
     return buf.getvalue()
+
+
+def _alerts(data: bytes) -> list[dict]:
+    """Every alert line decoded; each must be one object with exactly the documented keys."""
+    alerts = [json.loads(line) for line in data.splitlines()]
+    for alert in alerts:
+        assert list(alert) == ALERT_KEYS
+        assert alert["type"] in EVENT_TYPES
+        assert type(alert["pub_date"]) is int and alert["pub_date"] > 0
+    return alerts
+
+
+def test_generator_output_is_pinned():
+    """The corpus bytes of a fixed config; any change to either generator shows here."""
+    config = GenConfig(n_jams=400, n_alerts=300, seed=2024)
+    jams, alerts = BytesIO(), BytesIO()
+    generate_jams(config, jams)
+    generate_alerts(config, alerts)
+    assert hashlib.sha256(jams.getvalue()).hexdigest() == (
+        "82ab8102afd4b40e6da4b9547d328284dc35787fe7532e1414e70c912c2632a1"
+    )
+    assert hashlib.sha256(alerts.getvalue()).hexdigest() == (
+        "4fe9e1045e97578cd4c518ab8742fd72bd68fef83a0e779f2dc5290cd8ca1eda"
+    )
 
 
 def test_seeded_determinism_bytes():
@@ -55,10 +93,7 @@ def test_round_trip_zero_rejections():
     assert creport.rows_rejected == 0
     assert n == 5000
 
-    alerts = _alert_bytes(n_alerts=2000, seed=9)
-    arecords, areport = parse_alerts(BytesIO(alerts))
-    assert sum(1 for _ in arecords) == 2000
-    assert areport.rows_rejected == 0
+    assert len(_alerts(_alert_bytes(n_alerts=2000, seed=9))) == 2000
 
 
 def test_speed_decreases_with_level():
@@ -86,10 +121,8 @@ def test_noise_free_bands_functionally_determine_level():
 
 
 def test_all_event_types_appear():
-    data = _alert_bytes(n_alerts=10_000, seed=5)
-    records, _ = parse_alerts(BytesIO(data))
-    seen = {r.event_type for r in records}
-    assert seen == set(EVENT_TYPES)
+    alerts = _alerts(_alert_bytes(n_alerts=10_000, seed=5))
+    assert {alert["type"] for alert in alerts} == set(EVENT_TYPES)
 
 
 def test_empty_alert_stream():

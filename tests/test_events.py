@@ -1,19 +1,27 @@
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jamcast.errors import ValidationError
-from jamcast.events import (
-    Weekday,
-    decompose_epoch_ms,
-    decompose_time,
-    derive_label,
-)
+from jamcast.events import decompose_epoch_ms, jam_labels
 from oracles import calendar_decompose
 
 # window wide enough to cover leap years and century boundaries
 _MS_RANGE = st.integers(min_value=1, max_value=4_102_444_800_000)  # ..2100
+_MS_ARRAYS = st.lists(_MS_RANGE, min_size=1, max_size=50)
+_CLOCK = ("hour", "min", "sec")
+
+
+def _at(fields: dict, i: int) -> dict:
+    """Row `i` of decomposed calendar fields, as plain ints."""
+    return {key: int(col[i]) for key, col in fields.items()}
+
+
+def _naive(row: dict) -> datetime:
+    return datetime(row["year"], row["month"], row["day"], row["hour"], row["min"], row["sec"])
 
 
 @pytest.mark.parametrize(
@@ -21,95 +29,81 @@ _MS_RANGE = st.integers(min_value=1, max_value=4_102_444_800_000)  # ..2100
     [(3, True), (2, False), (1, False), (5, True), (4, True)],
 )
 def test_derive_label_rule(level, expected):
-    assert derive_label(level) is expected
+    assert jam_labels(np.array([level])).tolist() == [expected]
 
 
 @pytest.mark.parametrize("bad", [0, 6, -1, 100])
 def test_derive_label_out_of_range(bad):
     with pytest.raises(ValidationError):
-        derive_label(bad)
+        jam_labels(np.array([3, bad, 4]))
 
 
 def test_derive_label_rejects_non_integers():
     with pytest.raises(ValidationError):
-        derive_label(2.5)
+        jam_labels(np.array([2.5]))
     with pytest.raises(ValidationError):
-        derive_label(True)
+        jam_labels(np.array([True]))
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5))
 def test_derive_label_monotone(a, b):
     if a <= b:
-        assert derive_label(a) <= derive_label(b)
+        assert jam_labels(np.array([a]))[0] <= jam_labels(np.array([b]))[0]
 
 
 def test_decompose_examples_against_calendar_oracle():
-    # 2018-01-01T08:00:00Z is midnight PST on new year's day
-    tp = decompose_time(1514793600000)
-    assert (tp.month, tp.day, tp.hour, tp.min, tp.sec) == (1, 1, 0, 0, 0)
-    assert tp.weekday == Weekday.MONDAY
-    assert tp.date_pst.isoformat() == "2018-01-01T00:00:00"
+    fields = decompose_epoch_ms(np.array([1514793600000, 1514793599000, 1514707200000]))
+    # 2018-01-01T08:00:00Z is midnight PST on new year's day, a Monday
+    row = _at(fields, 0)
+    assert _naive(row).isoformat() == "2018-01-01T00:00:00"
+    assert row["weekday"] == 0
 
-    # one millisecond-bearing second earlier crosses midnight westward
-    tp = decompose_time(1514793599000)
-    assert (tp.month, tp.day, tp.hour, tp.min, tp.sec) == (12, 31, 23, 59, 59)
-    assert tp.weekday == Weekday.SUNDAY
+    # one second earlier crosses midnight westward, into a Sunday
+    row = _at(fields, 1)
+    assert (row["month"], row["day"], row["hour"], row["min"], row["sec"]) == (12, 31, 23, 59, 59)
+    assert row["weekday"] == 6
 
     # 2017-12-31T08:00:00Z
-    tp = decompose_time(1514707200000)
-    assert tp.date_pst.isoformat() == "2017-12-31T00:00:00"
-    assert tp.weekday == Weekday.SUNDAY
-
-
-def test_decompose_requires_positive():
-    with pytest.raises(ValidationError):
-        decompose_time(0)
-    with pytest.raises(ValidationError):
-        decompose_time(-5)
+    row = _at(fields, 2)
+    assert _naive(row).isoformat() == "2017-12-31T00:00:00"
+    assert row["weekday"] == 6
 
 
 @settings(max_examples=300, deadline=None)
-@given(_MS_RANGE)
+@given(_MS_ARRAYS)
 def test_decompose_matches_datetime(ms):
-    tp = decompose_time(ms)
-    ref = calendar_decompose(ms)
-    assert tp.date_pst == ref["naive"]
-    assert (tp.month, tp.day, tp.hour, tp.min, tp.sec, int(tp.weekday)) == (
-        ref["month"],
-        ref["day"],
-        ref["hour"],
-        ref["min"],
-        ref["sec"],
-        ref["weekday"],
-    )
+    fields = decompose_epoch_ms(np.array(ms, dtype=np.int64))
+    for i, m in enumerate(ms):
+        row = _at(fields, i)
+        ref = calendar_decompose(m)
+        assert _naive(row) == ref["naive"]
+        assert row == {key: ref[key] for key in row}
 
 
 @settings(max_examples=100, deadline=None)
-@given(_MS_RANGE)
+@given(_MS_ARRAYS)
 def test_decompose_day_shift_keeps_clock_fields(ms):
-    a = decompose_time(ms)
-    b = decompose_time(ms + 24 * 3600 * 1000)
-    assert (a.hour, a.min, a.sec) == (b.hour, b.min, b.sec)
+    ms = np.array(ms, dtype=np.int64)
+    a = decompose_epoch_ms(ms)
+    b = decompose_epoch_ms(ms + 24 * 3600 * 1000)
+    for key in _CLOCK:
+        assert np.array_equal(a[key], b[key])
+    assert np.array_equal(b["weekday"], (a["weekday"] + 1) % 7)
 
 
 @settings(max_examples=100, deadline=None)
-@given(_MS_RANGE)
+@given(_MS_ARRAYS)
 def test_decompose_round_trip_to_the_second(ms):
-    tp = decompose_time(ms)
-    from datetime import timedelta, timezone
+    fields = decompose_epoch_ms(np.array(ms, dtype=np.int64))
+    for i, m in enumerate(ms):
+        utc = _naive(_at(fields, i)).replace(tzinfo=timezone.utc) + timedelta(hours=8)
+        assert int(utc.timestamp()) == m // 1000
 
-    utc = tp.date_pst.replace(tzinfo=timezone.utc) + timedelta(hours=8)
-    assert int(utc.timestamp()) == ms // 1000
 
-
-def test_vectorized_matches_scalar():
-    ms = np.array([1, 1514793600000, 1514793599000, 999999999999], dtype=np.int64)
-    fields = decompose_epoch_ms(ms)
-    for i, m in enumerate(ms.tolist()):
-        tp = decompose_time(m)
-        assert fields["month"][i] == tp.month
-        assert fields["day"][i] == tp.day
-        assert fields["hour"][i] == tp.hour
-        assert fields["min"][i] == tp.min
-        assert fields["sec"][i] == tp.sec
-        assert fields["weekday"][i] == int(tp.weekday)
+@settings(max_examples=100, deadline=None)
+@given(_MS_ARRAYS)
+def test_vectorized_matches_scalar(ms):
+    """Each instant decomposes alone exactly as it does inside a whole array."""
+    fields = decompose_epoch_ms(np.array(ms, dtype=np.int64))
+    for i, m in enumerate(ms):
+        assert _at(fields, i) == _at(decompose_epoch_ms(np.array([m])), 0)

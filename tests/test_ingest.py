@@ -1,16 +1,18 @@
 import json
 import math
+import tempfile
 import tracemalloc
 from io import BytesIO
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import alert_line, column, jam_line, parse_all
+from helpers import column, jam_line, parse_all, synthetic_matrix
 from jamcast.datagen import GenConfig, generate_jams
-from jamcast.errors import SchemaError
+from jamcast.errors import JamcastError, SchemaError, ValidationError
 from jamcast.ingest import (
     FeatureSchema,
     FeatureSpec,
@@ -18,7 +20,6 @@ from jamcast.ingest import (
     encode,
     ingest_files,
     load_matrix,
-    parse_alerts,
     parse_jams,
     save_matrix,
     schema_for,
@@ -71,23 +72,6 @@ def test_parse_missing_field_and_null_handling():
     records, report = parse_all([jam_line(speed=None)])
     speeds = column(records, "speed")
     assert len(speeds) == 1 and math.isnan(speeds[0])
-
-
-def test_parse_alert_event_types():
-    gen, report = parse_alerts(BytesIO(alert_line(type="accident") + b"\n"))
-    records = list(gen)
-    assert records[0].event_type == "accident"
-    assert report.rows_accepted == 1
-
-    gen, report = parse_alerts(BytesIO(alert_line(type="flood") + b"\n"))
-    assert list(gen) == []
-    assert report.rejection_reasons == {"unknown_event_type": 1}
-
-
-def test_parse_alert_blank_lines():
-    gen, report = parse_alerts(BytesIO(b"\n" + alert_line() + b"\n\n"))
-    assert len(list(gen)) == 1
-    assert report.rows_accepted + report.rows_rejected == 1
 
 
 @settings(max_examples=50, deadline=None)
@@ -170,26 +154,6 @@ def test_encode_lexicographic_assignment():
     assert enc.by_feature["street"] == {"A": 1, "B": 2}
 
 
-def test_encode_unseen_category_is_zero():
-    records, _ = parse_all([jam_line(street="A")])
-    _, enc = encode(records, schema_for("honest"))
-    records2, _ = parse_all([jam_line(street="ZZZ-unseen")])
-    matrix2, enc2 = encode(records2, schema_for("honest"), existing=enc)
-    street_col = matrix2.schema.names().index("street")
-    assert matrix2.values[0, street_col] == 0.0
-    assert enc2 is enc
-    assert "ZZZ-unseen" not in enc.by_feature["street"]
-
-
-def test_encode_frozen_map_never_mutates():
-    records, _ = parse_all([jam_line(street="A"), jam_line(city="Nowhere")])
-    _, enc = encode(records, schema_for("honest"))
-    snapshot = json.dumps(enc.by_feature, sort_keys=True)
-    records2, _ = parse_all([jam_line(street="New1"), jam_line(city="New2")])
-    encode(records2, schema_for("honest"), existing=enc)
-    assert json.dumps(enc.by_feature, sort_keys=True) == snapshot
-
-
 def test_encode_schema_error_for_unknown_source():
     bad = FeatureSchema(
         features=(FeatureSpec("bogus", "numeric", "not_a_field"),), feature_set="honest"
@@ -202,6 +166,10 @@ def test_encode_label_equals_derive_label():
     records, _ = parse_all([jam_line(level=lv) for lv in (1, 2, 3, 4, 5)])
     matrix, _ = encode(records, schema_for("leaky"))
     assert matrix.labels.tolist() == [False, False, True, True, True]
+    # encode takes its labels from the one label rule, which rejects a bad level
+    records[0].columns["level"][0] = 6
+    with pytest.raises(ValidationError):
+        encode(records, schema_for("leaky"))
 
 
 def test_leaky_schema_is_honest_plus_telemetry():
@@ -224,9 +192,24 @@ def test_ingest_files_deterministic(tmp_path):
     assert s1.as_dict() == s2.as_dict()
 
 
-def test_matrix_file_round_trip(tmp_path):
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of memory it allocated on top of what was live before."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def _small_matrix():
     records, _ = parse_all([jam_line(street="A", speed=None), jam_line(street="B", level=1)])
-    matrix, enc = encode(records, schema_for("leaky"))
+    return encode(records, schema_for("leaky"))
+
+
+def test_matrix_file_round_trip(tmp_path):
+    matrix, enc = _small_matrix()
     path = tmp_path / "m.tjm"
     save_matrix(path, matrix, enc, run_id="abc123")
     loaded, enc2 = load_matrix(path)
@@ -252,20 +235,48 @@ def test_encode_and_save_matrix_hold_the_matrix_once(tmp_path, feature_set):
     cleaned, _ = clean(records)
     blocks = list(cleaned)
 
-    def traced_peak(fn, *args):
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            result = fn(*args)
-            return result, tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-
-    (matrix, enc), encode_peak = traced_peak(encode, blocks, schema_for(feature_set))
-    _, save_peak = traced_peak(save_matrix, tmp_path / "m.tjm", matrix, enc)
+    (matrix, enc), encode_peak = _traced_peak(encode, blocks, schema_for(feature_set))
+    _, save_peak = _traced_peak(save_matrix, tmp_path / "m.tjm", matrix, enc)
     nbytes = matrix.values.nbytes
     assert encode_peak < 1.5 * nbytes
     assert save_peak < 0.5 * nbytes
+
+
+def test_load_matrix_holds_the_matrix_once(tmp_path):
+    matrix, enc = synthetic_matrix(20_000, seed=5, feature_set="honest")
+    save_matrix(tmp_path / "m.tjm", matrix, enc)
+    (loaded, _), load_peak = _traced_peak(load_matrix, tmp_path / "m.tjm")
+    assert load_peak < 1.5 * matrix.values.nbytes
+    assert np.array_equal(loaded.values, matrix.values, equal_nan=True)
+    assert np.array_equal(loaded.labels, matrix.labels)
+
+
+def test_truncated_matrix_file_is_a_validation_error(tmp_path):
+    path = tmp_path / "m.tjm"
+    save_matrix(path, *_small_matrix())
+    data = path.read_bytes()
+    for size in range(len(data)):
+        path.write_bytes(data[:size])
+        with pytest.raises(ValidationError):
+            load_matrix(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.binary(min_size=1)), max_size=4))
+def test_corrupt_matrix_file_loads_or_raises_a_jamcast_error(edits):
+    """Overwritten bytes anywhere in a .tjm file never escape as another exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.tjm"
+        save_matrix(path, *_small_matrix())
+        data = bytearray(path.read_bytes())
+        for where, new in edits:
+            at = int(where * len(data))
+            data[at : at + len(new)] = new
+        path.write_bytes(data)
+        try:
+            load_matrix(path)
+        except (JamcastError, OSError):
+            pass
 
 
 def test_staged_stages_write_the_ingest_files_bytes(tmp_path, monkeypatch):

@@ -16,11 +16,10 @@ from hypothesis import strategies as st
 
 import jamcast.ingest as ingest
 from helpers import JAM_LINE_DEFAULTS
-from jamcast.ingest import EncodingMap, clean, encode, parse_jams, save_matrix, schema_for
+from jamcast.ingest import clean, encode, parse_jams, save_matrix, schema_for
 from oracles import reference_clean, reference_encode, reference_parse_jams
 
 WINDOW = (1514678400000, 1515456000000)
-FROZEN = {"street": {"A": 1, "I-405 N": 2, "é": 3}, "city": {"Los Angeles": 1, "日本": 2}}
 
 _ODD = [None, True, False, "3", [1], {"a": 1}, 10**400, -(10**400)]
 _STRINGS = st.one_of(
@@ -102,35 +101,32 @@ def jam_lines(draw) -> bytes:
     return line
 
 
-def _columnar(data: bytes, feature_set: str, window, existing, path: Path):
+def _columnar(data: bytes, feature_set: str, window, path: Path):
     blocks, parse_report = parse_jams(BytesIO(data))
     cleaned, clean_report = clean(blocks, window=window)
-    matrix, enc = encode(cleaned, schema_for(feature_set), existing=existing)
+    matrix, enc = encode(cleaned, schema_for(feature_set))
     save_matrix(path, matrix, enc, run_id="r")
     return parse_report.as_dict(), clean_report.as_dict(), enc.by_feature, path.read_bytes()
 
 
-def _reference(data: bytes, feature_set: str, window, existing, path: Path):
+def _reference(data: bytes, feature_set: str, window, path: Path):
     rows, parse_report = reference_parse_jams(BytesIO(data))
     kept, clean_report = reference_clean(rows, window=window)
-    matrix, enc = reference_encode(kept, schema_for(feature_set), existing=existing)
+    matrix, enc = reference_encode(kept, schema_for(feature_set))
     save_matrix(path, matrix, enc, run_id="r")
     return parse_report.as_dict(), clean_report.as_dict(), enc.by_feature, path.read_bytes()
 
 
-def _assert_same(data: bytes, feature_set: str, window, existing, block_lines: int) -> dict:
-    snapshot = json.dumps(existing.by_feature, sort_keys=True) if existing else None
+def _assert_same(data: bytes, feature_set: str, window, block_lines: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
         ingest, "_BLOCK_LINES", block_lines
     ):
-        got = _columnar(data, feature_set, window, existing, Path(tmp) / "a.tjm")
-        want = _reference(data, feature_set, window, existing, Path(tmp) / "b.tjm")
+        got = _columnar(data, feature_set, window, Path(tmp) / "a.tjm")
+        want = _reference(data, feature_set, window, Path(tmp) / "b.tjm")
     assert got[0] == want[0]  # parse report
     assert got[1] == want[1]  # clean report
     assert got[2] == want[2]  # encoding map
     assert got[3] == want[3]  # .tjm bytes
-    if existing is not None:
-        assert json.dumps(existing.by_feature, sort_keys=True) == snapshot
     return {**want[0]["rejection_reasons"], **want[1]["rejection_reasons"]}
 
 
@@ -144,15 +140,13 @@ def _assert_same(data: bytes, feature_set: str, window, existing, block_lines: i
     final_newline=st.booleans(),
     feature_set=st.sampled_from(["leaky", "honest"]),
     window=st.sampled_from([None, WINDOW]),
-    frozen=st.booleans(),
     block_lines=st.integers(1, 7),
 )
 def test_columnar_ingest_matches_row_reference(
-    lines, final_newline, feature_set, window, frozen, block_lines
+    lines, final_newline, feature_set, window, block_lines
 ):
     data = b"\n".join(lines) + (b"\n" if final_newline else b"")
-    existing = EncodingMap(by_feature=json.loads(json.dumps(FROZEN))) if frozen else None
-    _assert_same(data, feature_set, window, existing, block_lines)
+    _assert_same(data, feature_set, window, block_lines)
 
 
 def _jam(**overrides) -> bytes:
@@ -193,7 +187,7 @@ def test_every_rejection_reason_matches_row_reference():
         b"  ",
     ]
     data = b"\n".join(lines) + b"\n"
-    reasons = _assert_same(data, "leaky", WINDOW, None, 3)
+    reasons = _assert_same(data, "leaky", WINDOW, 3)
     assert set(reasons) == {
         "malformed_json",
         "missing_field",
@@ -206,6 +200,5 @@ def test_every_rejection_reason_matches_row_reference():
         "null_island",
         "out_of_window",
     }
-    existing = EncodingMap(by_feature=json.loads(json.dumps(FROZEN)))
     for block_lines in (1, 2, 5, 64):
-        _assert_same(data, "honest", None, existing, block_lines)
+        _assert_same(data, "honest", None, block_lines)
