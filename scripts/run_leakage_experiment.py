@@ -6,6 +6,11 @@ Generates a seeded synthetic jam corpus, ingests it twice (leaky = honest +
 the same split, and prints the two comparison tables plus an AUC contrast.
 The leaky run shows the near-perfect scores that level-coupled telemetry
 produces; the honest run shows what the remaining signal supports.
+
+Writes into --out-dir: jams.jsonl, table_{leaky,honest}.txt,
+reports_{leaky,honest}.json (one bench report per model) and contrast.json,
+a JSON object with the keys auc (feature set -> model -> AUC), rows, seed
+and noise.
 """
 
 from __future__ import annotations

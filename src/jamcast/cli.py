@@ -29,7 +29,7 @@ from jamcast.evaluation import (
     reports_to_json,
 )
 from jamcast.ingest import ingest_files, load_matrix, save_matrix, schema_for
-from jamcast.manifest import build_manifest, make_run_id
+from jamcast.manifest import build_manifest, file_digest, make_run_id
 from jamcast.trees.training import TrainConfig, save_model
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
@@ -191,7 +191,7 @@ def _cmd_generate(args, argv: list[str]) -> int:
         command="generate",
         command_line=argv,
         config=config_doc,
-        inputs=[],
+        input_digests={},
         artifacts=[jams_path, alerts_path],
         seed=config.seed,
         n_workers=None,
@@ -211,6 +211,7 @@ def _cmd_ingest(args, argv: list[str]) -> int:
             raise ConfigError("--window-start and --window-end must be given together")
         window = (_parse_when(args.window_start), _parse_when(args.window_end))
     schema = schema_for(args.feature_set)
+    digests = {p: file_digest(p) for p in paths}
     matrix, encoding, summary = ingest_files(paths, schema, window=window)
 
     config_doc = {
@@ -218,7 +219,7 @@ def _cmd_ingest(args, argv: list[str]) -> int:
         "window": list(window) if window else None,
         "schema_fingerprint": matrix.schema_fingerprint,
     }
-    run_id = make_run_id("ingest", config_doc, {p: "" for p in paths})
+    run_id = make_run_id("ingest", config_doc, digests)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_matrix(args.out, matrix, encoding, run_id=run_id)
     report_path = Path(str(args.out) + ".report.json")
@@ -227,7 +228,7 @@ def _cmd_ingest(args, argv: list[str]) -> int:
         command="ingest",
         command_line=argv,
         config=config_doc,
-        inputs=paths,
+        input_digests=digests,
         artifacts=[args.out, report_path],
         seed=None,
         n_workers=None,
@@ -245,19 +246,20 @@ def _cmd_train(args, argv: list[str]) -> int:
     config = _train_config(args)
     config.validate()
     matrix, _ = load_matrix(args.matrix)
+    digests = {str(args.matrix): file_digest(args.matrix)}
     trainer = TRAINERS[args.model]
     model = trainer(matrix, config=config)
 
     config_doc = {k: v for k, v in config.__dict__.items() if k != "n_workers"}
     config_doc["model"] = args.model
-    run_id = make_run_id("train", config_doc, {str(args.matrix): ""})
+    run_id = make_run_id("train", config_doc, digests)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_model(args.out, model, run_id=run_id)
     manifest = build_manifest(
         command="train",
         command_line=argv,
         config=config_doc,
-        inputs=[args.matrix],
+        input_digests=digests,
         artifacts=[args.out],
         seed=config.seed,
         n_workers=config.n_workers,
@@ -275,6 +277,7 @@ def _cmd_bench(args, argv: list[str]) -> int:
     config = _train_config(args)
     config.validate()
     matrix, _ = load_matrix(args.matrix)
+    digests = {str(args.matrix): file_digest(args.matrix)}
     reports = bench(
         matrix,
         [(k, config) for k in kinds],
@@ -286,7 +289,7 @@ def _cmd_bench(args, argv: list[str]) -> int:
     config_doc.update(
         {"models": kinds, "train_fraction": args.train_fraction, "threshold": args.threshold}
     )
-    run_id = make_run_id("bench", config_doc, {str(args.matrix): ""})
+    run_id = make_run_id("bench", config_doc, digests)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     table = render_table(reports)
     (args.out_dir / "bench_table.txt").write_text(table)
@@ -296,7 +299,7 @@ def _cmd_bench(args, argv: list[str]) -> int:
         command="bench",
         command_line=argv,
         config=config_doc,
-        inputs=[args.matrix],
+        input_digests=digests,
         artifacts=[
             args.out_dir / "bench_table.txt",
             args.out_dir / "bench_table.csv",

@@ -56,12 +56,12 @@ def build_manifest(
     command: str,
     command_line: list[str],
     config: dict,
-    inputs: list[str | Path],
+    input_digests: dict[str, str],
     artifacts: list[str | Path],
     seed: int | None,
     n_workers: int | None,
 ) -> RunManifest:
-    input_digests = {str(p): file_digest(p) for p in inputs}
+    """Manifest of a finished run; `input_digests` are the ones its run id was made from."""
     run_id = make_run_id(command, config, input_digests)
     output_digests = {str(p): file_digest(p) for p in artifacts if Path(p).exists()}
     return RunManifest(

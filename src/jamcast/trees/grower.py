@@ -1,14 +1,17 @@
 """Histogram-based best-first tree growth and its split mathematics.
 
 The grower works entirely on quantized bin codes. Per-node statistics are
-per-(feature, bin) sums of gradient, hessian and row count; split finding
-scans each feature's bins left-to-right, evaluates the regularized gain at
-every bin boundary with the missing bin routed both ways, and keeps the
-best candidate under deterministic tie-breaking (lowest feature, lowest
-bin, missing-left first). Growth is best-first: the frontier node with the
-highest gain is expanded next, which is what makes a global leaf budget
-(max_leaves) meaningful alongside max_depth. The sibling of a built child
-histogram is derived by subtraction from the parent.
+per-(feature, bin) sums of gradient, hessian and row count. Split finding
+is one array pass over the whole node: prefix sums over every feature's
+real bins give the left side of every bin boundary at once, the
+regularized gain is scored at each boundary with the missing bin routed
+both ways, and a single argmax keeps the best candidate under
+deterministic tie-breaking (lowest feature, lowest bin, missing-left
+first), which the C order of the scored array encodes. Growth is
+best-first: the frontier node with the highest gain is expanded next,
+which is what makes a global leaf budget (max_leaves) meaningful
+alongside max_depth. The sibling of a built child histogram is derived by
+subtraction from the parent.
 
 All accumulation orders and reduction shapes are fixed (see
 jamcast.parallel), so grown trees never depend on scheduling.
@@ -189,59 +192,68 @@ def find_best_split(
 ) -> SplitCandidate | None:
     """Best positive-gain split over all bin boundaries and missing placements.
 
-    Scans each feature's real bins left-to-right; at every boundary the
-    missing bin is tried on both sides. A valid candidate must route at
-    least one observed (non-missing) row to each side: the missing bin can
-    tip a side but never constitute it, which keeps the candidate set a
-    node-level property rather than an artifact of the global binning.
-    Ties break to the lowest feature index, then lowest bin, then
-    missing-left (which also makes missing-left the default for nodes that
-    saw no missing values). Returns None when no candidate has positive
-    gain and min_child_weight on both sides.
+    One array pass scores every boundary of every allowed feature; at each
+    boundary the missing bin is tried on both sides. A valid candidate must
+    route at least one observed (non-missing) row to each side: the missing
+    bin can tip a side but never constitute it, which keeps the candidate
+    set a node-level property rather than an artifact of the global binning.
+    Ties break to the first feature in `allowed_features` order (ascending
+    feature index by default), then lowest bin, then missing-left (which
+    also makes missing-left the default for nodes that saw no missing
+    values). A feature with a NaN or +inf gain at any valid boundary is
+    skipped whole, since that value would be its own maximum. Returns None
+    when no candidate has positive gain and min_child_weight on both sides.
     """
     gp, hp, cp = parent
-    scan = _GAIN_SCANS[objective]
-    mcw = config.min_child_weight
     feats = (
-        range(hist.sums.shape[0])
+        np.arange(hist.sums.shape[0])
         if allowed_features is None
-        else [int(f) for f in allowed_features]
+        else np.asarray(allowed_features, dtype=np.intp)
     )
-    best: SplitCandidate | None = None
-    for f in feats:
-        nb = int(hist.n_real_bins[f])
-        if nb < 2:
-            continue
-        col = hist.sums[f]
-        cum = np.cumsum(col[:nb], axis=0)  # over real bins
-        gl0 = cum[: nb - 1, 0]
-        hl0 = cum[: nb - 1, 1]
-        cl0 = cum[: nb - 1, 2]
-        gm, hm, cm = col[nb]  # missing slot
-        # placement axis: 0 = missing goes left, 1 = missing goes right
-        gl = np.stack([gl0 + gm, gl0], axis=1)
-        hl = np.stack([hl0 + hm, hl0], axis=1)
-        cl = np.stack([cl0 + cm, cl0], axis=1)
-        gains = scan(gl, hl, gp, hp, config.lam, config.gamma)
-        gains[(hl < mcw) | (hp - hl < mcw)] = -np.inf
-        present_total = cum[nb - 1, 2]
-        gains[(cl0 == 0) | (cl0 == present_total), :] = -np.inf
-        flat = int(np.argmax(gains))
-        b, pl = divmod(flat, 2)
-        gain = float(gains[b, pl])
-        if not gain > 0 or not math.isfinite(gain):
-            continue
-        if best is None or gain > best.gain:
-            lg, lh, lc = float(gl[b, pl]), float(hl[b, pl]), float(cl[b, pl])
-            best = SplitCandidate(
-                feature=f,
-                bin_threshold=int(b),
-                gain=gain,
-                left_sums=(lg, lh, lc),
-                right_sums=(gp - lg, hp - lh, cp - lc),
-                missing_goes_left=(pl == 0),
-            )
-    return best
+    n_real = hist.n_real_bins[feats].astype(np.intp)
+    splittable = n_real >= 2
+    feats, n_real = feats[splittable], n_real[splittable]
+    if not feats.size:
+        return None
+    sums = hist.sums[feats]
+    # (G, H, count) planes of prefix sums over real bins; a prefix does not
+    # depend on the bins after it
+    cum = np.cumsum(sums[:, : int(n_real.max())].transpose(2, 0, 1), axis=2)
+    n_cuts = n_real - 1  # boundary b sends bins 0..b left
+    ends = np.cumsum(n_cuts)  # one past each feature's last boundary
+    feature_rows = np.arange(feats.size)
+    # valid boundaries in (feature, bin) order
+    left = cum[:, np.arange(cum.shape[2]) < n_cuts[:, None]]
+    # placement axis: 0 = missing goes left, 1 = missing goes right
+    sides = np.empty(left.shape + (2,))
+    sides[..., 0] = left + np.repeat(sums[feature_rows, n_real].T, n_cuts, axis=1)
+    sides[..., 1] = left
+    gl, hl, cl = sides
+    gains = _GAIN_SCANS[objective](gl, hl, gp, hp, config.lam, config.gamma)
+    mcw = config.min_child_weight
+    gains[(hl < mcw) | (hp - hl < mcw)] = -np.inf
+    present_total = np.repeat(cum[2, feature_rows, n_real - 1], n_cuts)
+    gains[(left[2] == 0) | (left[2] == present_total), :] = -np.inf
+    unusable = ~(gains < np.inf)  # NaN or +inf
+    if unusable.any():
+        skip = np.logical_or.reduceat(unusable.any(axis=1), ends - n_cuts)
+        gains[np.repeat(skip, n_cuts)] = -np.inf
+    # C order is (feature, bin, placement): the first maximum is the tie-break
+    flat = int(np.argmax(gains))
+    cut, pl = divmod(flat, 2)
+    gain = float(gains[cut, pl])
+    if not gain > 0:
+        return None
+    i = int(np.searchsorted(ends, cut, side="right"))
+    lg, lh, lc = float(gl[cut, pl]), float(hl[cut, pl]), float(cl[cut, pl])
+    return SplitCandidate(
+        feature=int(feats[i]),
+        bin_threshold=int(cut - (ends[i] - n_cuts[i])),
+        gain=gain,
+        left_sums=(lg, lh, lc),
+        right_sums=(gp - lg, hp - lh, cp - lc),
+        missing_goes_left=(pl == 0),
+    )
 
 
 # ---------------------------------------------------------------------------

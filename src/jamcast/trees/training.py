@@ -271,17 +271,45 @@ def _node_to_doc(node: TreeNode) -> dict:
     }
 
 
-def _node_from_doc(doc: dict) -> TreeNode:
+_NUMBER = (int, float)
+
+
+def _typed(doc: dict, key: str, types: tuple[type, ...]):
+    """doc[key], whose JSON type must be one of `types` (a bool is not a number)."""
+    value = doc[key]
+    if type(value) not in types:
+        raise TypeError(f"{key!r} is a {type(value).__name__}")
+    return value
+
+
+def _node_from_doc(doc: dict, node_id: int, n_nodes: int, n_features: int) -> TreeNode:
     if "value" in doc:
-        return TreeNode(value=float(doc["value"]))
-    return TreeNode(
-        feature=int(doc["feature"]),
-        bin_threshold=int(doc["bin"]),
-        threshold=float(doc["threshold"]),
-        missing_goes_left=bool(doc["missing_left"]),
-        left=int(doc["left"]),
-        right=int(doc["right"]),
-        gain=float(doc.get("gain", math.nan)),
+        return TreeNode(value=float(_typed(doc, "value", _NUMBER)))
+    node = TreeNode(
+        feature=_typed(doc, "feature", (int,)),
+        bin_threshold=_typed(doc, "bin", (int,)),
+        threshold=float(_typed(doc, "threshold", _NUMBER)),
+        missing_goes_left=_typed(doc, "missing_left", (bool,)),
+        left=_typed(doc, "left", (int,)),
+        right=_typed(doc, "right", (int,)),
+        gain=float(_typed(doc, "gain", _NUMBER)) if "gain" in doc else math.nan,
+    )
+    # children follow their parent, so prediction always reaches a leaf
+    if not (
+        0 <= node.feature < n_features
+        and node_id < node.left < n_nodes
+        and node_id < node.right < n_nodes
+    ):
+        raise ValueError(f"node {node_id} has a bad feature or child index")
+    return node
+
+
+def _tree_from_doc(doc: dict, n_features: int) -> DecisionTree:
+    nodes = _typed(doc, "nodes", (list,))
+    if not nodes:
+        raise ValueError("a tree has no nodes")
+    return DecisionTree(
+        nodes=[_node_from_doc(n, i, len(nodes), n_features) for i, n in enumerate(nodes)]
     )
 
 
@@ -316,26 +344,34 @@ def save_model(path: str | Path, ensemble: Ensemble, run_id: str | None = None) 
 
 
 def load_model(path: str | Path) -> Ensemble:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != MODEL_FORMAT or doc.get("version") != MODEL_VERSION:
-        raise ValidationError(f"not a {MODEL_FORMAT} v{MODEL_VERSION} file: {path}")
-    if doc["kind"] not in _KINDS:
-        raise ValidationError(f"unknown model kind {doc['kind']!r}")
-    config_fields = {f.name for f in fields(TrainConfig)}
-    config = TrainConfig(
-        **{k: v for k, v in doc["config"].items() if k in config_fields}
-    )
-    trees = [
-        DecisionTree(nodes=[_node_from_doc(n) for n in t["nodes"]]) for t in doc["trees"]
-    ]
-    return Ensemble(
-        kind=doc["kind"],
-        trees=trees,
-        learning_rate=float(doc["learning_rate"]),
-        base_margin=float(doc["base_margin"]),
-        n_features=int(doc["n_features"]),
-        schema_fingerprint=doc["schema_fingerprint"],
-        config=config,
-        bin_edges=[np.asarray(e, dtype=np.float64) for e in doc["bin_edges"]],
-        feature_names=tuple(doc["feature_names"]) if doc.get("feature_names") else None,
-    )
+    """Read a model file; malformed JSON, keys, types or tree links are a ValidationError."""
+    data = Path(path).read_bytes()
+    try:
+        doc = json.loads(data)
+        if doc.get("format") != MODEL_FORMAT or doc.get("version") != MODEL_VERSION:
+            raise ValidationError(f"not a {MODEL_FORMAT} v{MODEL_VERSION} file: {path}")
+        kind = _typed(doc, "kind", (str,))
+        if kind not in _KINDS:
+            raise ValidationError(f"unknown model kind {kind!r}")
+        config_fields = {f.name for f in fields(TrainConfig)}
+        config = TrainConfig(
+            **{k: v for k, v in _typed(doc, "config", (dict,)).items() if k in config_fields}
+        )
+        config.validate()
+        n_features = _typed(doc, "n_features", (int,))
+        trees = [_tree_from_doc(t, n_features) for t in _typed(doc, "trees", (list,))]
+        names = _typed(doc, "feature_names", (list, type(None)))
+        edges = _typed(doc, "bin_edges", (list,))
+        return Ensemble(
+            kind=kind,
+            trees=trees,
+            learning_rate=float(_typed(doc, "learning_rate", _NUMBER)),
+            base_margin=float(_typed(doc, "base_margin", _NUMBER)),
+            n_features=n_features,
+            schema_fingerprint=_typed(doc, "schema_fingerprint", (str,)),
+            config=config,
+            bin_edges=[np.asarray(e, dtype=np.float64) for e in edges],
+            feature_names=tuple(names) if names else None,
+        )
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError, ConfigError) as exc:
+        raise ValidationError(f"{path}: corrupt model file ({exc})") from None

@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the library's code paths: calendar
 arithmetic goes through datetime, AUC is the O(n^2) pairwise definition,
-histogram sums are plain Python loops, the exact-greedy tree enumerates
-splits over raw (unquantized) values, and jam ingest goes one record at a
-time through json.loads and scalar checks. Keeping these separate is what
-makes agreement with the library meaningful.
+histogram sums are plain Python loops, split search over a histogram goes
+one feature at a time, the exact-greedy tree enumerates splits over raw
+(unquantized) values, and jam ingest goes one record at a time through
+json.loads and scalar checks. Keeping these separate is what makes
+agreement with the library meaningful.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from jamcast.events import decompose_epoch_ms
 from jamcast.ingest import EncodingMap, FeatureMatrix, IngestReport
+from jamcast.trees.grower import _GAIN_SCANS, SplitCandidate
 
 PST = timezone(timedelta(hours=-8))
 
@@ -70,6 +72,64 @@ def naive_histogram(codes, rows, g, h, n_bins: int) -> np.ndarray:
 def logloss(margin: float, label: bool) -> float:
     p = 1.0 / (1.0 + math.exp(-margin))
     return -math.log(p) if label else -math.log(1.0 - p)
+
+
+# ---------------------------------------------------------------------------
+# per-feature histogram split search
+
+
+def reference_find_best_split(hist, parent, config, *, objective="boost", allowed_features=None):
+    """One feature at a time: the split search as a loop over features.
+
+    It shares the library's gain formulas (`_GAIN_SCANS`, checked against
+    `split_gain` on their own) so that agreement tests the search: which
+    boundaries count, the masks, the skip rule and the tie-break. A feature
+    is skipped when its first maximum is not a positive finite gain; a later
+    feature replaces the best only with a strictly greater gain.
+    """
+    gp, hp, cp = parent
+    scan = _GAIN_SCANS[objective]
+    mcw = config.min_child_weight
+    feats = (
+        range(hist.sums.shape[0])
+        if allowed_features is None
+        else [int(f) for f in allowed_features]
+    )
+    best = None
+    for f in feats:
+        nb = int(hist.n_real_bins[f])
+        if nb < 2:
+            continue
+        col = hist.sums[f]
+        cum = np.cumsum(col[:nb], axis=0)  # over real bins
+        gl0 = cum[: nb - 1, 0]
+        hl0 = cum[: nb - 1, 1]
+        cl0 = cum[: nb - 1, 2]
+        gm, hm, cm = col[nb]  # missing slot
+        # placement axis: 0 = missing goes left, 1 = missing goes right
+        gl = np.stack([gl0 + gm, gl0], axis=1)
+        hl = np.stack([hl0 + hm, hl0], axis=1)
+        cl = np.stack([cl0 + cm, cl0], axis=1)
+        gains = scan(gl, hl, gp, hp, config.lam, config.gamma)
+        gains[(hl < mcw) | (hp - hl < mcw)] = -np.inf
+        present_total = cum[nb - 1, 2]
+        gains[(cl0 == 0) | (cl0 == present_total), :] = -np.inf
+        flat = int(np.argmax(gains))
+        b, pl = divmod(flat, 2)
+        gain = float(gains[b, pl])
+        if not gain > 0 or not math.isfinite(gain):
+            continue
+        if best is None or gain > best.gain:
+            lg, lh, lc = float(gl[b, pl]), float(hl[b, pl]), float(cl[b, pl])
+            best = SplitCandidate(
+                feature=f,
+                bin_threshold=int(b),
+                gain=gain,
+                left_sums=(lg, lh, lc),
+                right_sums=(gp - lg, hp - lh, cp - lc),
+                missing_goes_left=(pl == 0),
+            )
+    return best
 
 
 # ---------------------------------------------------------------------------

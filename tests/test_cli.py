@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 import subprocess
 import sys
 
@@ -148,6 +149,44 @@ def test_train_echoes_depth_and_leaves(tmp_path):
     assert doc["kind"] == "xgb"
     model = load_model(model_path)
     assert len(model.trees) == 2
+
+
+def _manifest_run_id(path) -> str:
+    return json.loads(path.read_text())["run_id"]
+
+
+def _tjm_run_id(path) -> str:
+    data = path.read_bytes()
+    (hlen,) = struct.unpack("<I", data[4:8])
+    return json.loads(data[8 : 8 + hlen])["run_id"]
+
+
+def test_artifact_run_ids_match_their_manifests(tmp_path):
+    matrix_path = _ingest(tmp_path)
+    assert _tjm_run_id(matrix_path) == _manifest_run_id(tmp_path / "m.tjm.manifest.json")
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--matrix", str(matrix_path), "--model", "rf", "--trees", "1",
+                 "--out", str(model_path)]) == 0
+    model_id = json.loads(model_path.read_text())["run_id"]
+    assert model_id == _manifest_run_id(tmp_path / "model.json.manifest.json")
+    out_dir = tmp_path / "bench"
+    assert main(["bench", "--matrix", str(matrix_path), "--models", "gbt", "--trees", "1",
+                 "--out-dir", str(out_dir)]) == 0
+    reports = json.loads((out_dir / "bench_reports.json").read_text())
+    assert {r["run_id"] for r in reports} == {_manifest_run_id(out_dir / "bench.manifest.json")}
+
+
+def test_train_run_id_follows_the_matrix_contents(tmp_path):
+    matrix_path = tmp_path / "m.tjm"
+    ids = []
+    for seed in (1, 1, 2):
+        corpus = _generate(tmp_path / f"seed{seed}", n=300, seed=seed)
+        assert main(["ingest", "--input", str(corpus / "jams.jsonl"), "--out", str(matrix_path)]) == 0
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--matrix", str(matrix_path), "--model", "xgb", "--trees", "1",
+                     "--out", str(model_path)]) == 0
+        ids.append(json.loads(model_path.read_text())["run_id"])
+    assert ids[0] == ids[1] != ids[2]
 
 
 def test_train_unknown_model_exits_one(tmp_path, capsys):

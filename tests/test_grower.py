@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jamcast.errors import DegenerateNodeError, ValidationError
 from jamcast.parallel import reduce_histograms
 from jamcast.trees.binning import quantize
 from jamcast.trees.grower import (
+    GradHistogram,
     build_histograms,
     find_best_split,
     leaf_weight,
@@ -18,7 +19,7 @@ from jamcast.trees.grower import (
 )
 from jamcast.trees.training import TrainConfig
 from helpers import grow_tree
-from oracles import exact_greedy_tree, logloss, naive_histogram
+from oracles import exact_greedy_tree, logloss, naive_histogram, reference_find_best_split
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +232,97 @@ def test_find_best_split_allowed_features():
         hist, hist.total(), _hist_config(), allowed_features=np.array([1])
     )
     assert cand is None or cand.feature == 1
+
+
+_SPECIAL_G = (1e200, -1e200, math.inf, -math.inf)  # overflow to +inf gains, or NaN
+_SPECIAL_H = (1e-310, math.inf)  # 4 / 1e-310 overflows
+
+
+@st.composite
+def _split_search_inputs(draw):
+    """A node histogram built from random rows, with its parent sums and a config.
+
+    Features may repeat an earlier feature's codes (exact gain ties), bins may
+    stay empty, codes equal to n_real_bins land in the missing slot, and an
+    optional few rows carry huge, infinite or tiny values so that some
+    boundaries score NaN or +inf.
+    """
+    n_features = draw(st.integers(1, 5))
+    max_real = draw(st.integers(1, 8))
+    n_real = []
+    for f in range(n_features):
+        if f and draw(st.booleans()):
+            n_real.append(n_real[draw(st.integers(0, f - 1))])
+        else:
+            n_real.append(draw(st.integers(1, max_real)))
+    n_rows = draw(st.integers(0, 24))
+    g = np.array(draw(st.lists(st.integers(-4, 4), min_size=n_rows, max_size=n_rows))) * 0.5
+    h = np.array(
+        draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.5]), min_size=n_rows, max_size=n_rows))
+    )
+    if n_rows and draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 2))):
+            r = draw(st.integers(0, n_rows - 1))
+            if draw(st.booleans()):
+                g[r] = draw(st.sampled_from(_SPECIAL_G))
+            else:
+                h[r] = draw(st.sampled_from(_SPECIAL_H))
+    codes = []
+    for f, nb in enumerate(n_real):
+        twin = draw(st.integers(0, f - 1)) if f and draw(st.booleans()) else None
+        if twin is not None and n_real[twin] == nb:
+            codes.append(codes[twin])
+        else:
+            codes.append(
+                np.array(draw(st.lists(st.integers(0, nb), min_size=n_rows, max_size=n_rows)))
+            )
+    sums = np.zeros((n_features, max(n_real) + 1, 3))
+    for f in range(n_features):
+        for r in range(n_rows):
+            sums[f, codes[f][r]] += (g[r], h[r], 1.0)
+    hist = GradHistogram(sums=sums, n_real_bins=np.array(n_real))
+    allowed = draw(
+        st.none()
+        | st.lists(st.integers(0, n_features - 1), unique=True).map(np.array)
+    )
+    config = _hist_config(
+        lam=draw(st.sampled_from([0.0, 1.0])),
+        gamma=draw(st.sampled_from([0.0, 0.0, 0.1, 1.0])),
+        min_child_weight=draw(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0])),
+    )
+    return hist, config, allowed, draw(st.sampled_from(["boost", "gini"]))
+
+
+def _first_feature_scores_inf():
+    """Feature 0's only boundary isolates a row with H ~ 1e-310 (gain +inf); feature 1 splits."""
+    sums = np.array(
+        [
+            [[2.0, 1e-310, 1.0], [-1.0, 2.0, 2.0], [0.0, 0.0, 0.0]],
+            [[0.0, 1.0, 2.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]],
+        ]
+    )
+    hist = GradHistogram(sums=sums, n_real_bins=np.array([2, 2]))
+    return hist, _hist_config(), None, "boost"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_split_search_inputs())
+@example(_first_feature_scores_inf())
+def test_find_best_split_matches_the_per_feature_loop(case):
+    hist, config, allowed, objective = case
+
+    def outcome(search):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                found = search(
+                    hist, hist.total(), config, objective=objective, allowed_features=allowed
+                )
+        except ZeroDivisionError as exc:  # a parent with H + lambda == 0
+            return type(exc)
+        # repr compares a NaN sum equal to itself, and a float's repr is exact
+        return repr(found)
+
+    assert outcome(find_best_split) == outcome(reference_find_best_split)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,47 @@
+"""Smoke tests: each script in scripts/ runs end to end at a small size."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_script(name: str, *args: str) -> None:
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_scaling_writes_its_report(tmp_path):
+    out = tmp_path / "scaling.json"
+    _run_script("bench_scaling.py", "--rows", "3000", "--trees", "2", "--workers", "1,2",
+                "--out", str(out))
+    report = json.loads(out.read_text())
+    assert set(report) == {"rows", "trees", "seed", "wall_seconds", "speedup_vs_first"}
+    assert report["rows"] == 3000 and report["trees"] == 2
+    assert set(report["wall_seconds"]) == set(report["speedup_vs_first"]) == {"1", "2"}
+    assert report["speedup_vs_first"]["1"] == 1.0
+
+
+def test_leakage_experiment_writes_its_tables_and_contrast(tmp_path):
+    _run_script("run_leakage_experiment.py", "--rows", "3000", "--trees", "2",
+                "--out-dir", str(tmp_path))
+    contrast = json.loads((tmp_path / "contrast.json").read_text())
+    assert set(contrast) == {"auc", "rows", "seed", "noise"}
+    assert set(contrast["auc"]) == {"leaky", "honest"}
+    for feature_set in ("leaky", "honest"):
+        assert set(contrast["auc"][feature_set]) == {"rf", "gbt", "xgb"}
+        reports = json.loads((tmp_path / f"reports_{feature_set}.json").read_text())
+        assert [r["model_kind"] for r in reports] == ["rf", "gbt", "xgb"]
+        assert {r["model_kind"]: r["auc"] for r in reports} == contrast["auc"][feature_set]
+        assert (tmp_path / f"table_{feature_set}.txt").read_text()
+    assert min(contrast["auc"]["leaky"].values()) > max(contrast["auc"]["honest"].values())

@@ -1,10 +1,14 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jamcast.errors import ConfigError, ValidationError
+from jamcast.errors import ConfigError, JamcastError, ValidationError
 from jamcast.evaluation import split_train_test
 from jamcast.trees.grower import sigmoid
 from jamcast.trees.training import (
@@ -230,6 +234,76 @@ def test_model_serialization_round_trip(tmp_path, small_matrix):
     path2 = tmp_path / "model2.json"
     save_model(path2, loaded, run_id="deadbeef")
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _small_model_doc() -> dict:
+    x, y = _linearly_separable()
+    config = TrainConfig(n_trees=2, max_depth=2, min_child_weight=0.0)
+    return model_to_doc(train_xgb(x, y, config), run_id="r")
+
+
+def _first_split(doc: dict) -> dict:
+    return doc["trees"][0]["nodes"][0]
+
+
+def _edited(edit):
+    def apply(doc):
+        edit(doc)
+        return json.dumps(doc).encode()
+
+    return apply
+
+
+_MALFORMED_MODELS = {
+    "invalid_json": lambda doc: json.dumps(doc).encode()[:-3],
+    "not_an_object": lambda doc: b"[1, 2]",
+    "not_utf8": lambda doc: b"\xff" + json.dumps(doc).encode(),
+    "missing_trees": _edited(lambda doc: doc.pop("trees")),
+    "missing_node_key": _edited(lambda doc: _first_split(doc).pop("right")),
+    "n_features_is_a_string": _edited(lambda doc: doc.update(n_features="1")),
+    "config_is_a_list": _edited(lambda doc: doc.update(config=[])),
+    "config_value_is_a_string": _edited(lambda doc: doc["config"].update(max_depth="2")),
+    "nodes_is_a_dict": _edited(lambda doc: doc["trees"][0].update(nodes={})),
+    "node_is_a_number": _edited(lambda doc: doc["trees"][0]["nodes"].append(3)),
+    "threshold_is_null": _edited(lambda doc: _first_split(doc).update(threshold=None)),
+    "missing_left_is_a_number": _edited(lambda doc: _first_split(doc).update(missing_left=1)),
+    "feature_out_of_range": _edited(lambda doc: _first_split(doc).update(feature=1)),
+    # a child at or before its parent made prediction loop forever
+    "child_is_its_parent": _edited(lambda doc: _first_split(doc).update(left=0)),
+    "child_past_the_end": _edited(lambda doc: _first_split(doc).update(right=99)),
+    "empty_tree": _edited(lambda doc: doc["trees"][0].update(nodes=[])),
+    "bin_edges_ragged": _edited(lambda doc: doc.update(bin_edges=[[1.0, [2.0]]])),
+}
+
+
+@pytest.mark.parametrize("corrupt", list(_MALFORMED_MODELS.values()), ids=list(_MALFORMED_MODELS))
+def test_load_model_rejects_a_malformed_file(tmp_path, corrupt):
+    doc = _small_model_doc()
+    assert "value" not in _first_split(doc)  # the edits above need a split at the root
+    path = tmp_path / "model.json"
+    path.write_bytes(corrupt(doc))
+    with pytest.raises(ValidationError):
+        load_model(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.binary(min_size=1)), max_size=4))
+def test_corrupt_model_file_loads_or_raises_a_jamcast_error(edits):
+    """Overwritten bytes anywhere in a model file never escape as another exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        data = bytearray(json.dumps(_small_model_doc()).encode())
+        for where, new in edits:
+            at = int(where * len(data))
+            data[at : at + len(new)] = new
+        path.write_bytes(data)
+        try:
+            model = load_model(path)
+        except (JamcastError, OSError):
+            return
+    # whatever loads also predicts
+    if model.n_features == 1:
+        assert predict(model, np.zeros((3, 1))).shape == (3,)
 
 
 def test_model_doc_excludes_worker_count(small_matrix):
