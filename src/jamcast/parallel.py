@@ -13,11 +13,13 @@ bit-identical for any ``n_workers``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Sequence
 
 from jamcast.errors import ConfigError, ValidationError
-from jamcast.trees.grower import GradHistogram
+
+if TYPE_CHECKING:  # importing the grower here would be circular at run time
+    from jamcast.trees.grower import GradHistogram
 
 # Fixed data-parallel grain. Part of the deterministic summation structure:
 # changing it changes float sums, changing n_workers does not.
@@ -78,4 +80,4 @@ def reduce_histograms(parts: Sequence[GradHistogram]) -> GradHistogram:
         if len(arrays) % 2:
             merged.append(arrays[-1])
         arrays = merged
-    return GradHistogram(sums=arrays[0], n_real_bins=first.n_real_bins)
+    return replace(first, sums=arrays[0])

@@ -41,7 +41,7 @@ class PartitionState:
         self.y = np.asarray(labels[lo:hi], dtype=np.float64)
         self.margin: np.ndarray | None = None
         self.g = np.zeros(hi - lo)
-        self.h = np.zeros(hi - lo)
+        self.h: np.ndarray | None = np.zeros(hi - lo)
         self.nodes: dict[int, np.ndarray] = {}
 
     def init_boost(self, base_margin: float) -> None:
@@ -50,7 +50,7 @@ class PartitionState:
     def begin_round(self, second_order: bool) -> None:
         self.g, self.h = logistic_grad_hess(self.margin, self.y)
         if not second_order:
-            self.h = np.ones_like(self.g)
+            self.h = None  # the unit hessian: histograms copy its column from counts
         self.nodes = {0: np.arange(self.lo, self.hi, dtype=np.int64)}
 
     def begin_tree_weighted(self, mult: np.ndarray) -> None:
@@ -105,16 +105,41 @@ def _reduce(binned, sums) -> GradHistogram:
     return reduce_histograms(parts)
 
 
+def _exact_sums(labels: np.ndarray, mult: np.ndarray) -> bool:
+    """Whether a weighted tree's histogram sums are exact in float64 in any order.
+
+    Its rows carry g = y * w and h = w, and counts are exact anyway. With 0/1
+    labels and non-negative integer weights (an integer dtype) whose total is
+    below 2**53, every g and h sum, and every difference of two, is an
+    integer below 2**53.
+    """
+    mult = np.asarray(mult)
+    return (
+        np.issubdtype(mult.dtype, np.integer)
+        and not (mult < 0).any()
+        and mult.sum(dtype=np.float64) < 2.0**53
+        and bool(((labels == 0) | (labels == 1)).all())
+    )
+
+
 class _Engine:
-    """The training protocol: every step is one `_run` over all partitions."""
+    """The training protocol: every step is one `_run` over all partitions.
+
+    `exact_sums` tells the grower whether the current tree's histogram sums
+    are exact (see jamcast.trees.grower); boosting rounds never are.
+    """
+
+    exact_sums = False
 
     def init_boost(self, base_margin: float) -> None:
         self._run("init_boost", (base_margin,))
 
     def begin_round(self, second_order: bool) -> None:
+        self.exact_sums = False
         self._run("begin_round", (second_order,))
 
     def begin_tree_weighted(self, mult: np.ndarray) -> None:
+        self.exact_sums = _exact_sums(self.labels, mult)
         self._run("begin_tree_weighted", (mult,))
 
     def finalize_tree(self, deltas: Sequence[tuple[int, float]]) -> None:
@@ -149,6 +174,7 @@ class InlineSource(_Engine):
 
     def __init__(self, binned, labels: np.ndarray):
         self.binned = binned
+        self.labels = labels
         plan = partition_rows(binned.n_rows, N_HIST_PARTS)
         self.states = [PartitionState(lo, hi, binned, labels) for lo, hi in plan.ranges]
 
@@ -195,6 +221,7 @@ class PoolSource(_Engine):
 
     def __init__(self, binned, labels: np.ndarray, n_workers: int):
         self.binned = binned
+        self.labels = labels
         n_procs = max(1, min(n_workers, N_HIST_PARTS, os.cpu_count() or 1))
         plan = partition_rows(binned.n_rows, N_HIST_PARTS)
         assign = partition_rows(N_HIST_PARTS, n_procs)

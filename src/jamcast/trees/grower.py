@@ -10,8 +10,16 @@ deterministic tie-breaking (lowest feature, lowest bin, missing-left
 first), which the C order of the scored array encodes. Growth is
 best-first: the frontier node with the highest gain is expanded next,
 which is what makes a global leaf budget (max_leaves) meaningful
-alongside max_depth. The sibling of a built child histogram is derived by
-subtraction from the parent.
+alongside max_depth.
+
+After a split only one child's histogram is built from its rows; the
+sibling's is the parent's minus it. Which child is built depends on the
+source's `exact_sums` flag. When every g, h and count sum of the tree is an
+integer below 2**53 (rf: g = y * w and h = w with integer bootstrap
+multiplicities), parent - child is exact either way, so the smaller child
+is built, the cheaper one. Otherwise (gbt and xgb) the larger child is
+built: there the order of the subtraction is part of the floating-point
+result, and trees must not depend on which child is cheaper.
 
 All accumulation orders and reduction shapes are fixed (see
 jamcast.parallel), so grown trees never depend on scheduling.
@@ -98,7 +106,8 @@ class GradHistogram:
 
     def total(self) -> tuple[float, float, float]:
         """Node totals (G, H, count); every feature column carries the same totals."""
-        t = self.sums[0].sum(axis=0)
+        with np.errstate(invalid="ignore"):  # inf and -inf total to NaN
+            t = self.sums[0].sum(axis=0)
         return float(t[0]), float(t[1]), float(t[2])
 
     def subtract(self, other: "GradHistogram") -> "GradHistogram":
@@ -109,7 +118,7 @@ def build_histograms(
     binned,
     rows: np.ndarray,
     g: np.ndarray,
-    h: np.ndarray,
+    h: np.ndarray | None,
     row_offset: int = 0,
 ) -> GradHistogram:
     """Accumulate g/h/count histograms over exactly `rows` of a binned matrix.
@@ -117,7 +126,9 @@ def build_histograms(
     `rows` must be ascending; accumulation is in that fixed order so sums are
     bit-deterministic. `g` and `h` are per-row arrays indexed by
     row - row_offset: full-matrix callers pass offset 0, partition-local
-    state passes its range start.
+    state passes its range start. `h=None` is the unit hessian (h = 1 on
+    every row): its column is then a copy of the count column, which is
+    exactly what the weighted sum of ones would give.
     """
     rows = np.asarray(rows, dtype=np.int64)
     n_features = binned.codes.shape[0]
@@ -126,13 +137,16 @@ def build_histograms(
     if rows.size:
         loc = rows - row_offset if row_offset else rows
         gr = g[loc]
-        hr = h[loc]
+        hr = None if h is None else h[loc]
         for j in range(n_features):
             # one up-front intp conversion instead of one inside each bincount
             cj = binned.codes[j][rows].astype(np.intp)
             sums[j, :, 0] = np.bincount(cj, weights=gr, minlength=n_bins)
-            sums[j, :, 1] = np.bincount(cj, weights=hr, minlength=n_bins)
             sums[j, :, 2] = np.bincount(cj, minlength=n_bins)
+            if hr is None:
+                sums[j, :, 1] = sums[j, :, 2]
+            else:
+                sums[j, :, 1] = np.bincount(cj, weights=hr, minlength=n_bins)
     return GradHistogram(sums=sums, n_real_bins=binned.n_real_bins)
 
 
@@ -155,10 +169,7 @@ def _boost_gain_scan(
 ) -> np.ndarray:
     gr = gp - gl
     hr = hp - hl
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gains = 0.5 * (
-            gl * gl / (hl + lam) + gr * gr / (hr + lam) - gp * gp / (hp + lam)
-        ) - gamma
+    gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - gp * gp / (hp + lam)) - gamma
     bad = (hl + lam <= 0) | (hr + lam <= 0)
     gains[bad] = -np.inf
     return gains
@@ -170,18 +181,18 @@ def _gini_gain_scan(
     # weighted impurity decrease; G = positive weight, H = total weight
     gr = gp - gl
     hr = hp - hl
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dec = 2.0 * (
-            gp * (hp - gp) / hp - gl * (hl - gl) / hl - gr * (hr - gr) / hr
-        ) - gamma
+    dec = 2.0 * (gp * (hp - gp) / hp - gl * (hl - gl) / hl - gr * (hr - gr) / hr) - gamma
     bad = (hl <= 0) | (hr <= 0)
     dec[bad] = -np.inf
     return dec
 
 
+# The scans divide by sums that may be 0 or tiny and may hold inf or NaN; they
+# run under the errstate of their caller, which masks every such gain.
 _GAIN_SCANS = {"boost": _boost_gain_scan, "gini": _gini_gain_scan}
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def find_best_split(
     hist: GradHistogram,
     parent: tuple[float, float, float],
@@ -320,7 +331,13 @@ class DecisionTree:
 
 
 class HistSource(Protocol):
-    """Anything that can produce node histograms and apply split routing."""
+    """Anything that can produce node histograms and apply split routing.
+
+    `exact_sums` is True while every histogram sum of the current tree is an
+    integer below 2**53, so that subtraction from the parent is exact.
+    """
+
+    exact_sums: bool
 
     def node_hist(self, node_id: int) -> GradHistogram: ...
 
@@ -360,6 +377,7 @@ def grow_best_first(
     if leaf_value is None:
         leaf_value = lambda g, h: leaf_weight(g, h, config.lam)  # noqa: E731
 
+    exact_sums = source.exact_sums
     nodes = [TreeNode()]
     root_hist = source.node_hist(0)
     g0, h0, c0 = root_hist.total()
@@ -427,8 +445,11 @@ def grow_best_first(
         need_left, need_right = needs_hist(left_id), needs_hist(right_id)
         built = derived = None
         if need_left and need_right:
-            # build the larger child, derive the sibling by subtraction
-            if states[right_id].count > states[left_id].count:
+            # build one child and derive the sibling by subtraction: the
+            # smaller one where sums are exact, else the larger one, whose
+            # order the floating-point results of gbt and xgb depend on
+            n_left, n_right = states[left_id].count, states[right_id].count
+            if (n_right < n_left) if exact_sums else (n_right > n_left):
                 built, derived = right_id, left_id
             else:
                 built, derived = left_id, right_id

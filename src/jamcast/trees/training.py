@@ -158,14 +158,26 @@ def train_gbt(matrix, labels=None, config: TrainConfig | None = None) -> Ensembl
 
 
 def _bootstrap_weights(config: TrainConfig, tree_index: int, n_rows: int) -> np.ndarray:
+    """Per-row integer multiplicities of one tree's sample: m draws with
+    replacement, or without it the m rows of smallest uniform key, ties to
+    the lower index.
+
+    The sample without replacement is the first m rows of
+    `rng.permutation(sub_seed, 0, n_rows)`, selected in O(n) by a partition
+    at the m-th smallest key instead of a sort of all keys.
+    """
     m = max(1, int(config.subsample_rows * n_rows))
     sub_seed = rng.derive_seed(config.seed, _TAG_BOOTSTRAP, tree_index)
     if config.bootstrap:
         draws = rng.integers(sub_seed, 0, 0, m, n_rows)
-        return np.bincount(draws, minlength=n_rows).astype(np.float64)
-    keep = rng.permutation(sub_seed, 0, n_rows)[:m]
-    mult = np.zeros(n_rows, dtype=np.float64)
-    mult[keep] = 1.0
+        return np.bincount(draws, minlength=n_rows)
+    if m >= n_rows:
+        return np.ones(n_rows, dtype=np.int64)
+    keys = rng.uniforms(sub_seed, 0, 0, n_rows)
+    kth = np.partition(keys, m - 1)[m - 1]
+    mult = (keys < kth).astype(np.int64)
+    n_tied = m - int(mult.sum())
+    mult[np.flatnonzero(keys == kth)[:n_tied]] = 1
     return mult
 
 

@@ -78,6 +78,7 @@ def logloss(margin: float, label: bool) -> float:
 # per-feature histogram split search
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # NaN/inf gains are masked
 def reference_find_best_split(hist, parent, config, *, objective="boost", allowed_features=None):
     """One feature at a time: the split search as a loop over features.
 

@@ -131,6 +131,19 @@ def test_histogram_matches_naive_loop(rng):
     np.testing.assert_allclose(hist.sums, ref, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("n_rows", [0, 1, 37, 50])
+@pytest.mark.parametrize("row_offset", [0, 10])
+def test_unit_hessian_histogram_equals_the_ones_weighted_build(rng, n_rows, row_offset):
+    values = rng.standard_normal((60, 3))
+    values[rng.random((60, 3)) < 0.1] = np.nan
+    binned = quantize(values, max_bins=8)
+    g = rng.standard_normal(60 - row_offset)
+    rows = np.sort(rng.choice(np.arange(row_offset, 60), size=n_rows, replace=False))
+    unit = build_histograms(binned, rows, g, None, row_offset=row_offset)
+    ones = build_histograms(binned, rows, g, np.ones_like(g), row_offset=row_offset)
+    assert np.array_equal(unit.sums, ones.sums)
+
+
 def test_histogram_child_sums_equal_parent_exactly():
     # exact arithmetic: g in multiples of 0.5, h in multiples of 0.25
     rng = np.random.default_rng(7)
@@ -277,9 +290,10 @@ def _split_search_inputs(draw):
                 np.array(draw(st.lists(st.integers(0, nb), min_size=n_rows, max_size=n_rows)))
             )
     sums = np.zeros((n_features, max(n_real) + 1, 3))
-    for f in range(n_features):
-        for r in range(n_rows):
-            sums[f, codes[f][r]] += (g[r], h[r], 1.0)
+    with np.errstate(invalid="ignore"):  # a bin may sum inf and -inf to NaN
+        for f in range(n_features):
+            for r in range(n_rows):
+                sums[f, codes[f][r]] += (g[r], h[r], 1.0)
     hist = GradHistogram(sums=sums, n_real_bins=np.array(n_real))
     allowed = draw(
         st.none()
@@ -305,6 +319,7 @@ def _first_feature_scores_inf():
     return hist, _hist_config(), None, "boost"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no floating-point warning leaks
 @settings(max_examples=400, deadline=None)
 @given(_split_search_inputs())
 @example(_first_feature_scores_inf())
@@ -313,10 +328,9 @@ def test_find_best_split_matches_the_per_feature_loop(case):
 
     def outcome(search):
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                found = search(
-                    hist, hist.total(), config, objective=objective, allowed_features=allowed
-                )
+            found = search(
+                hist, hist.total(), config, objective=objective, allowed_features=allowed
+            )
         except ZeroDivisionError as exc:  # a parent with H + lambda == 0
             return type(exc)
         # repr compares a NaN sum equal to itself, and a float's repr is exact

@@ -8,12 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jamcast import rng as streams
 from jamcast.errors import ConfigError, JamcastError, ValidationError
 from jamcast.evaluation import split_train_test
+from jamcast.trees import engine
+from jamcast.trees.binning import quantize
 from jamcast.trees.grower import sigmoid
 from jamcast.trees.training import (
+    _TAG_BOOTSTRAP,
     Ensemble,
     TrainConfig,
+    _bootstrap_weights,
     load_model,
     model_to_doc,
     predict,
@@ -22,6 +27,7 @@ from jamcast.trees.training import (
     train_rf,
     train_xgb,
 )
+from helpers import synthetic_matrix
 
 
 def _linearly_separable():
@@ -324,3 +330,125 @@ def test_schema_fingerprint_checked(small_matrix):
     )
     with pytest.raises(ValidationError):
         predict(model, honest)
+
+
+# ---------------------------------------------------------------------------
+# exact histogram sums
+
+
+@pytest.fixture(scope="module")
+def honest_matrix():
+    """A small honest matrix: its trees split to full depth, unlike leaky ones."""
+    matrix, _ = synthetic_matrix(6_000, seed=17, feature_set="honest")
+    return matrix
+
+
+def _rf_doc(monkeypatch, matrix, config, exact_sums):
+    """Model document of an rf run, with the flag and top multiplicity of each tree.
+
+    `exact_sums` replaces the engine's flag rule (tests only).
+    """
+    trees = []
+
+    def flag_rule(labels, mult):
+        trees.append((exact_sums(labels, mult), float(mult.max())))
+        return trees[-1][0]
+
+    monkeypatch.setattr(engine, "_exact_sums", flag_rule)
+    return json.dumps(model_to_doc(train_rf(matrix, config=config)), sort_keys=True), trees
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"n_workers": 2},
+        {"bootstrap": False, "subsample_rows": 0.7},
+        {"bootstrap": False, "subsample_rows": 0.7, "n_workers": 2},
+        {"subsample_features": 0.6},
+        {"subsample_features": 0.6, "n_workers": 2},
+    ],
+    ids=["w1", "w2", "no-bootstrap-w1", "no-bootstrap-w2", "features-w1", "features-w2"],
+)
+def test_rf_model_is_the_same_whichever_child_is_built(monkeypatch, honest_matrix, overrides):
+    """rf sums are exact, so building the smaller child changes no model byte."""
+    config = TrainConfig(n_trees=3, max_depth=6, max_leaves=40, seed=5, **overrides)
+    smaller, trees = _rf_doc(monkeypatch, honest_matrix, config, engine._exact_sums)
+    larger, _ = _rf_doc(monkeypatch, honest_matrix, config, lambda labels, mult: False)
+    assert [flag for flag, _ in trees] == [True] * config.n_trees
+    if config.bootstrap:
+        assert all(top > 1 for _, top in trees)  # multiplicities above 1 occur
+    assert smaller == larger
+
+
+@pytest.mark.parametrize("train, smaller", [(train_rf, True), (train_gbt, False), (train_xgb, False)])
+def test_built_child_is_the_smaller_one_only_where_sums_are_exact(
+    monkeypatch, honest_matrix, train, smaller
+):
+    """rf builds the smaller child, gbt and xgb the larger; ties build the left one."""
+    splits = []
+    expand = engine.InlineSource.expand
+
+    def recording(self, node_id, feature, bin_threshold, missing_left, left_id, right_id, build_id):
+        hist = expand(
+            self, node_id, feature, bin_threshold, missing_left, left_id, right_id, build_id
+        )
+        sizes = [sum(len(st.nodes[c]) for st in self.states) for c in (left_id, right_id)]
+        splits.append((build_id, left_id, right_id, *sizes))
+        return hist
+
+    monkeypatch.setattr(engine.InlineSource, "expand", recording)
+    # with min_child_weight 0, a child below max_depth needs a histogram iff it has 2 rows
+    config = TrainConfig(n_trees=2, max_depth=6, max_leaves=40, min_child_weight=0.0, seed=5)
+    train(honest_matrix, config=config)
+    both = [s for s in splits if s[0] is not None and min(s[3:]) >= 2]
+    assert len(both) > 20
+    for build_id, left_id, right_id, n_left, n_right in both:
+        build_right = n_right < n_left if smaller else n_right > n_left
+        assert build_id == (right_id if build_right else left_id)
+
+
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize("n_rows", [1, 2, 17, 1000])
+def test_sample_without_replacement_is_the_permutation_prefix(monkeypatch, n_rows, ties):
+    if ties:  # few distinct keys, so the m-th key is shared by many rows
+        uniforms = streams.uniforms
+        monkeypatch.setattr(streams, "uniforms", lambda *a: np.floor(uniforms(*a) * 5) / 5)
+    for fraction in (1e-9, 0.3, 0.5, 0.999, 1.0):
+        config = TrainConfig(bootstrap=False, subsample_rows=fraction, seed=8)
+        m = max(1, int(fraction * n_rows))
+        for tree in range(3):
+            perm = streams.permutation(streams.derive_seed(8, _TAG_BOOTSTRAP, tree), 0, n_rows)
+            expected = np.zeros(n_rows, dtype=np.int64)
+            expected[perm[:m]] = 1
+            assert np.array_equal(_bootstrap_weights(config, tree, n_rows), expected)
+
+
+def test_exact_sums_needs_0_1_labels_and_integer_weights_below_2_to_53():
+    y = np.array([0.0, 1.0, 1.0, 0.0])
+    assert engine._exact_sums(y, np.array([0, 3, 1, 2]))
+    assert engine._exact_sums(y.astype(bool), np.zeros(4, dtype=np.int32))
+    assert engine._exact_sums(y, np.array([2**52 - 1, 0, 0, 0]))
+    assert not engine._exact_sums(y, np.array([2**52, 2**52, 0, 0]))  # total 2**53
+    assert not engine._exact_sums(y, np.array([-1, 1, 1, 1]))
+    assert not engine._exact_sums(np.array([0.0, 0.5, 1.0, 0.0]), np.ones(4, dtype=np.int64))
+    assert not engine._exact_sums(np.array([0.0, 2.0, 1.0, 0.0]), np.ones(4, dtype=np.int64))
+    # float weights are not integer multiplicities, whatever their values
+    assert not engine._exact_sums(y, np.array([0.5, 1.0, 1.0, 1.0]))
+    assert not engine._exact_sums(y, np.array([1.0, np.nan, 1.0, 1.0]))
+    assert not engine._exact_sums(y, np.ones(4))
+
+
+def test_engine_sets_the_exact_sums_flag_per_tree(small_matrix):
+    binned = quantize(small_matrix.values[:500], 16)
+    y = small_matrix.labels[:500].astype(np.float64)
+    source = engine.InlineSource(binned, y)
+    assert not source.exact_sums
+    source.begin_tree_weighted(np.full(500, 2))
+    assert source.exact_sums
+    source.begin_tree_weighted(np.full(500, 0.5))
+    assert not source.exact_sums
+    source.begin_tree_weighted(np.ones(500, dtype=np.int64))
+    source.init_boost(0.0)
+    source.begin_round(second_order=False)
+    assert not source.exact_sums
