@@ -1,0 +1,145 @@
+#!/usr/bin/env python3
+"""End-to-end pipeline benchmark: seconds per stage at a fixed size.
+
+Generates a seeded jam corpus, ingests it as one stream (parse, clean and
+encode, each timed by the seconds spent producing its blocks), splits it
+75/25, quantizes the training rows, trains rf, gbt and xgb, and predicts
+the test rows with each model. Every run appends one point to --out (a JSON
+list, created if missing) with the git revision, os.cpu_count(), the
+sizes, each stage's seconds, the ingest rows per second and this
+process's peak RSS. Each train time includes the trainer's own quantize,
+so the quantize stage is also a separate measurement of that step. Pool
+workers are separate processes: their memory is not in the peak RSS.
+
+    PYTHONPATH=src python scripts/bench_pipeline.py --rows 1000000 \\
+        --feature-set honest --workers 1
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import subprocess
+import tempfile
+import time
+from pathlib import Path
+
+from jamcast.datagen import GenConfig, generate_jams
+from jamcast.evaluation import split_train_test
+from jamcast.ingest import clean, encode, parse_jams, schema_for
+from jamcast.trees.binning import quantize
+from jamcast.trees.training import TrainConfig, predict, train_gbt, train_rf, train_xgb
+
+ROOT = Path(__file__).resolve().parents[1]
+TRAINERS = (("rf", train_rf), ("gbt", train_gbt), ("xgb", train_xgb))
+
+
+def git_revision() -> str | None:
+    """HEAD's sha, suffixed "-dirty" when tracked files differ from it; None outside git."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=ROOT, capture_output=True, text=True, check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
+
+
+def timed_blocks(blocks, seconds: dict, key: str):
+    """Pass `blocks` through, adding the seconds spent producing them to seconds[key]."""
+    it = iter(blocks)
+    while True:
+        t0 = time.perf_counter()
+        block = next(it, None)
+        seconds[key] += time.perf_counter() - t0
+        if block is None:
+            return
+        yield block
+
+
+def ingest(path: Path, feature_set: str) -> tuple[object, dict]:
+    """Stream parse -> clean -> encode, with each stage's own seconds."""
+    spent = {"parse": 0.0, "parse+clean": 0.0}
+    t0 = time.perf_counter()
+    with open(path, "rb") as fh:
+        parsed, _ = parse_jams(fh)
+        cleaned, _ = clean(timed_blocks(parsed, spent, "parse"))
+        matrix, _ = encode(timed_blocks(cleaned, spent, "parse+clean"), schema_for(feature_set))
+    total = time.perf_counter() - t0
+    return matrix, {
+        "parse": spent["parse"],
+        "clean": spent["parse+clean"] - spent["parse"],
+        "encode": total - spent["parse+clean"],
+    }
+
+
+def run(rows: int, feature_set: str, workers: int, seed: int, trees: int, work_dir: Path) -> dict:
+    stages: dict[str, float] = {}
+    corpus = work_dir / "jams.jsonl"
+    t0 = time.perf_counter()
+    with open(corpus, "wb") as fh:
+        generate_jams(GenConfig(n_jams=rows, seed=seed), fh)
+    stages["generate"] = time.perf_counter() - t0
+
+    matrix, ingest_s = ingest(corpus, feature_set)
+    stages.update(ingest_s)
+    corpus.unlink()
+    train_m, test_m = split_train_test(matrix, 0.75, seed)
+    del matrix
+
+    config = TrainConfig(n_trees=trees, max_depth=5, max_leaves=256, seed=seed, n_workers=workers)
+    t0 = time.perf_counter()
+    quantize(train_m.values, config.max_bins, n_threads=workers)
+    stages["quantize"] = time.perf_counter() - t0
+
+    train_s, predict_s = {}, {}
+    for kind, trainer in TRAINERS:
+        t0 = time.perf_counter()
+        model = trainer(train_m, config=config)
+        train_s[kind] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        predict(model, test_m)
+        predict_s[kind] = time.perf_counter() - t0
+    stages["train"] = train_s
+    stages["predict"] = predict_s
+    return {
+        "git": git_revision(),
+        "cpu_count": os.cpu_count(),
+        "rows": rows,
+        "train_rows": train_m.n_rows,
+        "feature_set": feature_set,
+        "workers": workers,
+        "seed": seed,
+        "trees": trees,
+        "stages_s": stages,
+        "ingest_rows_per_s": rows / (stages["parse"] + stages["clean"] + stages["encode"]),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    }
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("--rows", type=int, default=1_000_000)
+    ap.add_argument("--feature-set", choices=("leaky", "honest"), default="honest")
+    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument("--seed", type=int, default=42)
+    ap.add_argument("--trees", type=int, default=20)
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_pipeline.json")
+    args = ap.parse_args()
+
+    with tempfile.TemporaryDirectory() as work_dir:
+        point = run(args.rows, args.feature_set, args.workers, args.seed, args.trees,
+                    Path(work_dir))
+    points = json.loads(args.out.read_text()) if args.out.exists() else []
+    points.append(point)
+    args.out.write_text(json.dumps(points, indent=1) + "\n")
+    print(json.dumps(point, indent=1))
+    print(f"point {len(points)} -> {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,21 +1,28 @@
-"""Training execution engines: the same partition-local code runs inline or forked.
+"""Training execution engines: the same training state runs inline or forked.
 
-A PartitionState owns one contiguous row range: its labels, margins,
-gradients and per-node row sets, and each of its methods is one training
-step. An engine has a single primitive, `_run(method, args, build_id)`: call
-PartitionState `method(*args)` on every partition, then, when `build_id` is
-not None, return node `build_id`'s histogram, which is always the
-fixed-shape reduction of the per-partition histograms in partition order
-(see jamcast.parallel). InlineSource runs a step as a loop over its
-partitions and PoolSource as one lockstep round-trip to forked workers, so
-both produce bit-identical trees.
+A PartitionState owns a contiguous run of the fixed partitions (see
+jamcast.parallel): their labels, margins, gradients and per-node row sets,
+and each of its methods is one training step. Each engine process holds one
+state: the inline engine's covers all N_HIST_PARTS partitions, a pool
+worker's its assigned run of them. So a step runs once per node, not once
+per partition, and a node histogram is built for all of the state's
+partitions in one cache-blocked pass (see build_histograms). An engine has a
+single primitive, `_run(method, args, build_id, row_args)`: call
+PartitionState `method(*args, *row_args)` on every state, each state
+receiving only its own rows of the whole-matrix arrays in `row_args`, then,
+when `build_id` is not None, return node `build_id`'s histogram, which is
+always the fixed-shape reduction of the N_HIST_PARTS per-partition
+histograms in partition order. The summation structure never depends on
+which process built which partition, so both engines produce bit-identical
+trees.
 
 The pool forks workers after the binned matrix exists (inherited
 copy-on-write) and clamps the process count to the machine's cores; the
 requested n_workers stays a purely logical degree of parallelism. Workers
 write per-partition histograms into a fork-inherited shared-memory block
-instead of piping them, and a split plus the resulting child histogram
-build travel as one round-trip, so per-node traffic is a few bytes.
+instead of piping them, a split plus the resulting child histogram build
+travel as one round-trip, and per-row arguments are sliced so each worker
+receives only its own rows, so per-node traffic is a few bytes.
 """
 
 from __future__ import annotations
@@ -32,16 +39,21 @@ from jamcast.trees.grower import GradHistogram, build_histograms, logistic_grad_
 
 
 class PartitionState:
-    """Row-partition-local training state; each method is one training step."""
+    """Training state of one process over a contiguous run of partitions.
 
-    def __init__(self, lo: int, hi: int, binned, labels: np.ndarray):
-        self.lo = lo
-        self.hi = hi
+    `bounds` are the partitions' row edges b_0 <= ... <= b_P; the state owns
+    rows b_0..b_P. Each method is one training step.
+    """
+
+    def __init__(self, bounds: Sequence[int], binned, labels: np.ndarray):
+        self.bounds = tuple(bounds)
+        self.lo = self.bounds[0]
+        self.hi = self.bounds[-1]
         self.binned = binned
-        self.y = np.asarray(labels[lo:hi], dtype=np.float64)
+        self.y = np.asarray(labels[self.lo : self.hi], dtype=np.float64)
         self.margin: np.ndarray | None = None
-        self.g = np.zeros(hi - lo)
-        self.h: np.ndarray | None = np.zeros(hi - lo)
+        self.g: np.ndarray | None = None
+        self.h: np.ndarray | None = None
         self.nodes: dict[int, np.ndarray] = {}
 
     def init_boost(self, base_margin: float) -> None:
@@ -53,18 +65,16 @@ class PartitionState:
             self.h = None  # the unit hessian: histograms copy its column from counts
         self.nodes = {0: np.arange(self.lo, self.hi, dtype=np.int64)}
 
-    def begin_tree_weighted(self, mult: np.ndarray) -> None:
-        """Bootstrap-weighted tree start from whole-matrix weights: g = y * w, h = w."""
-        w = np.asarray(mult[self.lo : self.hi], dtype=np.float64)
+    def begin_tree_weighted(self, w: np.ndarray) -> None:
+        """Bootstrap-weighted tree start from this state's rows' weights: g = y * w, h = w."""
+        w = np.asarray(w, dtype=np.float64)
         self.g = self.y * w
         self.h = w
         self.nodes = {0: np.nonzero(w > 0)[0].astype(np.int64) + self.lo}
 
     def node_hist(self, node_id: int) -> np.ndarray:
-        hist = build_histograms(
-            self.binned, self.nodes[node_id], self.g, self.h, row_offset=self.lo
-        )
-        return hist.sums
+        """Node `node_id`'s (n_parts, F, B, 3) histograms, one per partition."""
+        return build_histograms(self.binned, self.nodes[node_id], self.g, self.h, self.bounds)
 
     def apply_split(
         self,
@@ -80,24 +90,36 @@ class PartitionState:
         go_left = c <= bin_threshold
         if missing_goes_left:
             go_left |= c == self.binned.missing_bin[feature]
-        self.nodes[left_id] = rows[go_left]
-        self.nodes[right_id] = rows[~go_left]
+        # compress, unlike a boolean index, does not slow down on a mask
+        # that alternates at random (at 120k rows and half left: 0.23 ms
+        # against 1.2 ms)
+        self.nodes[left_id] = np.compress(go_left, rows)
+        self.nodes[right_id] = np.compress(~go_left, rows)
 
     def finalize_tree(self, deltas: Sequence[tuple[int, float]]) -> None:
-        """Add each leaf's margin delta to its rows, then drop the tree's row sets."""
+        """Add each leaf's margin delta to its rows, then drop the tree's row sets and g/h.
+
+        Dropped here, the old g and h are not alive beside the next tree's
+        while those are computed, which would be the state's memory peak.
+        """
         for nid, delta in deltas:
             rows = self.nodes.get(nid)
             if rows is not None and rows.size:
                 self.margin[rows - self.lo] += delta
         self.nodes = {}
+        self.g = self.h = None
 
 
-def _step(states: Sequence[PartitionState], method: str | None, args: tuple, build_id):
-    """One training step over `states`: each one's node `build_id` histogram, if asked."""
+def _step(state: PartitionState, method: str | None, args: tuple, build_id):
+    """One training step on `state`: its node `build_id` histograms, if asked."""
     if method is not None:
-        for st in states:
-            getattr(st, method)(*args)
-    return None if build_id is None else [st.node_hist(build_id) for st in states]
+        getattr(state, method)(*args)
+    return None if build_id is None else state.node_hist(build_id)
+
+
+def _partition_edges(n_rows: int) -> list[int]:
+    """Row edges 0 = b_0 <= ... <= b_N = n_rows of the N_HIST_PARTS fixed partitions."""
+    return [lo for lo, _ in partition_rows(n_rows, N_HIST_PARTS).ranges] + [n_rows]
 
 
 def _reduce(binned, sums) -> GradHistogram:
@@ -123,7 +145,7 @@ def _exact_sums(labels: np.ndarray, mult: np.ndarray) -> bool:
 
 
 class _Engine:
-    """The training protocol: every step is one `_run` over all partitions.
+    """The training protocol: every step is one `_run` over all states.
 
     `exact_sums` tells the grower whether the current tree's histogram sums
     are exact (see jamcast.trees.grower); boosting rounds never are.
@@ -140,7 +162,7 @@ class _Engine:
 
     def begin_tree_weighted(self, mult: np.ndarray) -> None:
         self.exact_sums = _exact_sums(self.labels, mult)
-        self._run("begin_tree_weighted", (mult,))
+        self._run("begin_tree_weighted", row_args=(mult,))
 
     def finalize_tree(self, deltas: Sequence[tuple[int, float]]) -> None:
         self._run("finalize_tree", (deltas,))
@@ -170,37 +192,39 @@ def _own_steps(cls):
 
 @_own_steps
 class InlineSource(_Engine):
-    """Single-process engine over the fixed partition grain."""
+    """Single-process engine: one state over all the fixed partitions."""
 
     def __init__(self, binned, labels: np.ndarray):
         self.binned = binned
         self.labels = labels
-        plan = partition_rows(binned.n_rows, N_HIST_PARTS)
-        self.states = [PartitionState(lo, hi, binned, labels) for lo, hi in plan.ranges]
+        self.state = PartitionState(_partition_edges(binned.n_rows), binned, labels)
 
-    def _run(self, method, args, build_id=None) -> GradHistogram | None:
-        sums = _step(self.states, method, args, build_id)
+    def _run(self, method, args=(), build_id=None, row_args=()) -> GradHistogram | None:
+        sums = _step(self.state, method, args + row_args, build_id)  # the state has every row
         return None if sums is None else _reduce(self.binned, sums)
 
     def close(self) -> None:
         pass
 
 
-def _worker_main(conn, part_ids, part_ranges, binned, labels, shm_buf, hist_shape) -> None:
-    """Forked worker loop: runs each received step on its partitions until None.
+def _worker_main(conn, first_part, bounds, binned, labels, shm_buf, hist_shape) -> None:
+    """Forked worker loop: runs each received step on its state until None.
 
-    Histograms are written into this worker's slots of the shared buffer.
+    The state covers the partitions first_part.. with row edges `bounds`;
+    their histograms are written into those slots of the shared buffer.
     The reply is None, or the type and message of the exception the step
     raised, which the parent reports.
     """
-    states = [PartitionState(lo, hi, binned, labels) for lo, hi in part_ranges]
+    state = PartitionState(bounds, binned, labels)
     slots = np.frombuffer(shm_buf, dtype=np.float64).reshape((N_HIST_PARTS,) + hist_shape)
+    own = slots[first_part : first_part + len(bounds) - 1]
     try:
         while (msg := conn.recv()) is not None:
             error = None
             try:
-                for pid, s in zip(part_ids, _step(states, *msg) or ()):
-                    slots[pid] = s
+                sums = _step(state, *msg)
+                if sums is not None:
+                    own[...] = sums
             except Exception as exc:
                 error = f"{type(exc).__name__}: {exc}"
             conn.send(error)
@@ -212,8 +236,9 @@ def _worker_main(conn, part_ids, part_ranges, binned, labels, shm_buf, hist_shap
 class PoolSource(_Engine):
     """Engine backed by forked worker processes.
 
-    The fixed partition grain is distributed contiguously over workers;
-    per-partition histograms come back in partition order and are reduced
+    The fixed partitions are distributed contiguously over workers, each
+    holding one state over its run of them; per-partition histograms come
+    back in partition order through shared memory and are reduced
     exactly as in InlineSource, so results are bit-identical. No more
     processes are forked than the machine has cores: extra requested
     workers would only contend for the same cores.
@@ -223,20 +248,20 @@ class PoolSource(_Engine):
         self.binned = binned
         self.labels = labels
         n_procs = max(1, min(n_workers, N_HIST_PARTS, os.cpu_count() or 1))
-        plan = partition_rows(binned.n_rows, N_HIST_PARTS)
+        edges = _partition_edges(binned.n_rows)
         assign = partition_rows(N_HIST_PARTS, n_procs)
         hist_shape = (binned.n_features, binned.hist_bins, 3)
         ctx = mp.get_context("fork")
         shm = ctx.RawArray("d", N_HIST_PARTS * int(np.prod(hist_shape)))
         self._slots = np.frombuffer(shm, dtype=np.float64).reshape((N_HIST_PARTS,) + hist_shape)
+        self._rows = [(edges[p_lo], edges[p_hi]) for p_lo, p_hi in assign.ranges]
         self._conns = []
         self._procs = []
-        for w_lo, w_hi in assign.ranges:
+        for p_lo, p_hi in assign.ranges:
             parent_conn, child_conn = ctx.Pipe()
-            parts = (range(w_lo, w_hi), plan.ranges[w_lo:w_hi])
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, *parts, binned, labels, shm, hist_shape),
+                args=(child_conn, p_lo, edges[p_lo : p_hi + 1], binned, labels, shm, hist_shape),
                 daemon=True,
             )
             proc.start()
@@ -244,17 +269,18 @@ class PoolSource(_Engine):
             self._conns.append(parent_conn)
             self._procs.append(proc)
 
-    def _run(self, method, args, build_id=None) -> GradHistogram | None:
+    def _run(self, method, args=(), build_id=None, row_args=()) -> GradHistogram | None:
         """Send one step to every worker, then wait for all of them to finish it.
 
-        A worker that died or whose step raised stops the pool and is
+        Each worker receives only its own rows' slice of `row_args`. A
+        worker that died or whose step raised stops the pool and is
         reported as a JamcastError naming the worker.
         """
-        msg = (method, args, build_id)
         failed = None
         try:
             for worker, conn in enumerate(self._conns):
-                conn.send(msg)
+                lo, hi = self._rows[worker]
+                conn.send((method, args + tuple(a[lo:hi] for a in row_args), build_id))
             for worker, conn in enumerate(self._conns):
                 error = conn.recv()
                 if error is not None and failed is None:

@@ -114,40 +114,88 @@ class GradHistogram:
         return GradHistogram(sums=self.sums - other.sums, n_real_bins=self.n_real_bins)
 
 
+# Rows per cache block of a histogram build: consecutive partitions share one
+# bincount per column while their rows fit in it, so the block's intp codes
+# and weights stay in L2. Measured on a 2-core host over 10 honest features,
+# a 120k-row root build took 6.3 ms at 16,384 rows, 6.5 ms at 32,768 and
+# 7.0 ms with no cap; a random 60k-row node 4.0, 4.1 and 4.4 ms.
+HIST_BLOCK_ROWS = 16_384
+
+
 def build_histograms(
     binned,
     rows: np.ndarray,
     g: np.ndarray,
     h: np.ndarray | None,
-    row_offset: int = 0,
-) -> GradHistogram:
-    """Accumulate g/h/count histograms over exactly `rows` of a binned matrix.
+    bounds: Sequence[int],
+) -> np.ndarray:
+    """Per-partition g/h/count histograms over exactly `rows` of a binned matrix.
 
-    `rows` must be ascending; accumulation is in that fixed order so sums are
-    bit-deterministic. `g` and `h` are per-row arrays indexed by
-    row - row_offset: full-matrix callers pass offset 0, partition-local
-    state passes its range start. `h=None` is the unit hessian (h = 1 on
-    every row): its column is then a copy of the count column, which is
-    exactly what the weighted sum of ones would give.
+    Returns an (n_parts, n_features, hist_bins, 3) array whose last axis is
+    (gradient, hessian, count). `bounds` are ascending row edges
+    b_0 <= ... <= b_P, and partition p sums the rows in [b_p, b_p+1).
+    `rows` must be ascending and lie in [b_0, b_P). Every (partition, bin)
+    slot accumulates its rows in that order, so the sums are
+    bit-deterministic and the same as one build per partition.
+
+    Block rule: consecutive partitions are built together while their rows
+    fit in HIST_BLOCK_ROWS; a larger partition is a group of its own. A
+    group is one bincount per column, with each row's code offset by its
+    partition's place in the group times hist_bins. A group whose rows are
+    one contiguous run reads codes and g/h by slice instead of by gather.
+
+    `g` and `h` are per-row arrays over rows b_0..b_P, indexed by row - b_0.
+    `h=None` is the unit hessian (h = 1 on every row): its column is then a
+    copy of the count column, which is exactly what the weighted sum of
+    ones would give.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    n_features = binned.codes.shape[0]
-    n_bins = binned.hist_bins
-    sums = np.zeros((n_features, n_bins, 3), dtype=np.float64)
-    if rows.size:
+    cuts = np.searchsorted(rows, bounds).tolist()
+    n_parts = len(cuts) - 1
+    out = np.zeros((n_parts, binned.codes.shape[0], binned.hist_bins, 3), dtype=np.float64)
+    p = 0
+    while p < n_parts:
+        q = p + 1
+        while q < n_parts and cuts[q + 1] - cuts[p] <= HIST_BLOCK_ROWS:
+            q += 1
+        if cuts[q] > cuts[p]:
+            group = rows[cuts[p] : cuts[q]]
+            sizes = np.diff(cuts[p : q + 1])
+            _accumulate_group(out[p:q], binned, group, sizes, g, h, bounds[0])
+        p = q
+    return out
+
+
+def _accumulate_group(out, binned, rows, sizes, g, h, row_offset) -> None:
+    """Fill the slots `out` of consecutive partitions holding `sizes` of `rows`.
+
+    `g` and `h` are indexed by row - row_offset.
+    """
+    n_parts, n_features, n_bins, _ = out.shape
+    first = int(rows[0])
+    if int(rows[-1]) - first == rows.size - 1:  # a contiguous run
+        sel = slice(first, first + rows.size)
+        loc = slice(first - row_offset, first - row_offset + rows.size)
+    else:
+        sel = rows
         loc = rows - row_offset if row_offset else rows
-        gr = g[loc]
-        hr = None if h is None else h[loc]
-        for j in range(n_features):
-            # one up-front intp conversion instead of one inside each bincount
-            cj = binned.codes[j][rows].astype(np.intp)
-            sums[j, :, 0] = np.bincount(cj, weights=gr, minlength=n_bins)
-            sums[j, :, 2] = np.bincount(cj, minlength=n_bins)
-            if hr is None:
-                sums[j, :, 1] = sums[j, :, 2]
-            else:
-                sums[j, :, 1] = np.bincount(cj, weights=hr, minlength=n_bins)
-    return GradHistogram(sums=sums, n_real_bins=binned.n_real_bins)
+    gr = g[loc]
+    hr = None if h is None else h[loc]
+    slot_base = None
+    if n_parts > 1:
+        slot_base = np.repeat(np.arange(0, n_parts * n_bins, n_bins, dtype=np.intp), sizes)
+    n_slots, shape = n_parts * n_bins, (n_parts, n_bins)
+    for j in range(n_features):
+        # one up-front intp conversion instead of one inside each bincount
+        cj = binned.codes[j][sel].astype(np.intp)
+        if slot_base is not None:
+            cj += slot_base
+        out[:, j, :, 0] = np.bincount(cj, weights=gr, minlength=n_slots).reshape(shape)
+        out[:, j, :, 2] = np.bincount(cj, minlength=n_slots).reshape(shape)
+        if hr is None:
+            out[:, j, :, 1] = out[:, j, :, 2]
+        else:
+            out[:, j, :, 1] = np.bincount(cj, weights=hr, minlength=n_slots).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

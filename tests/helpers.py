@@ -60,8 +60,8 @@ def synthetic_matrix(n_jams: int, seed: int = 42, feature_set: str = "leaky", **
 def grow_tree(binned, g, h, config) -> DecisionTree:
     """Grow one boosting tree over full-matrix gradients `g`, `h` on the inline engine."""
     source = InlineSource(binned, labels=np.zeros(binned.n_rows))
-    for st in source.states:
-        st.g = np.asarray(g[st.lo : st.hi], dtype=np.float64)
-        st.h = np.asarray(h[st.lo : st.hi], dtype=np.float64)
-        st.nodes = {0: np.arange(st.lo, st.hi, dtype=np.int64)}
+    st = source.state
+    st.g = np.asarray(g, dtype=np.float64)
+    st.h = np.asarray(h, dtype=np.float64)
+    st.nodes = {0: np.arange(binned.n_rows, dtype=np.int64)}
     return grow_best_first(source, config, binned.edges, objective="boost")

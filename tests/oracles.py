@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's code paths: calendar
 arithmetic goes through datetime, AUC is the O(n^2) pairwise definition,
-histogram sums are plain Python loops, split search over a histogram goes
-one feature at a time, the exact-greedy tree enumerates splits over raw
+histogram sums are plain Python loops, a node's partition histograms are
+built one partition at a time, split search over a histogram goes one
+feature at a time, the exact-greedy tree enumerates splits over raw
 (unquantized) values, and jam ingest goes one record at a time through
 json.loads and scalar checks. Keeping these separate is what makes
 agreement with the library meaningful.
@@ -66,6 +67,37 @@ def naive_histogram(codes, rows, g, h, n_bins: int) -> np.ndarray:
             out[j, b, 0] += g[r]
             out[j, b, 1] += h[r]
             out[j, b, 2] += 1
+    return out
+
+
+def per_partition_histograms(binned, rows, g, h, bounds) -> np.ndarray:
+    """One build per partition: the node histograms as separate bincount passes.
+
+    Partition p takes the rows in [bounds[p], bounds[p + 1]), selected by
+    comparison; each is one gather and one bincount per column over those
+    rows alone, and the (n_parts, F, B, 3) stack is in partition order.
+    `g` and `h` are indexed by row - bounds[0]; `h=None` is the unit
+    hessian, whose column is the count column.
+    """
+    row_offset = bounds[0]
+    rows = np.asarray(rows, dtype=np.int64)
+    n_features = binned.codes.shape[0]
+    n_bins = binned.hist_bins
+    out = np.zeros((len(bounds) - 1, n_features, n_bins, 3), dtype=np.float64)
+    for p, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        part = rows[(rows >= lo) & (rows < hi)]
+        if not part.size:
+            continue
+        gr = g[part - row_offset]
+        hr = None if h is None else h[part - row_offset]
+        for j in range(n_features):
+            cj = binned.codes[j][part].astype(np.intp)
+            out[p, j, :, 0] = np.bincount(cj, weights=gr, minlength=n_bins)
+            out[p, j, :, 2] = np.bincount(cj, minlength=n_bins)
+            if hr is None:
+                out[p, j, :, 1] = out[p, j, :, 2]
+            else:
+                out[p, j, :, 1] = np.bincount(cj, weights=hr, minlength=n_bins)
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jamcast.errors import DegenerateNodeError, ValidationError
-from jamcast.parallel import reduce_histograms
+from jamcast.parallel import N_HIST_PARTS, partition_rows, reduce_histograms
+from jamcast.trees import grower
 from jamcast.trees.binning import quantize
 from jamcast.trees.grower import (
     GradHistogram,
@@ -19,7 +21,13 @@ from jamcast.trees.grower import (
 )
 from jamcast.trees.training import TrainConfig
 from helpers import grow_tree
-from oracles import exact_greedy_tree, logloss, naive_histogram, reference_find_best_split
+from oracles import (
+    exact_greedy_tree,
+    logloss,
+    naive_histogram,
+    per_partition_histograms,
+    reference_find_best_split,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +102,12 @@ def test_split_gain_degenerate():
 # histograms
 
 
+def _hist(binned, rows, g, h, row_offset=0) -> GradHistogram:
+    """One node's histogram: a single partition over rows row_offset.. of the matrix."""
+    (sums,) = build_histograms(binned, rows, g, h, (row_offset, binned.n_rows))
+    return GradHistogram(sums=sums, n_real_bins=binned.n_real_bins)
+
+
 def _hist_config(**kw):
     defaults = dict(max_depth=3, max_leaves=16, lam=0.0, gamma=0.0, min_child_weight=0.0)
     defaults.update(kw)
@@ -104,7 +118,7 @@ def test_histogram_empty_rows():
     binned = quantize(np.arange(8, dtype=float).reshape(-1, 2), max_bins=8)
     g = np.ones(4)
     h = np.ones(4)
-    hist = build_histograms(binned, np.array([], dtype=np.int64), g, h)
+    hist = _hist(binned, np.array([], dtype=np.int64), g, h)
     assert hist.sums.sum() == 0.0
 
 
@@ -112,7 +126,7 @@ def test_histogram_single_row():
     binned = quantize(np.arange(8, dtype=float).reshape(-1, 2), max_bins=8)
     g = np.arange(4, dtype=float)
     h = np.ones(4)
-    hist = build_histograms(binned, np.array([2]), g, h)
+    hist = _hist(binned, np.array([2]), g, h)
     for j in range(2):
         nonzero = np.nonzero(hist.sums[j, :, 2])[0]
         assert nonzero.size == 1
@@ -126,7 +140,7 @@ def test_histogram_matches_naive_loop(rng):
     g = rng.standard_normal(50)
     h = rng.random(50)
     rows = np.sort(rng.choice(50, size=30, replace=False))
-    hist = build_histograms(binned, rows, g, h)
+    hist = _hist(binned, rows, g, h)
     ref = naive_histogram(binned.codes, rows, g, h, binned.hist_bins)
     np.testing.assert_allclose(hist.sums, ref, rtol=1e-12, atol=1e-12)
 
@@ -139,8 +153,8 @@ def test_unit_hessian_histogram_equals_the_ones_weighted_build(rng, n_rows, row_
     binned = quantize(values, max_bins=8)
     g = rng.standard_normal(60 - row_offset)
     rows = np.sort(rng.choice(np.arange(row_offset, 60), size=n_rows, replace=False))
-    unit = build_histograms(binned, rows, g, None, row_offset=row_offset)
-    ones = build_histograms(binned, rows, g, np.ones_like(g), row_offset=row_offset)
+    unit = _hist(binned, rows, g, None, row_offset=row_offset)
+    ones = _hist(binned, rows, g, np.ones_like(g), row_offset=row_offset)
     assert np.array_equal(unit.sums, ones.sums)
 
 
@@ -152,13 +166,72 @@ def test_histogram_child_sums_equal_parent_exactly():
     g = rng.integers(-4, 5, size=64) * 0.5
     h = np.full(64, 0.25)
     rows = np.arange(64)
-    parent = build_histograms(binned, rows, g, h)
+    parent = _hist(binned, rows, g, h)
     mask = binned.codes[0][rows] <= 3
-    left = build_histograms(binned, rows[mask], g, h)
-    right = build_histograms(binned, rows[~mask], g, h)
+    left = _hist(binned, rows[mask], g, h)
+    right = _hist(binned, rows[~mask], g, h)
     assert np.array_equal(left.sums + right.sums, parent.sums)
     # the subtraction trick is exact here too
     assert np.array_equal(parent.subtract(left).sums, right.sums)
+
+
+_ANY_G = st.one_of(
+    st.floats(width=64, allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.5, -1.25, math.inf, -math.inf, math.nan]),
+)
+
+
+@st.composite
+def _partitioned_node(draw):
+    """A node's rows within a run of the fixed partitions, as one engine state holds them.
+
+    The run is all N_HIST_PARTS partitions (the inline engine) or any
+    contiguous part of them (a pool worker). The rows are the whole run
+    (every group read by slice), a subset of one partition, or any subset.
+    """
+    n_rows = draw(st.integers(1, 60))  # below 8 rows some partitions are empty
+    n_features = draw(st.integers(1, 3))
+    cells = st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, math.nan])
+    values = np.array(
+        draw(st.lists(cells, min_size=n_rows * n_features, max_size=n_rows * n_features))
+    ).reshape(n_rows, n_features)
+    binned = quantize(values, max_bins=4)
+    edges = [lo for lo, _ in partition_rows(n_rows, N_HIST_PARTS).ranges] + [n_rows]
+    first = draw(st.integers(0, N_HIST_PARTS - 1))
+    last = draw(st.integers(first + 1, N_HIST_PARTS))
+    bounds = edges[first : last + 1]
+    lo, hi = bounds[0], bounds[-1]
+    mode = draw(st.sampled_from(["whole run", "one partition", "any subset"]))
+    if mode == "one partition":
+        p = draw(st.integers(first, last - 1))
+        lo, hi = edges[p], edges[p + 1]
+    candidates = np.arange(lo, hi, dtype=np.int64)
+    rows = candidates
+    if mode != "whole run":
+        keep = draw(st.lists(st.booleans(), min_size=candidates.size, max_size=candidates.size))
+        rows = candidates[np.array(keep, dtype=bool)]
+    n_local = bounds[-1] - bounds[0]
+    g = np.array(draw(st.lists(_ANY_G, min_size=n_local, max_size=n_local)))
+    h = None
+    if draw(st.booleans()):
+        h = np.array(draw(st.lists(_ANY_G, min_size=n_local, max_size=n_local)))
+    return binned, rows, g, h, bounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(_partitioned_node(), st.sampled_from([1, 5, 1 << 62]))  # one row, middle, unbounded
+def test_blocked_histograms_match_the_per_partition_builds(node, block):
+    """Grouping partitions into blocks changes no bit of any partition's sums."""
+    binned, rows, g, h, bounds = node
+    with mock.patch.object(grower, "HIST_BLOCK_ROWS", block):
+        sums = build_histograms(binned, rows, g, h, bounds)
+    expected = per_partition_histograms(binned, rows, g, h, bounds)
+    assert sums.shape == expected.shape
+    assert sums.tobytes() == expected.tobytes()
+    with np.errstate(invalid="ignore"):  # inf and -inf sum to NaN
+        reduced = reduce_histograms([GradHistogram(s, binned.n_real_bins) for s in sums])
+        reference = reduce_histograms([GradHistogram(s, binned.n_real_bins) for s in expected])
+    assert reduced.sums.tobytes() == reference.sums.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +243,7 @@ def test_find_best_split_none_when_identical():
     binned = quantize(values, max_bins=8)
     g = np.ones(10)
     h = np.ones(10)
-    hist = build_histograms(binned, np.arange(10), g, h)
+    hist = _hist(binned, np.arange(10), g, h)
     assert find_best_split(hist, hist.total(), _hist_config()) is None
 
 
@@ -179,7 +252,7 @@ def test_find_best_split_perfect_separation():
     binned = quantize(values, max_bins=8)
     g = np.array([-0.5, -0.5, 0.5, 0.5])
     h = np.full(4, 0.25)
-    hist = build_histograms(binned, np.arange(4), g, h)
+    hist = _hist(binned, np.arange(4), g, h)
     cand = find_best_split(hist, hist.total(), _hist_config())
     assert cand is not None
     assert cand.feature == 0
@@ -204,7 +277,7 @@ def test_find_best_split_tie_breaks_to_lowest_feature():
     binned = quantize(values, max_bins=8)
     g = np.array([-0.5, -0.5, 0.5, 0.5])
     h = np.full(4, 0.25)
-    hist = build_histograms(binned, np.arange(4), g, h)
+    hist = _hist(binned, np.arange(4), g, h)
     cand = find_best_split(hist, hist.total(), _hist_config())
     assert cand.feature == 0
     assert cand.missing_goes_left is True  # no missing rows: default left
@@ -215,7 +288,7 @@ def test_find_best_split_respects_min_child_weight():
     binned = quantize(values, max_bins=8)
     g = np.array([-1.0, 0.5, 0.5, 0.5])
     h = np.ones(4)
-    hist = build_histograms(binned, np.arange(4), g, h)
+    hist = _hist(binned, np.arange(4), g, h)
     cand = find_best_split(hist, hist.total(), _hist_config(min_child_weight=2.0))
     assert cand is not None
     assert cand.left_sums[1] >= 2.0 and cand.right_sums[1] >= 2.0
@@ -227,7 +300,7 @@ def test_find_best_split_routes_missing_both_ways():
     # missing rows carry positive gradient: better routed right with the 2.0 row
     g = np.array([-1.0, 1.0, 1.0, 1.0])
     h = np.ones(4)
-    hist = build_histograms(binned, np.arange(4), g, h)
+    hist = _hist(binned, np.arange(4), g, h)
     cand = find_best_split(hist, hist.total(), _hist_config())
     assert cand is not None
     assert cand.missing_goes_left is False
@@ -240,7 +313,7 @@ def test_find_best_split_allowed_features():
     binned = quantize(values, max_bins=8)
     g = np.array([-0.5, -0.5, 0.5, 0.5])
     h = np.full(4, 0.25)
-    hist = build_histograms(binned, np.arange(4), g, h)
+    hist = _hist(binned, np.arange(4), g, h)
     cand = find_best_split(
         hist, hist.total(), _hist_config(), allowed_features=np.array([1])
     )
@@ -428,7 +501,7 @@ def test_reduce_histograms_partition_invariance():
     g = rng.integers(-2, 3, size=40) * 0.5
     h = np.full(40, 0.5)
     rows = np.arange(40)
-    whole = build_histograms(binned, rows, g, h)
-    parts = [build_histograms(binned, rows[lo:hi], g, h) for lo, hi in ((0, 13), (13, 26), (26, 40))]
+    whole = _hist(binned, rows, g, h)
+    parts = [_hist(binned, rows[lo:hi], g, h) for lo, hi in ((0, 13), (13, 26), (26, 40))]
     # exact-arithmetic data: chunked reduction equals the monolithic sums
     assert np.array_equal(reduce_histograms(parts).sums, whole.sums)

@@ -45,3 +45,20 @@ def test_leakage_experiment_writes_its_tables_and_contrast(tmp_path):
         assert {r["model_kind"]: r["auc"] for r in reports} == contrast["auc"][feature_set]
         assert (tmp_path / f"table_{feature_set}.txt").read_text()
     assert min(contrast["auc"]["leaky"].values()) > max(contrast["auc"]["honest"].values())
+
+
+def test_bench_pipeline_appends_one_point_per_run(tmp_path):
+    out = tmp_path / "BENCH_pipeline.json"
+    for _ in range(2):
+        _run_script("bench_pipeline.py", "--rows", "3000", "--trees", "2", "--out", str(out))
+    points = json.loads(out.read_text())
+    assert len(points) == 2
+    point = points[-1]
+    assert set(point) == {"git", "cpu_count", "rows", "train_rows", "feature_set", "workers",
+                          "seed", "trees", "stages_s", "ingest_rows_per_s", "peak_rss_mb"}
+    assert (point["rows"], point["feature_set"], point["workers"]) == (3000, "honest", 1)
+    stages = point["stages_s"]
+    assert set(stages) == {"generate", "parse", "clean", "encode", "quantize", "train", "predict"}
+    assert set(stages["train"]) == set(stages["predict"]) == {"rf", "gbt", "xgb"}
+    assert all(s >= 0 for s in (stages["parse"], stages["clean"], stages["encode"]))
+    assert point["peak_rss_mb"] > 0

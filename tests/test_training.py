@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -144,6 +145,70 @@ def test_boosting_worker_invariance(small_matrix):
         model = train_xgb(small_matrix, config=tc)
         docs.append(json.dumps(model_to_doc(model), sort_keys=True))
     assert docs[0] == docs[1] == docs[2]
+
+
+def test_uneven_pool_models_match_the_inline_engine(monkeypatch, tmp_path, honest_matrix):
+    """Three processes split the 8 partitions 3/3/2 and change no model byte."""
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
+    row_runs = []
+    pool_init = engine.PoolSource.__init__
+
+    def recording_init(self, *args):
+        pool_init(self, *args)
+        row_runs.append(list(self._rows))
+
+    monkeypatch.setattr(engine.PoolSource, "__init__", recording_init)
+    for train in (train_rf, train_gbt, train_xgb):
+        files = []
+        for w in (1, 3):
+            config = TrainConfig(n_trees=2, max_depth=5, max_leaves=32, seed=5, n_workers=w)
+            path = tmp_path / f"{train.__name__}_w{w}.json"
+            save_model(path, train(honest_matrix, config=config), run_id="fixed")
+            files.append(path.read_bytes())
+        assert files[0] == files[1]
+    n = honest_matrix.n_rows
+    edges = np.cumsum([0] + [n // 8 + (p < n % 8) for p in range(8)]).tolist()
+    runs = [(edges[0], edges[3]), (edges[3], edges[6]), (edges[6], edges[8])]
+    assert row_runs == [runs] * 3  # one pool per model
+
+
+class _RecordingConn:
+    """A pipe end that records every message sent through it."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.sent = []
+
+    def send(self, msg):
+        self.sent.append(msg)
+        self.conn.send(msg)
+
+    def __getattr__(self, name):
+        return getattr(self.conn, name)
+
+
+def test_pool_workers_receive_only_their_own_rows_weights(monkeypatch, small_matrix):
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    binned = quantize(small_matrix.values[:1000], 16)
+    y = small_matrix.labels[:1000].astype(np.float64)
+    mult = np.arange(1000, dtype=np.int64) % 3
+    source = engine.PoolSource(binned, y, n_workers=2)
+    try:
+        source._conns = [_RecordingConn(c) for c in source._conns]
+        source.begin_tree_weighted(mult)
+        pooled = source.node_hist(0)
+        sent = [c.sent[0] for c in source._conns]
+    finally:
+        source.close()
+    for (lo, hi), (method, args, build_id) in zip(((0, 500), (500, 1000)), sent):
+        assert method == "begin_tree_weighted" and build_id is None
+        (weights,) = args
+        assert np.array_equal(weights, mult[lo:hi])
+    for msg in sent:  # half of the weights travel to each worker, not all of them
+        assert mult.nbytes // 2 < len(pickle.dumps(msg)) < mult.nbytes
+    inline = engine.InlineSource(binned, y)
+    inline.begin_tree_weighted(mult)
+    assert inline.node_hist(0).sums.tobytes() == pooled.sums.tobytes()
 
 
 def test_margin_update_identity(small_matrix):
@@ -393,7 +458,7 @@ def test_built_child_is_the_smaller_one_only_where_sums_are_exact(
         hist = expand(
             self, node_id, feature, bin_threshold, missing_left, left_id, right_id, build_id
         )
-        sizes = [sum(len(st.nodes[c]) for st in self.states) for c in (left_id, right_id)]
+        sizes = [len(self.state.nodes[c]) for c in (left_id, right_id)]
         splits.append((build_id, left_id, right_id, *sizes))
         return hist
 
