@@ -13,7 +13,7 @@ bit-identical for any ``n_workers``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
 from jamcast.errors import ConfigError, ValidationError
@@ -26,20 +26,8 @@ if TYPE_CHECKING:  # importing the grower here would be circular at run time
 N_HIST_PARTS = 8
 
 
-@dataclass(frozen=True)
-class PartitionPlan:
-    """Contiguous, balanced row ranges assigned to workers in index order."""
-
-    n_rows: int
-    n_workers: int
-    ranges: tuple[tuple[int, int], ...]
-
-    def sizes(self) -> list[int]:
-        return [hi - lo for lo, hi in self.ranges]
-
-
-def partition_rows(n_rows: int, n_workers: int) -> PartitionPlan:
-    """Split 0..n_rows into n_workers contiguous ranges, sizes differing by <= 1.
+def partition_rows(n_rows: int, n_workers: int) -> list[tuple[int, int]]:
+    """Split 0..n_rows into n_workers contiguous (lo, hi) ranges, sizes differing by <= 1.
 
     Earlier workers take the larger shares: (10, 4) -> sizes [3, 3, 2, 2].
     """
@@ -48,13 +36,8 @@ def partition_rows(n_rows: int, n_workers: int) -> PartitionPlan:
     if n_rows < 0:
         raise ValidationError(f"n_rows must be >= 0, got {n_rows}")
     base, extra = divmod(n_rows, n_workers)
-    ranges = []
-    lo = 0
-    for w in range(n_workers):
-        size = base + (1 if w < extra else 0)
-        ranges.append((lo, lo + size))
-        lo += size
-    return PartitionPlan(n_rows=n_rows, n_workers=n_workers, ranges=tuple(ranges))
+    cuts = [w * base + min(w, extra) for w in range(n_workers + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def reduce_histograms(parts: Sequence[GradHistogram]) -> GradHistogram:

@@ -25,7 +25,6 @@ class BinnedMatrix:
     codes: np.ndarray  # (n_features, n_rows) unsigned integer bin indices
     edges: list[np.ndarray]  # per-feature ascending thresholds, float64
     n_real_bins: np.ndarray  # per-feature count of real (non-missing) bins
-    missing_bin: np.ndarray  # per-feature reserved missing index (== n_real_bins)
     n_rows: int
 
     @property
@@ -51,6 +50,13 @@ def _feature_thresholds(col: np.ndarray, max_bins: int) -> np.ndarray:
     k = np.arange(1, max_bins, dtype=np.int64)
     pos = k * finite.size // max_bins - 1
     return np.unique(v[pos]).astype(np.float64)
+
+
+def bin_codes(col: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Bin code per value: the count of edges below it; NaN gets the missing bin, edges.size + 1."""
+    codes = np.searchsorted(edges, col, side="left")
+    codes[np.isnan(col)] = edges.size + 1
+    return codes
 
 
 def quantize(values: np.ndarray, max_bins: int = 256, n_threads: int = 1) -> BinnedMatrix:
@@ -89,18 +95,8 @@ def quantize(values: np.ndarray, max_bins: int = 256, n_threads: int = 1) -> Bin
     codes = np.empty((n_features, n_rows), dtype=dtype)
 
     def _bin_feature(j: int) -> None:
-        col = values[:, j]
-        miss = np.isnan(col)
-        cj = np.searchsorted(edges[j], col, side="left")
-        cj[miss] = n_real[j]
-        codes[j] = cj.astype(dtype)
+        codes[j] = bin_codes(values[:, j], edges[j])
 
     _map(_bin_feature, range(n_features))
 
-    return BinnedMatrix(
-        codes=codes,
-        edges=edges,
-        n_real_bins=n_real,
-        missing_bin=n_real.copy(),
-        n_rows=n_rows,
-    )
+    return BinnedMatrix(codes=codes, edges=edges, n_real_bins=n_real, n_rows=n_rows)

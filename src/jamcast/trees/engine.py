@@ -35,7 +35,7 @@ import numpy as np
 
 from jamcast.errors import JamcastError
 from jamcast.parallel import N_HIST_PARTS, partition_rows, reduce_histograms
-from jamcast.trees.grower import GradHistogram, build_histograms, logistic_grad_hess
+from jamcast.trees.grower import GradHistogram, build_histograms, logistic_grad_hess, split_rows
 
 
 class PartitionState:
@@ -85,16 +85,10 @@ class PartitionState:
         left_id: int,
         right_id: int,
     ) -> None:
-        rows = self.nodes.pop(node_id)
-        c = self.binned.codes[feature][rows]
-        go_left = c <= bin_threshold
-        if missing_goes_left:
-            go_left |= c == self.binned.missing_bin[feature]
-        # compress, unlike a boolean index, does not slow down on a mask
-        # that alternates at random (at 120k rows and half left: 0.23 ms
-        # against 1.2 ms)
-        self.nodes[left_id] = np.compress(go_left, rows)
-        self.nodes[right_id] = np.compress(~go_left, rows)
+        rows, n_real = self.nodes.pop(node_id), self.binned.n_real_bins[feature]
+        self.nodes[left_id], self.nodes[right_id] = split_rows(
+            rows, self.binned.codes[feature], bin_threshold, n_real, missing_goes_left
+        )
 
     def finalize_tree(self, deltas: Sequence[tuple[int, float]]) -> None:
         """Add each leaf's margin delta to its rows, then drop the tree's row sets and g/h.
@@ -119,7 +113,7 @@ def _step(state: PartitionState, method: str | None, args: tuple, build_id):
 
 def _partition_edges(n_rows: int) -> list[int]:
     """Row edges 0 = b_0 <= ... <= b_N = n_rows of the N_HIST_PARTS fixed partitions."""
-    return [lo for lo, _ in partition_rows(n_rows, N_HIST_PARTS).ranges] + [n_rows]
+    return [lo for lo, _ in partition_rows(n_rows, N_HIST_PARTS)] + [n_rows]
 
 
 def _reduce(binned, sums) -> GradHistogram:
@@ -254,10 +248,10 @@ class PoolSource(_Engine):
         ctx = mp.get_context("fork")
         shm = ctx.RawArray("d", N_HIST_PARTS * int(np.prod(hist_shape)))
         self._slots = np.frombuffer(shm, dtype=np.float64).reshape((N_HIST_PARTS,) + hist_shape)
-        self._rows = [(edges[p_lo], edges[p_hi]) for p_lo, p_hi in assign.ranges]
+        self._rows = [(edges[p_lo], edges[p_hi]) for p_lo, p_hi in assign]
         self._conns = []
         self._procs = []
-        for p_lo, p_hi in assign.ranges:
+        for p_lo, p_hi in assign:
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,

@@ -358,24 +358,27 @@ class DecisionTree:
                 depths[node.right] = d + 1
         return out
 
-    def predict_values(self, values: np.ndarray) -> np.ndarray:
-        """Leaf value per row of a raw (n, F) matrix; NaN routed by missing direction."""
-        values = np.asarray(values, dtype=np.float64)
-        out = np.empty(values.shape[0], dtype=np.float64)
-        stack = [(0, np.arange(values.shape[0]))]
-        while stack:
-            nid, rows = stack.pop()
-            node = self.nodes[nid]
-            if node.is_leaf:
-                out[rows] = node.value
-                continue
-            x = values[rows, node.feature]
-            go_left = x <= node.threshold  # NaN compares false
-            if node.missing_goes_left:
-                go_left |= np.isnan(x)
-            stack.append((node.left, rows[go_left]))
-            stack.append((node.right, rows[~go_left]))
-        return out
+
+def split_rows(
+    rows: np.ndarray,
+    codes: np.ndarray,
+    bin_threshold: int,
+    n_real_bins: int,
+    missing_goes_left: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (left, right) rows of a split: the one routing rule of training and prediction.
+
+    `codes` is the split feature's bin-code column, indexed by row. A row
+    goes left when its code is at most `bin_threshold`, or when it is the
+    missing bin, n_real_bins, and missing values go left.
+    """
+    c = codes[rows]
+    go_left = c <= bin_threshold
+    if missing_goes_left:
+        go_left |= c == n_real_bins
+    # compress, unlike a boolean index, does not slow down on a mask that
+    # alternates at random (at 120k rows and half left: 0.23 ms against 1.2 ms)
+    return np.compress(go_left, rows), np.compress(~go_left, rows)
 
 
 class HistSource(Protocol):
@@ -433,16 +436,16 @@ def grow_best_first(
     hists: dict[int, GradHistogram] = {0: root_hist}
     heap: list[tuple[float, int, SplitCandidate]] = []
 
-    def consider(node_id: int) -> None:
+    def expandable(node_id: int) -> bool:
         st = states[node_id]
-        expandable = (
+        return (
             st.depth < config.max_depth
             and st.count >= 2
             and st.h >= 2 * config.min_child_weight
         )
-        if not expandable:
-            hists.pop(node_id, None)
-            return
+
+    def consider(node_id: int) -> None:
+        st = states[node_id]
         allowed = feature_picker(node_id) if feature_picker is not None else None
         cand = find_best_split(
             hists[node_id],
@@ -452,11 +455,12 @@ def grow_best_first(
             allowed_features=allowed,
         )
         if cand is None:
-            hists.pop(node_id, None)
+            del hists[node_id]
         else:
             heapq.heappush(heap, (-cand.gain, node_id, cand))
 
-    consider(0)
+    if expandable(0):
+        consider(0)
     n_leaves = 1
     while heap:
         if n_leaves + 1 > config.max_leaves:
@@ -481,16 +485,7 @@ def grow_best_first(
         depth = parent_state.depth + 1
         states[left_id] = _NodeState(*cand.left_sums, depth)
         states[right_id] = _NodeState(*cand.right_sums, depth)
-
-        def needs_hist(node_id: int) -> bool:
-            st = states[node_id]
-            return (
-                st.depth < config.max_depth
-                and st.count >= 2
-                and st.h >= 2 * config.min_child_weight
-            )
-
-        need_left, need_right = needs_hist(left_id), needs_hist(right_id)
+        need_left, need_right = expandable(left_id), expandable(right_id)
         built = derived = None
         if need_left and need_right:
             # build one child and derive the sibling by subtraction: the

@@ -15,20 +15,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from jamcast import rng
 from jamcast.errors import ConfigError, ValidationError
-from jamcast.trees.binning import quantize
+from jamcast.trees.binning import bin_codes, quantize
 from jamcast.trees.engine import open_engine
 from jamcast.trees.grower import (
     DecisionTree,
     TreeNode,
     grow_best_first,
     sigmoid,
+    split_rows,
 )
 
 _TAG_BOOTSTRAP = 0x42535452  # per-tree bootstrap stream
@@ -83,7 +84,7 @@ class Ensemble:
     n_features: int
     schema_fingerprint: str
     config: TrainConfig
-    bin_edges: list[np.ndarray] = field(default_factory=list)
+    bin_edges: list[np.ndarray]  # per feature, strictly ascending: the bins splits route by
     feature_names: tuple[str, ...] | None = None
 
 
@@ -228,9 +229,28 @@ def train_rf(matrix, labels=None, config: TrainConfig | None = None) -> Ensemble
     )
 
 
+def _leaf_values(tree: DecisionTree, codes: dict[int, np.ndarray], edges, n_rows: int):
+    """Each row's leaf value, routing rows by their bin codes as training did."""
+    out = np.empty(n_rows, dtype=np.float64)
+    stack = [(0, np.arange(n_rows))]
+    while stack:
+        nid, rows = stack.pop()
+        node = tree.nodes[nid]
+        if node.is_leaf:
+            out[rows] = node.value
+            continue
+        f = node.feature
+        left, right = split_rows(
+            rows, codes[f], node.bin_threshold, edges[f].size + 1, node.missing_goes_left
+        )
+        stack += [(node.left, left), (node.right, right)]
+    return out
+
+
 def predict(ensemble: Ensemble, rows) -> np.ndarray:
     """Probability of the positive class for each row.
 
+    Each tree routes rows by their bin codes under bin_edges, as training did.
     rf: mean of per-tree leaf fractions. Boosting kinds:
     sigmoid(base_margin + learning_rate * sum of leaf weights).
     """
@@ -248,17 +268,17 @@ def predict(ensemble: Ensemble, rows) -> np.ndarray:
             raise ValidationError(
                 f"expected {ensemble.n_features} features, got {values.shape[1]}"
             )
-    if ensemble.kind == "rf":
-        if not ensemble.trees:
-            return np.full(values.shape[0], 0.5)
-        acc = np.zeros(values.shape[0], dtype=np.float64)
-        for tree in ensemble.trees:
-            acc += tree.predict_values(values)
-        return acc / len(ensemble.trees)
-    margin = np.full(values.shape[0], ensemble.base_margin, dtype=np.float64)
+    n_rows = values.shape[0]
+    used = {n.feature for tree in ensemble.trees for n in tree.nodes if not n.is_leaf}
+    codes = {f: bin_codes(values[:, f], ensemble.bin_edges[f]) for f in sorted(used)}
+    rf = ensemble.kind == "rf"
+    if rf and not ensemble.trees:
+        return np.full(n_rows, 0.5)
+    out = np.full(n_rows, 0.0 if rf else ensemble.base_margin)
     for tree in ensemble.trees:
-        margin += ensemble.learning_rate * tree.predict_values(values)
-    return sigmoid(margin)
+        leaf = _leaf_values(tree, codes, ensemble.bin_edges, n_rows)
+        out += leaf if rf else ensemble.learning_rate * leaf
+    return out / len(ensemble.trees) if rf else sigmoid(out)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +314,7 @@ def _typed(doc: dict, key: str, types: tuple[type, ...]):
     return value
 
 
-def _node_from_doc(doc: dict, node_id: int, n_nodes: int, n_features: int) -> TreeNode:
+def _node_from_doc(doc: dict, node_id: int, n_nodes: int, edges: list[np.ndarray]) -> TreeNode:
     if "value" in doc:
         return TreeNode(value=float(_typed(doc, "value", _NUMBER)))
     node = TreeNode(
@@ -306,22 +326,25 @@ def _node_from_doc(doc: dict, node_id: int, n_nodes: int, n_features: int) -> Tr
         right=_typed(doc, "right", (int,)),
         gain=float(_typed(doc, "gain", _NUMBER)) if "gain" in doc else math.nan,
     )
-    # children follow their parent, so prediction always reaches a leaf
+    # children follow their parent, so prediction always reaches a leaf, and
+    # prediction routes by `bin`, which must name the edge `threshold` records
     if not (
-        0 <= node.feature < n_features
+        0 <= node.feature < len(edges)
         and node_id < node.left < n_nodes
         and node_id < node.right < n_nodes
+        and 0 <= node.bin_threshold < edges[node.feature].size
+        and edges[node.feature][node.bin_threshold] == node.threshold
     ):
-        raise ValueError(f"node {node_id} has a bad feature or child index")
+        raise ValueError(f"node {node_id} has a bad feature, child or bin index")
     return node
 
 
-def _tree_from_doc(doc: dict, n_features: int) -> DecisionTree:
+def _tree_from_doc(doc: dict, edges: list[np.ndarray]) -> DecisionTree:
     nodes = _typed(doc, "nodes", (list,))
     if not nodes:
         raise ValueError("a tree has no nodes")
     return DecisionTree(
-        nodes=[_node_from_doc(n, i, len(nodes), n_features) for i, n in enumerate(nodes)]
+        nodes=[_node_from_doc(n, i, len(nodes), edges) for i, n in enumerate(nodes)]
     )
 
 
@@ -356,7 +379,7 @@ def save_model(path: str | Path, ensemble: Ensemble, run_id: str | None = None) 
 
 
 def load_model(path: str | Path) -> Ensemble:
-    """Read a model file; malformed JSON, keys, types or tree links are a ValidationError."""
+    """Read a model file; malformed JSON, keys, types, tree links or bins are a ValidationError."""
     data = Path(path).read_bytes()
     try:
         doc = json.loads(data)
@@ -371,9 +394,13 @@ def load_model(path: str | Path) -> Ensemble:
         )
         config.validate()
         n_features = _typed(doc, "n_features", (int,))
-        trees = [_tree_from_doc(t, n_features) for t in _typed(doc, "trees", (list,))]
+        edges = [np.asarray(e, dtype=np.float64) for e in _typed(doc, "bin_edges", (list,))]
+        if len(edges) != n_features or any(
+            e.ndim != 1 or np.isnan(e).any() or not (e[1:] > e[:-1]).all() for e in edges
+        ):
+            raise ValueError("bin_edges must be one strictly ascending array per feature")
+        trees = [_tree_from_doc(t, edges) for t in _typed(doc, "trees", (list,))]
         names = _typed(doc, "feature_names", (list, type(None)))
-        edges = _typed(doc, "bin_edges", (list,))
         return Ensemble(
             kind=kind,
             trees=trees,
@@ -382,8 +409,9 @@ def load_model(path: str | Path) -> Ensemble:
             n_features=n_features,
             schema_fingerprint=_typed(doc, "schema_fingerprint", (str,)),
             config=config,
-            bin_edges=[np.asarray(e, dtype=np.float64) for e in edges],
+            bin_edges=edges,
             feature_names=tuple(names) if names else None,
         )
-    except (ValueError, KeyError, TypeError, AttributeError, RecursionError, ConfigError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError,
+            ConfigError) as exc:
         raise ValidationError(f"{path}: corrupt model file ({exc})") from None

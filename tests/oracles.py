@@ -5,8 +5,9 @@ arithmetic goes through datetime, AUC is the O(n^2) pairwise definition,
 histogram sums are plain Python loops, a node's partition histograms are
 built one partition at a time, split search over a histogram goes one
 feature at a time, the exact-greedy tree enumerates splits over raw
-(unquantized) values, and jam ingest goes one record at a time through
-json.loads and scalar checks. Keeping these separate is what makes
+(unquantized) values, prediction routes raw values by each split's
+`threshold` instead of bin codes, and jam ingest goes one record at a time
+through json.loads and scalar checks. Keeping these separate is what makes
 agreement with the library meaningful.
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from jamcast.events import decompose_epoch_ms
 from jamcast.ingest import EncodingMap, FeatureMatrix, IngestReport
-from jamcast.trees.grower import _GAIN_SCANS, SplitCandidate
+from jamcast.trees.grower import _GAIN_SCANS, SplitCandidate, sigmoid
 
 PST = timezone(timedelta(hours=-8))
 
@@ -104,6 +105,46 @@ def per_partition_histograms(binned, rows, g, h, bounds) -> np.ndarray:
 def logloss(margin: float, label: bool) -> float:
     p = 1.0 / (1.0 + math.exp(-margin))
     return -math.log(p) if label else -math.log(1.0 - p)
+
+
+# ---------------------------------------------------------------------------
+# raw-threshold prediction
+
+
+def reference_leaf_values(tree, values) -> np.ndarray:
+    """Leaf value per row of a raw (n, F) matrix: go left iff x <= threshold, NaN by direction."""
+    values = np.asarray(values, dtype=np.float64)
+    out = np.empty(values.shape[0], dtype=np.float64)
+    stack = [(0, np.arange(values.shape[0]))]
+    while stack:
+        nid, rows = stack.pop()
+        node = tree.nodes[nid]
+        if node.is_leaf:
+            out[rows] = node.value
+            continue
+        x = values[rows, node.feature]
+        go_left = x <= node.threshold  # NaN compares false
+        if node.missing_goes_left:
+            go_left |= np.isnan(x)
+        stack.append((node.left, rows[go_left]))
+        stack.append((node.right, rows[~go_left]))
+    return out
+
+
+def reference_predict(model, values) -> np.ndarray:
+    """Positive-class probability per row, combining trees in the library's order."""
+    values = np.asarray(values, dtype=np.float64)
+    if model.kind == "rf":
+        if not model.trees:
+            return np.full(values.shape[0], 0.5)
+        acc = np.zeros(values.shape[0], dtype=np.float64)
+        for tree in model.trees:
+            acc += reference_leaf_values(tree, values)
+        return acc / len(model.trees)
+    margin = np.full(values.shape[0], model.base_margin, dtype=np.float64)
+    for tree in model.trees:
+        margin += model.learning_rate * reference_leaf_values(tree, values)
+    return sigmoid(margin)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def test_quantile_bins_are_balanced():
 
 def test_missing_goes_to_reserved_bin():
     binned = quantize(col([1.0, np.nan, 2.0]), max_bins=4)
-    assert binned.missing_bin[0] == binned.n_real_bins[0] == 2
+    assert binned.n_real_bins[0] == 2
     assert binned.codes[0].tolist() == [0, 2, 1]
 
 

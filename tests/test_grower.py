@@ -196,7 +196,7 @@ def _partitioned_node(draw):
         draw(st.lists(cells, min_size=n_rows * n_features, max_size=n_rows * n_features))
     ).reshape(n_rows, n_features)
     binned = quantize(values, max_bins=4)
-    edges = [lo for lo, _ in partition_rows(n_rows, N_HIST_PARTS).ranges] + [n_rows]
+    edges = [lo for lo, _ in partition_rows(n_rows, N_HIST_PARTS)] + [n_rows]
     first = draw(st.integers(0, N_HIST_PARTS - 1))
     last = draw(st.integers(first + 1, N_HIST_PARTS))
     bounds = edges[first : last + 1]

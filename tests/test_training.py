@@ -29,6 +29,7 @@ from jamcast.trees.training import (
     train_xgb,
 )
 from helpers import synthetic_matrix
+from oracles import reference_leaf_values, reference_predict
 
 
 def _linearly_separable():
@@ -218,7 +219,7 @@ def test_margin_update_identity(small_matrix):
     # recompute margins from scratch over all trees
     margins = np.full(train.n_rows, model.base_margin)
     for tree in model.trees:
-        margins += model.learning_rate * tree.predict_values(train.values)
+        margins += model.learning_rate * reference_leaf_values(tree, train.values)
     np.testing.assert_allclose(predict(model, train), sigmoid(margins), atol=1e-12, rtol=0)
 
 
@@ -242,6 +243,7 @@ def test_predict_contracts():
     empty = Ensemble(
         kind="xgb", trees=[], learning_rate=0.3, base_margin=0.0,
         n_features=1, schema_fingerprint="raw:1", config=TrainConfig(),
+        bin_edges=[np.array([2.0, 3.0])],
     )
     assert predict(empty, x).tolist() == [0.5] * 4
     with pytest.raises(ValidationError):
@@ -261,6 +263,7 @@ def test_predict_stump_sigmoid_values():
     model = Ensemble(
         kind="xgb", trees=[stump], learning_rate=1.0, base_margin=0.0,
         n_features=1, schema_fingerprint="raw:1", config=TrainConfig(),
+        bin_edges=[np.array([1.5])],
     )
     p = predict(model, np.array([[1.0], [2.0]]))
     assert p[0] == pytest.approx(1 / (1 + math.exp(-1)), abs=1e-12)
@@ -275,6 +278,7 @@ def test_rf_prediction_averages():
     model = Ensemble(
         kind="rf", trees=[t1, t2], learning_rate=1.0, base_margin=0.0,
         n_features=2, schema_fingerprint="raw:2", config=TrainConfig(),
+        bin_edges=[np.array([0.5]), np.empty(0)],
     )
     assert predict(model, np.zeros((3, 2))).tolist() == [0.5, 0.5, 0.5]
 
@@ -344,6 +348,14 @@ _MALFORMED_MODELS = {
     "child_past_the_end": _edited(lambda doc: _first_split(doc).update(right=99)),
     "empty_tree": _edited(lambda doc: doc["trees"][0].update(nodes=[])),
     "bin_edges_ragged": _edited(lambda doc: doc.update(bin_edges=[[1.0, [2.0]]])),
+    # the root splits feature 0 at bin 1, threshold 2.0, under edges [1.0, 2.0, 3.0]
+    "bin_edges_per_feature_twice": _edited(lambda doc: doc.update(bin_edges=doc["bin_edges"] * 2)),
+    "bin_edges_descending": _edited(lambda doc: doc.update(bin_edges=[[3.0, 2.0, 1.0]])),
+    "bin_edge_is_nan": _edited(lambda doc: doc.update(bin_edges=[[1.0, 2.0, math.nan]])),
+    "bin_edge_overflows": _edited(lambda doc: doc["bin_edges"][0].insert(0, -(10**400))),
+    "bin_is_negative": _edited(lambda doc: _first_split(doc).update(bin=-2)),
+    "bin_past_the_end": _edited(lambda doc: _first_split(doc).update(bin=3)),
+    "threshold_is_not_its_edge": _edited(lambda doc: _first_split(doc).update(threshold=2.5)),
 }
 
 
@@ -375,6 +387,42 @@ def test_corrupt_model_file_loads_or_raises_a_jamcast_error(edits):
     # whatever loads also predicts
     if model.n_features == 1:
         assert predict(model, np.zeros((3, 1))).shape == (3,)
+
+
+_CELLS = [-math.inf, -1.5, 0.0, 2.0, 3.5, 7.0, math.inf, math.nan]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([train_rf, train_gbt, train_xgb]),
+    st.integers(1, 3),
+    st.sampled_from([2, 4, 256]),
+    st.booleans(),
+    st.data(),
+)
+def test_binned_prediction_matches_raw_thresholds(train, n_features, max_bins, inf_first, data):
+    """Binned routing predicts exactly what the raw-threshold walk does, also at
+    edge values, between edges, on NaN and on +-inf, with -inf training edges."""
+    n_rows = data.draw(st.integers(4, 40))
+    cells = st.lists(st.sampled_from(_CELLS), min_size=n_rows * n_features,
+                     max_size=n_rows * n_features)
+    x = np.array(data.draw(cells)).reshape(n_rows, n_features)
+    if inf_first:  # every column's first edge is -inf
+        x[0] = -math.inf
+    y = np.array(data.draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)))
+    config = TrainConfig(n_trees=3, max_depth=3, max_bins=max_bins, min_child_weight=0.0,
+                         lam=0.1, subsample_features=0.6, seed=1)
+    model = train(x, y, config)
+    columns = []
+    for e in model.bin_edges:
+        finite = e[np.isfinite(e)]
+        between = (finite[:-1] + finite[1:]) / 2
+        pool = [*e.tolist(), *between.tolist(), -math.inf, math.inf, math.nan]
+        columns.append(st.one_of(st.sampled_from(pool), st.floats(-10, 10)))
+    n_pred = data.draw(st.integers(1, 30))
+    rows = data.draw(st.lists(st.tuples(*columns), min_size=n_pred, max_size=n_pred))
+    values = np.array(rows, dtype=np.float64).reshape(n_pred, n_features)
+    assert np.array_equal(predict(model, values), reference_predict(model, values))
 
 
 def test_model_doc_excludes_worker_count(small_matrix):
