@@ -30,10 +30,9 @@ from jamcast.datagen import GenConfig, generate_jams
 from jamcast.evaluation import split_train_test
 from jamcast.ingest import clean, encode, parse_jams, schema_for
 from jamcast.trees.binning import quantize
-from jamcast.trees.training import TrainConfig, predict, train_gbt, train_rf, train_xgb
+from jamcast.trees.training import TRAINERS, TrainConfig, predict
 
 ROOT = Path(__file__).resolve().parents[1]
-TRAINERS = (("rf", train_rf), ("gbt", train_gbt), ("xgb", train_xgb))
 
 
 def git_revision() -> str | None:
@@ -96,7 +95,7 @@ def run(rows: int, feature_set: str, workers: int, seed: int, trees: int, work_d
     stages["quantize"] = time.perf_counter() - t0
 
     train_s, predict_s = {}, {}
-    for kind, trainer in TRAINERS:
+    for kind, trainer in TRAINERS.items():
         t0 = time.perf_counter()
         model = trainer(train_m, config=config)
         train_s[kind] = time.perf_counter() - t0

@@ -23,7 +23,7 @@ from pathlib import Path
 from jamcast.datagen import GenConfig, generate_jams
 from jamcast.evaluation import bench, render_table, reports_to_json
 from jamcast.ingest import ingest_files, schema_for
-from jamcast.trees.training import TrainConfig
+from jamcast.trees.training import TRAINERS, TrainConfig
 
 
 def main() -> int:
@@ -33,7 +33,7 @@ def main() -> int:
     ap.add_argument("--noise", type=float, default=0.0, help="level coupling noise")
     ap.add_argument("--trees", type=int, default=20)
     ap.add_argument("--workers", type=int, default=1)
-    ap.add_argument("--models", type=str, default="rf,gbt,xgb")
+    ap.add_argument("--models", type=str, default=",".join(TRAINERS))
     ap.add_argument("--out-dir", type=Path, default=Path("results/leakage"))
     args = ap.parse_args()
 
@@ -58,7 +58,7 @@ def main() -> int:
         matrix, _, summary = ingest_files([corpus], schema_for(feature_set))
         print(f"  {matrix.n_rows} rows, {matrix.n_features} features, "
               f"{summary.parse.rows_rejected} rejected")
-        reports = bench(matrix, [(k, config) for k in kinds], seed=args.seed)
+        reports = bench(matrix, kinds, config, seed=args.seed)
         table = render_table(reports)
         print(f"\n=== {feature_set} features ===")
         print(table)

@@ -7,22 +7,3 @@ histogram aggregation, and evaluate with AUC / precision / recall.
 """
 
 __version__ = "0.1.0"
-
-from jamcast.errors import (
-    ConfigError,
-    DegenerateNodeError,
-    JamcastError,
-    SchemaError,
-    UndefinedMetricError,
-    ValidationError,
-)
-
-__all__ = [
-    "__version__",
-    "JamcastError",
-    "ValidationError",
-    "ConfigError",
-    "SchemaError",
-    "DegenerateNodeError",
-    "UndefinedMetricError",
-]

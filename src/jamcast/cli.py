@@ -21,16 +21,10 @@ from pathlib import Path
 from jamcast import __version__
 from jamcast.datagen import GenConfig, generate_alerts, generate_jams
 from jamcast.errors import ConfigError, JamcastError
-from jamcast.evaluation import (
-    TRAINERS,
-    bench,
-    render_table,
-    reports_to_csv,
-    reports_to_json,
-)
+from jamcast.evaluation import bench, render_table, reports_to_csv, reports_to_json
 from jamcast.ingest import ingest_files, load_matrix, save_matrix, schema_for
 from jamcast.manifest import build_manifest, file_digest, make_run_id
-from jamcast.trees.training import TrainConfig, save_model
+from jamcast.trees.training import TRAINERS, TrainConfig, save_model
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 
@@ -125,13 +119,15 @@ def build_parser() -> _Parser:
 
     t = sub.add_parser("train", help="train one model from a matrix file")
     t.add_argument("--matrix", type=Path, required=True)
-    t.add_argument("--model", choices=("rf", "gbt", "xgb"), required=True)
+    t.add_argument("--model", choices=tuple(TRAINERS), required=True)
     t.add_argument("--out", type=Path, required=True, help="model JSON output path")
     _add_train_flags(t)
 
     b = sub.add_parser("bench", help="compare models on one matrix, table-style report")
     b.add_argument("--matrix", type=Path, required=True)
-    b.add_argument("--models", type=str, default="rf,gbt,xgb", help="comma-separated kinds")
+    b.add_argument(
+        "--models", type=str, default=",".join(TRAINERS), help="comma-separated kinds"
+    )
     b.add_argument("--train-fraction", type=float, default=0.75)
     b.add_argument("--threshold", type=float, default=0.5)
     b.add_argument("--out-dir", type=Path, required=True)
@@ -139,37 +135,40 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_generate(args, argv: list[str]) -> int:
-    fields: dict = {}
-    if args.config is not None:
-        fields.update(json.loads(Path(args.config).read_text()))
-    if args.jams is not None:
-        fields["n_jams"] = args.jams
-    if args.alerts is not None:
-        fields["n_alerts"] = args.alerts
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    if args.coupling_noise is not None:
-        fields["coupling_noise"] = args.coupling_noise
-    if args.start is not None or args.end is not None:
-        window = list(fields.get("date_window", GenConfig().date_window))
-        if args.start is not None:
-            window[0] = _parse_when(args.start)
-        if args.end is not None:
-            window[1] = _parse_when(args.end)
-        fields["date_window"] = tuple(window)
-    if args.level_weights is not None:
-        parts = [float(x) for x in args.level_weights.split(",")]
-        if len(parts) != 5:
-            raise ConfigError("--level-weights needs exactly five values")
-        fields["level_weights"] = tuple(parts)
-    if "date_window" in fields:
-        fields["date_window"] = tuple(fields["date_window"])
-    if "level_weights" in fields:
-        fields["level_weights"] = tuple(fields["level_weights"])
-    config = GenConfig(**fields)
-    config.validate()
+def _gen_config(args) -> GenConfig:
+    """GenConfig from the --config JSON object overlaid with the flags given.
 
+    Malformed JSON, unknown keys and values of the wrong shape are a
+    ConfigError here; values out of their domain, a ValidationError.
+    """
+    try:
+        fields = {} if args.config is None else json.loads(args.config.read_text())
+        if not isinstance(fields, dict):
+            raise TypeError("--config must hold a JSON object")
+        for key in ("date_window", "level_weights"):
+            if key in fields:
+                fields[key] = tuple(fields[key])
+        flags = {"n_jams": args.jams, "n_alerts": args.alerts, "seed": args.seed,
+                 "coupling_noise": args.coupling_noise}
+        fields.update({k: v for k, v in flags.items() if v is not None})
+        if args.start is not None or args.end is not None:
+            start, end = fields.get("date_window", GenConfig().date_window)
+            if args.start is not None:
+                start = _parse_when(args.start)
+            if args.end is not None:
+                end = _parse_when(args.end)
+            fields["date_window"] = (start, end)
+        if args.level_weights is not None:
+            fields["level_weights"] = tuple(float(x) for x in args.level_weights.split(","))
+        config = GenConfig(**fields)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad generate config: {exc}") from None
+    config.validate()
+    return config
+
+
+def _cmd_generate(args, argv: list[str]) -> int:
+    config = _gen_config(args)
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     jams_path = out_dir / "jams.jsonl"
@@ -179,18 +178,10 @@ def _cmd_generate(args, argv: list[str]) -> int:
     with open(alerts_path, "wb") as fh:
         n_alerts = generate_alerts(config, fh)
 
-    config_doc = {
-        "n_jams": config.n_jams,
-        "n_alerts": config.n_alerts,
-        "seed": config.seed,
-        "date_window": list(config.date_window),
-        "level_weights": list(config.level_weights),
-        "coupling_noise": config.coupling_noise,
-    }
     manifest = build_manifest(
         command="generate",
         command_line=argv,
-        config=config_doc,
+        config=dataclasses.asdict(config),
         input_digests={},
         artifacts=[jams_path, alerts_path],
         seed=config.seed,
@@ -280,7 +271,8 @@ def _cmd_bench(args, argv: list[str]) -> int:
     digests = {str(args.matrix): file_digest(args.matrix)}
     reports = bench(
         matrix,
-        [(k, config) for k in kinds],
+        kinds,
+        config,
         train_fraction=args.train_fraction,
         seed=args.seed,
         threshold=args.threshold,

@@ -20,6 +20,8 @@ never on chunking, and scale linearly in row count.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -111,17 +113,29 @@ class GenConfig:
     coupling_noise: float = 0.0
 
     def validate(self) -> None:
+        if not all(_is_int(v) for v in (self.n_jams, self.n_alerts, self.seed)):
+            raise ValidationError("n_jams, n_alerts and seed must be integers")
         if self.n_jams < 0 or self.n_alerts < 0:
             raise ValidationError("row counts must be >= 0")
-        if len(self.level_weights) != 5 or any(w < 0 for w in self.level_weights):
-            raise ValidationError("level_weights must be 5 non-negative reals")
-        if sum(self.level_weights) <= 0:
+        weights = self.level_weights
+        if len(weights) != 5 or not all(_is_finite(w) and w >= 0 for w in weights):
+            raise ValidationError("level_weights must be 5 finite non-negative reals")
+        if sum(weights) <= 0:
             raise ValidationError("level_weights must sum to > 0")
-        if self.coupling_noise < 0:
-            raise ValidationError("coupling_noise must be >= 0")
-        start, end = self.date_window
-        if not 0 < start < end:
-            raise ValidationError("date_window must satisfy 0 < start < end")
+        if not (_is_finite(self.coupling_noise) and self.coupling_noise >= 0):
+            raise ValidationError("coupling_noise must be finite and >= 0")
+        window = self.date_window
+        if not (len(window) == 2 and all(_is_int(v) for v in window) and 0 < window[0] < window[1]):
+            raise ValidationError("date_window must be two integers with 0 < start < end")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A finite real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _level_cdfs(weights: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:

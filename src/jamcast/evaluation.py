@@ -3,7 +3,7 @@
 AUC is the Mann-Whitney statistic (ties counted 1/2), computed from average
 ranks in O(n log n); it equals the trapezoidal ROC area exactly. The
 confusion threshold is fixed at 0.5 with score >= threshold counted
-positive. The bench harness trains each configured model on the same
+positive. The bench harness trains each model kind on the same
 deterministic split and renders the comparison as an AUC / precision /
 recall / computing-time table.
 """
@@ -24,11 +24,10 @@ import numpy as np
 from jamcast import rng
 from jamcast.errors import ConfigError, JamcastError, UndefinedMetricError, ValidationError
 from jamcast.ingest import FeatureMatrix
-from jamcast.trees.training import TrainConfig, predict, train_gbt, train_rf, train_xgb
+from jamcast.trees.training import TRAINERS, TrainConfig, predict
 
 _TAG_SPLIT = 0x53504C54
 
-TRAINERS = {"rf": train_rf, "gbt": train_gbt, "xgb": train_xgb}
 MODEL_DISPLAY = {"rf": "RF", "gbt": "GBT", "xgb": "XGBoost"}
 
 
@@ -97,9 +96,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
-    def as_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
-
 
 def confusion(scores, labels, threshold: float = 0.5) -> ConfusionMatrix:
     """Threshold scores (>= is positive) against boolean labels."""
@@ -158,52 +154,39 @@ class EvalReport:
     error: str | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "model_kind": self.model_kind,
-            "feature_set": self.feature_set,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "threshold": self.threshold,
-            "n_workers": self.n_workers,
-            "config": self.config,
-            "confusion": self.cm.as_dict() if self.cm else None,
-            "auc": self.auc,
-            "precision": self.precision,
-            "recall": self.recall,
-            "precision_defined": self.precision_defined,
-            "recall_defined": self.recall_defined,
-            "train_seconds": self.train_seconds,
-            "predict_seconds": self.predict_seconds,
-            "error": self.error,
-        }
+        """The report's fields, with the confusion matrix under "confusion"."""
+        doc = dataclasses.asdict(self)
+        doc["confusion"] = doc.pop("cm")
+        return doc
 
 
 def bench(
     matrix: FeatureMatrix,
-    configs: Sequence[tuple[str, TrainConfig]],
+    kinds: Sequence[str],
+    config: TrainConfig,
     train_fraction: float = 0.75,
     seed: int = 0,
     threshold: float = 0.5,
 ) -> list[EvalReport]:
-    """Split, train, predict and score each configured model sequentially.
+    """Split, then train, predict and score each model kind under one config.
 
-    Configs run one at a time so timings are not contaminated by
+    Kinds run one at a time so timings are not contaminated by
     co-scheduling; wall times cover training (including quantization) and
-    prediction, never ingestion or serialization. A failing config is
-    recorded in its report and the remaining configs still run.
+    prediction, never ingestion or serialization. A kind that fails is
+    recorded in its report and the remaining kinds still run.
     """
-    if not configs:
+    if not kinds:
         return []
     train_m, test_m = split_train_test(matrix, train_fraction, seed)
     reports: list[EvalReport] = []
-    for kind, config in configs:
+    for kind in kinds:
         report = EvalReport(
             model_kind=kind,
             feature_set=matrix.schema.feature_set,
             n_train=train_m.n_rows,
             n_test=test_m.n_rows,
             threshold=threshold,
-            n_workers=getattr(config, "n_workers", 1),
+            n_workers=config.n_workers,
             config=dataclasses.asdict(config),
         )
         try:

@@ -28,7 +28,7 @@ import json
 import operator
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
@@ -134,12 +134,7 @@ class IngestReport:
             self.reject(reason, count)
 
     def as_dict(self) -> dict:
-        return {
-            "files_read": self.files_read,
-            "rows_accepted": self.rows_accepted,
-            "rows_rejected": self.rows_rejected,
-            "rejection_reasons": dict(sorted(self.rejection_reasons.items())),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -434,12 +429,7 @@ class IngestSummary:
     n_rows: int
 
     def as_dict(self) -> dict:
-        return {
-            "files": self.files,
-            "parse": self.parse.as_dict(),
-            "clean": self.clean.as_dict(),
-            "n_rows": self.n_rows,
-        }
+        return asdict(self)
 
 
 def ingest_files(

@@ -13,13 +13,11 @@ bit-identical for any ``n_workers``.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from jamcast.errors import ConfigError, ValidationError
-
-if TYPE_CHECKING:  # importing the grower here would be circular at run time
-    from jamcast.trees.grower import GradHistogram
 
 # Fixed data-parallel grain. Part of the deterministic summation structure:
 # changing it changes float sums, changing n_workers does not.
@@ -40,27 +38,20 @@ def partition_rows(n_rows: int, n_workers: int) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def reduce_histograms(parts: Sequence[GradHistogram]) -> GradHistogram:
-    """Cell-wise sum of partial histograms by a fixed-shape pairwise tree.
+def reduce_histograms(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Cell-wise sum of partial histogram arrays by a fixed-shape pairwise tree.
 
-    The reduction shape depends only on len(parts) and the given order
+    `parts` is a sequence of same-shape arrays, such as the engine's
+    (n_parts, F, B, 3) stack of per-partition histograms. Each level adds
+    part 2i to part 2i+1, and an odd last part passes up unchanged. The
+    reduction shape depends only on len(parts) and the given order
     (worker/partition index), never on the wall-clock order in which the
     parts were produced, so the output is bit-reproducible.
     """
-    if len(parts) == 0:
+    sums = np.asarray(parts, dtype=np.float64)
+    if sums.ndim == 0 or len(sums) == 0:
         raise ValidationError("reduce_histograms needs at least one histogram")
-    first = parts[0]
-    for p in parts[1:]:
-        if p.sums.shape != first.sums.shape:
-            raise ValidationError(
-                f"histogram shape mismatch: {p.sums.shape} vs {first.sums.shape}"
-            )
-        if (p.n_real_bins != first.n_real_bins).any():
-            raise ValidationError("histogram bin layout mismatch")
-    arrays = [p.sums for p in parts]
-    while len(arrays) > 1:
-        merged = [arrays[i] + arrays[i + 1] for i in range(0, len(arrays) - 1, 2)]
-        if len(arrays) % 2:
-            merged.append(arrays[-1])
-        arrays = merged
-    return replace(first, sums=arrays[0])
+    while len(sums) > 1:
+        paired = sums[0:-1:2] + sums[1::2]
+        sums = np.concatenate([paired, sums[-1:]]) if len(sums) % 2 else paired
+    return sums[0]

@@ -116,9 +116,9 @@ def _partition_edges(n_rows: int) -> list[int]:
     return [lo for lo, _ in partition_rows(n_rows, N_HIST_PARTS)] + [n_rows]
 
 
-def _reduce(binned, sums) -> GradHistogram:
-    parts = [GradHistogram(sums=s, n_real_bins=binned.n_real_bins) for s in sums]
-    return reduce_histograms(parts)
+def _reduce(binned, sums: np.ndarray) -> GradHistogram:
+    """The node histogram: the fixed reduction of its (n_parts, F, B, 3) partition sums."""
+    return GradHistogram(sums=reduce_histograms(sums), n_real_bins=binned.n_real_bins)
 
 
 def _exact_sums(labels: np.ndarray, mult: np.ndarray) -> bool:

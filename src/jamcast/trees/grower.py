@@ -30,7 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -73,24 +73,6 @@ def leaf_weight(g_sum: float, h_sum: float, lam: float) -> float:
     if denom <= 0:
         raise DegenerateNodeError(f"H + lambda must be positive, got {denom}")
     return -g_sum / denom + 0.0  # normalize -0.0
-
-
-def split_gain(
-    left: tuple[float, float],
-    right: tuple[float, float],
-    lam: float,
-    gamma: float,
-) -> float:
-    """Regularized gain of a split given (G, H) sums of both sides.
-
-    0.5 * [G_L^2/(H_L+lam) + G_R^2/(H_R+lam) - (G_L+G_R)^2/(H_L+H_R+lam)] - gamma
-    """
-    gl, hl = left
-    gr, hr = right
-    if hl + lam <= 0 or hr + lam <= 0 or hl + hr + lam <= 0:
-        raise DegenerateNodeError("each side needs H + lambda > 0")
-    parent = (gl + gr) ** 2 / (hl + hr + lam)
-    return 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - gamma
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +217,24 @@ def _gini_gain_scan(
     return dec
 
 
+def _positive_fraction(g_sum: float, h_sum: float, lam: float) -> float:
+    """Gini leaf value: the weighted fraction of positive rows, G / H; lam is unused."""
+    return g_sum / h_sum
+
+
+class _Objective(NamedTuple):
+    """An objective's two rules: how a split is scored and what value a leaf takes."""
+
+    gain_scan: Callable[..., np.ndarray]  # (gl, hl, gp, hp, lam, gamma) -> gains
+    leaf_value: Callable[[float, float, float], float]  # (G, H, lam) -> leaf value
+
+
 # The scans divide by sums that may be 0 or tiny and may hold inf or NaN; they
 # run under the errstate of their caller, which masks every such gain.
-_GAIN_SCANS = {"boost": _boost_gain_scan, "gini": _gini_gain_scan}
+_OBJECTIVES = {
+    "boost": _Objective(_boost_gain_scan, leaf_weight),
+    "gini": _Objective(_gini_gain_scan, _positive_fraction),
+}
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
@@ -288,7 +285,7 @@ def find_best_split(
     sides[..., 0] = left + np.repeat(sums[feature_rows, n_real].T, n_cuts, axis=1)
     sides[..., 1] = left
     gl, hl, cl = sides
-    gains = _GAIN_SCANS[objective](gl, hl, gp, hp, config.lam, config.gamma)
+    gains = _OBJECTIVES[objective].gain_scan(gl, hl, gp, hp, config.lam, config.gamma)
     mcw = config.min_child_weight
     gains[(hl < mcw) | (hp - hl < mcw)] = -np.inf
     present_total = np.repeat(cum[2, feature_rows, n_real - 1], n_cuts)
@@ -418,16 +415,13 @@ def grow_best_first(
     edges: Sequence[np.ndarray],
     *,
     objective: str = "boost",
-    leaf_value: Callable[[float, float], float] | None = None,
     feature_picker: Callable[[int], np.ndarray | None] | None = None,
 ) -> DecisionTree:
     """Grow one tree best-first from a histogram source (see module docstring).
 
     Root row set for node id 0 must already be installed in the source.
+    Splits are scored and leaves valued by the rules of `objective`.
     """
-    if leaf_value is None:
-        leaf_value = lambda g, h: leaf_weight(g, h, config.lam)  # noqa: E731
-
     exact_sums = source.exact_sums
     nodes = [TreeNode()]
     root_hist = source.node_hist(0)
@@ -519,8 +513,9 @@ def grow_best_first(
         if need_right:
             consider(right_id)
 
+    leaf_value = _OBJECTIVES[objective].leaf_value
     for nid, node in enumerate(nodes):
         if node.is_leaf:
             st = states[nid]
-            node.value = leaf_value(st.g, st.h)
+            node.value = leaf_value(st.g, st.h, config.lam)
     return DecisionTree(nodes=nodes)

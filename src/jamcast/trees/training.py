@@ -35,26 +35,24 @@ from jamcast.trees.grower import (
 _TAG_BOOTSTRAP = 0x42535452  # per-tree bootstrap stream
 _TAG_FEATURES = 0x46454154  # per-node feature-subset stream
 
-_KINDS = ("rf", "gbt", "xgb")
-
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters shared by the three trainers."""
+    """Hyperparameters of the three trainers; each field says which kinds read it."""
 
-    n_trees: int = 100
-    max_depth: int = 5
-    max_leaves: int = 256
-    learning_rate: float = 0.3
-    lam: float = 1.0  # leaf L2 regularization
-    gamma: float = 0.0  # minimum split gain
-    min_child_weight: float = 1.0
-    max_bins: int = 256
-    subsample_rows: float = 1.0  # RF bagging fraction; boosting ignores it
-    subsample_features: float = 1.0
-    bootstrap: bool = True  # RF: sample rows with replacement
-    seed: int = 0
-    n_workers: int = 1
+    n_trees: int = 100  # all kinds
+    max_depth: int = 5  # all kinds
+    max_leaves: int = 256  # all kinds
+    learning_rate: float = 0.3  # gbt, xgb: shrinkage of each tree's leaf values
+    lam: float = 1.0  # gbt, xgb: leaf L2 regularization
+    gamma: float = 0.0  # all kinds: minimum split gain
+    min_child_weight: float = 1.0  # all kinds: minimum hessian (rf: row weight) per child
+    max_bins: int = 256  # all kinds
+    subsample_rows: float = 1.0  # rf: bagging fraction
+    subsample_features: float = 1.0  # rf: fraction of features tried at each node
+    bootstrap: bool = True  # rf: sample rows with replacement
+    seed: int = 0  # rf: seeds the bootstrap and feature-subset streams
+    n_workers: int = 1  # all kinds: execution only, never part of the model
 
     def validate(self) -> None:
         if self.n_trees < 0:
@@ -65,8 +63,9 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
         if not 0 < self.subsample_rows <= 1 or not 0 < self.subsample_features <= 1:
             raise ConfigError("subsample fractions must be in (0, 1]")
-        if self.lam < 0 or self.gamma < 0 or self.min_child_weight < 0:
-            raise ConfigError("lam, gamma and min_child_weight must be >= 0")
+        penalties = (self.lam, self.gamma, self.min_child_weight)
+        if not all(math.isfinite(v) and v >= 0 for v in penalties):
+            raise ConfigError("lam, gamma and min_child_weight must be finite and >= 0")
         if self.max_bins < 2:
             raise ConfigError(f"max_bins must be >= 2, got {self.max_bins}")
         if self.n_workers < 1:
@@ -209,7 +208,6 @@ def train_rf(matrix, labels=None, config: TrainConfig | None = None) -> Ensemble
                 config,
                 binned.edges,
                 objective="gini",
-                leaf_value=lambda g, h: g / h,
                 feature_picker=picker,
             )
             engine.finalize_tree([])
@@ -227,6 +225,10 @@ def train_rf(matrix, labels=None, config: TrainConfig | None = None) -> Ensemble
         bin_edges=binned.edges,
         feature_names=names,
     )
+
+
+# the one registry of model kinds: the CLI, the bench and load_model read it
+TRAINERS = {"rf": train_rf, "gbt": train_gbt, "xgb": train_xgb}
 
 
 def _leaf_values(tree: DecisionTree, codes: dict[int, np.ndarray], edges, n_rows: int):
@@ -386,7 +388,7 @@ def load_model(path: str | Path) -> Ensemble:
         if doc.get("format") != MODEL_FORMAT or doc.get("version") != MODEL_VERSION:
             raise ValidationError(f"not a {MODEL_FORMAT} v{MODEL_VERSION} file: {path}")
         kind = _typed(doc, "kind", (str,))
-        if kind not in _KINDS:
+        if kind not in TRAINERS:
             raise ValidationError(f"unknown model kind {kind!r}")
         config_fields = {f.name for f in fields(TrainConfig)}
         config = TrainConfig(

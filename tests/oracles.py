@@ -21,9 +21,10 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
+from jamcast.errors import DegenerateNodeError
 from jamcast.events import decompose_epoch_ms
 from jamcast.ingest import EncodingMap, FeatureMatrix, IngestReport
-from jamcast.trees.grower import _GAIN_SCANS, SplitCandidate, sigmoid
+from jamcast.trees.grower import _OBJECTIVES, SplitCandidate, sigmoid
 
 PST = timezone(timedelta(hours=-8))
 
@@ -148,6 +149,28 @@ def reference_predict(model, values) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# scalar split gain: the formula the vectorized boost gain scan evaluates
+
+
+def split_gain(
+    left: tuple[float, float],
+    right: tuple[float, float],
+    lam: float,
+    gamma: float,
+) -> float:
+    """Regularized gain of a split given (G, H) sums of both sides.
+
+    0.5 * [G_L^2/(H_L+lam) + G_R^2/(H_R+lam) - (G_L+G_R)^2/(H_L+H_R+lam)] - gamma
+    """
+    gl, hl = left
+    gr, hr = right
+    if hl + lam <= 0 or hr + lam <= 0 or hl + hr + lam <= 0:
+        raise DegenerateNodeError("each side needs H + lambda > 0")
+    parent = (gl + gr) ** 2 / (hl + hr + lam)
+    return 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - gamma
+
+
+# ---------------------------------------------------------------------------
 # per-feature histogram split search
 
 
@@ -155,14 +178,14 @@ def reference_predict(model, values) -> np.ndarray:
 def reference_find_best_split(hist, parent, config, *, objective="boost", allowed_features=None):
     """One feature at a time: the split search as a loop over features.
 
-    It shares the library's gain formulas (`_GAIN_SCANS`, checked against
-    `split_gain` on their own) so that agreement tests the search: which
+    It shares the library's gain formulas (the objectives' gain scans, checked
+    against `split_gain` on their own) so that agreement tests the search: which
     boundaries count, the masks, the skip rule and the tie-break. A feature
     is skipped when its first maximum is not a positive finite gain; a later
     feature replaces the best only with a strictly greater gain.
     """
     gp, hp, cp = parent
-    scan = _GAIN_SCANS[objective]
+    scan = _OBJECTIVES[objective].gain_scan
     mcw = config.min_child_weight
     feats = (
         range(hist.sums.shape[0])

@@ -24,7 +24,7 @@ from jamcast.evaluation import (
 from jamcast.ingest import ingest_files, schema_for
 from jamcast.parallel import reduce_histograms
 from jamcast.trees.binning import quantize
-from jamcast.trees.grower import GradHistogram, logistic_grad_hess
+from jamcast.trees.grower import logistic_grad_hess
 from jamcast.trees.training import TrainConfig, predict, save_model, train_xgb
 from helpers import grow_tree
 from oracles import brute_auc, exact_greedy_tree, logloss
@@ -210,17 +210,12 @@ def test_criterion_6_determinism_and_worker_invariance(corpus, tmp_path):
     identical = all(b == files[1] for b in files.values())
 
     rng = np.random.default_rng(99)
-    parts = [
-        GradHistogram(
-            sums=rng.standard_normal((4, 9, 3)), n_real_bins=np.full(4, 8)
-        )
-        for _ in range(8)
-    ]
-    forward = reduce_histograms(parts).sums
+    parts = [rng.standard_normal((4, 9, 3)) for _ in range(8)]
+    forward = reduce_histograms(parts)
     slots = [None] * 8
     for i in np.random.default_rng(1).permutation(8):
         slots[i] = parts[i]  # arbitrary completion order, slotted by index
-    permuted = reduce_histograms(slots).sums
+    permuted = reduce_histograms(slots)
     reduction_invariant = np.array_equal(forward, permuted)
     ok = identical and reduction_invariant
     _line(

@@ -3,13 +3,14 @@ import re
 import struct
 import subprocess
 import sys
+from datetime import datetime, timezone
 
 import pytest
 
 from helpers import jam_line
 from jamcast.cli import main
 from jamcast.ingest import load_matrix
-from jamcast.trees.training import load_model
+from jamcast.trees.training import TrainConfig, load_model
 
 
 def _generate(tmp_path, n=2000, seed=42, extra=()):
@@ -58,6 +59,42 @@ def test_generate_config_file_flags_win(tmp_path):
     assert n_lines == 9
 
 
+@pytest.mark.parametrize(
+    "config_text, flags",
+    [
+        ("{not json", []),
+        ('{"bogus": 1}', []),
+        ('{"n_jams": "10"}', []),
+        ('{"n_jams": 2.5}', []),
+        ("[1, 2]", []),
+        ('{"date_window": 5}', []),
+        ('{"date_window": [1, 2, 3]}', ["--end", "9"]),
+        ('{"level_weights": [1, 1, 1, 1, NaN]}', []),
+        ('{"coupling_noise": NaN}', []),
+        ("{}", ["--level-weights", "a,b,c,d,e"]),
+        ("{}", ["--level-weights", "1,1,1"]),
+        ("{}", ["--level-weights", "1,1,1,1,nan"]),
+        ("{}", ["--level-weights", "1,1,1,1,inf"]),
+        ("{}", ["--coupling-noise", "nan"]),
+        ("{}", ["--coupling-noise", "inf"]),
+    ],
+    ids=[
+        "malformed-json", "unknown-key", "string-count", "fractional-count", "not-an-object",
+        "scalar-window", "three-item-window", "nan-weight-in-config", "nan-noise-in-config",
+        "non-numeric-weights", "three-weights", "nan-weight", "inf-weight", "nan-noise",
+        "inf-noise",
+    ],
+)
+def test_generate_bad_config_exits_one(tmp_path, capsys, config_text, flags):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(config_text)
+    out = tmp_path / "data"
+    rc = main(["generate", "--config", str(cfg), *flags, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "jams.jsonl").exists()
+
+
 def test_ingest_round_trip(tmp_path):
     out = _generate(tmp_path)
     matrix_path = tmp_path / "m.tjm"
@@ -72,6 +109,37 @@ def test_ingest_round_trip(tmp_path):
     matrix, enc = load_matrix(matrix_path)
     assert matrix.n_rows == 2000
     assert matrix.schema.feature_set == "leaky"
+
+
+def _epoch_ms(day: str) -> int:
+    return int(datetime.fromisoformat(day).replace(tzinfo=timezone.utc).timestamp() * 1000)
+
+
+def test_ingest_window_counts_rows_outside_it(tmp_path):
+    corpus = _generate(tmp_path, n=1000) / "jams.jsonl"
+    lines = corpus.read_bytes().splitlines()
+    start, end = _epoch_ms("2018-01-02"), _epoch_ms("2018-01-05")
+    outside = sum(not start <= json.loads(line)["pub_date"] < end for line in lines)
+    assert 0 < outside < len(lines)
+    matrix_path = tmp_path / "w.tjm"
+    rc = main(["ingest", "--input", str(corpus), "--window-start", "2018-01-02",
+               "--window-end", str(end), "--out", str(matrix_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "w.tjm.report.json").read_text())
+    assert report["clean"]["rejection_reasons"] == {"out_of_window": outside}
+    assert report["n_rows"] == len(lines) - outside
+    manifest = json.loads((tmp_path / "w.tjm.manifest.json").read_text())
+    assert manifest["config"]["window"] == [start, end]
+
+
+@pytest.mark.parametrize("flag", ["--window-start", "--window-end"])
+def test_ingest_one_window_flag_exits_one(tmp_path, capsys, flag):
+    corpus = _generate(tmp_path, n=50) / "jams.jsonl"
+    out = tmp_path / "w.tjm"
+    rc = main(["ingest", "--input", str(corpus), flag, "2018-01-02", "--out", str(out)])
+    assert rc == 1
+    assert "must be given together" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ingest_no_files_exits_two(tmp_path, capsys):
@@ -187,6 +255,51 @@ def test_train_run_id_follows_the_matrix_contents(tmp_path):
                      "--out", str(model_path)]) == 0
         ids.append(json.loads(model_path.read_text())["run_id"])
     assert ids[0] == ids[1] != ids[2]
+
+
+@pytest.fixture(scope="module")
+def small_matrix(tmp_path_factory):
+    return _ingest(tmp_path_factory.mktemp("small"), n=300)
+
+
+# (flags, the TrainConfig field they set, its value): one case per hyperparameter flag
+_TRAIN_FLAGS = [
+    (["--trees", "2"], "n_trees", 2),
+    (["--max-depth", "3"], "max_depth", 3),
+    (["--max-leaves", "5"], "max_leaves", 5),
+    (["--learning-rate", "0.5"], "learning_rate", 0.5),
+    (["--lambda", "2.5"], "lam", 2.5),
+    (["--gamma", "0.25"], "gamma", 0.25),
+    (["--min-child-weight", "3"], "min_child_weight", 3.0),
+    (["--max-bins", "16"], "max_bins", 16),
+    (["--subsample-rows", "0.5"], "subsample_rows", 0.5),
+    (["--subsample-features", "0.5"], "subsample_features", 0.5),
+    (["--no-bootstrap"], "bootstrap", False),
+]
+
+
+@pytest.mark.parametrize("flags, field, value", _TRAIN_FLAGS, ids=[f[0][0] for f in _TRAIN_FLAGS])
+def test_train_flag_reaches_the_config(small_matrix, tmp_path, flags, field, value):
+    assert getattr(TrainConfig(), field) != value
+    model_path = tmp_path / "model.json"
+    rc = main(["train", "--matrix", str(small_matrix), "--model", "rf", "--trees", "1",
+               *flags, "--out", str(model_path)])
+    assert rc == 0
+    assert json.loads(model_path.read_text())["config"][field] == value
+    manifest = json.loads((tmp_path / "model.json.manifest.json").read_text())
+    assert manifest["config"][field] == value
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--lambda", "--gamma", "--min-child-weight"])
+@pytest.mark.parametrize("model", ["rf", "xgb"])
+def test_train_non_finite_penalty_exits_one(small_matrix, tmp_path, capsys, model, flag, value):
+    out = tmp_path / "model.json"
+    rc = main(["train", "--matrix", str(small_matrix), "--model", model, "--trees", "1",
+               flag, value, "--out", str(out)])
+    assert rc == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_unknown_model_exits_one(tmp_path, capsys):

@@ -150,7 +150,7 @@ def test_perfect_classifier_all_ones():
 def test_bench_three_models():
     matrix, _ = synthetic_matrix(3000, seed=17)
     tc = TrainConfig(n_trees=2, max_depth=3, seed=1)
-    reports = bench(matrix, [(k, tc) for k in ("rf", "gbt", "xgb")], seed=5)
+    reports = bench(matrix, ["rf", "gbt", "xgb"], tc, seed=5)
     assert [r.model_kind for r in reports] == ["rf", "gbt", "xgb"]
     assert all(r.error is None for r in reports)
     assert all(r.cm.total == r.n_test for r in reports)
@@ -166,16 +166,17 @@ def test_bench_three_models():
 
 def test_bench_empty_configs():
     matrix, _ = synthetic_matrix(100, seed=17)
-    assert bench(matrix, []) == []
+    assert bench(matrix, [], TrainConfig()) == []
 
 
 def test_bench_records_failures_and_continues():
     matrix, _ = synthetic_matrix(1000, seed=17)
-    bad = TrainConfig(n_trees=-5)
     good = TrainConfig(n_trees=1, max_depth=2)
-    reports = bench(matrix, [("xgb", bad), ("xgb", good)], seed=2)
+    reports = bench(matrix, ["nope", "xgb"], good, seed=2)
     assert reports[0].error is not None and math.isnan(reports[0].auc)
     assert reports[1].error is None
+    (bad,) = bench(matrix, ["xgb"], TrainConfig(n_trees=-5), seed=2)
+    assert bad.error is not None and math.isnan(bad.auc)
 
 
 def test_bench_leaky_beats_honest_for_every_model():
@@ -183,8 +184,8 @@ def test_bench_leaky_beats_honest_for_every_model():
     honest, _ = synthetic_matrix(30_000, seed=23, feature_set="honest")
     tc = TrainConfig(n_trees=3, max_depth=4, seed=1)
     kinds = ("rf", "gbt", "xgb")
-    auc_leaky = {r.model_kind: r.auc for r in bench(leaky, [(k, tc) for k in kinds], seed=4)}
-    auc_honest = {r.model_kind: r.auc for r in bench(honest, [(k, tc) for k in kinds], seed=4)}
+    auc_leaky = {r.model_kind: r.auc for r in bench(leaky, kinds, tc, seed=4)}
+    auc_honest = {r.model_kind: r.auc for r in bench(honest, kinds, tc, seed=4)}
     for kind in kinds:
         assert auc_honest[kind] < auc_leaky[kind]
         assert auc_honest[kind] >= 0.5
@@ -193,8 +194,8 @@ def test_bench_leaky_beats_honest_for_every_model():
 def test_bench_repeat_same_seed_identical_metrics():
     matrix, _ = synthetic_matrix(2000, seed=17)
     tc = TrainConfig(n_trees=2, max_depth=3, seed=1)
-    r1 = bench(matrix, [("xgb", tc)], seed=3)[0]
-    r2 = bench(matrix, [("xgb", tc)], seed=3)[0]
+    r1 = bench(matrix, ["xgb"], tc, seed=3)[0]
+    r2 = bench(matrix, ["xgb"], tc, seed=3)[0]
     assert (r1.auc, r1.precision, r1.recall) == (r2.auc, r2.precision, r2.recall)
     assert r1.cm == r2.cm
 

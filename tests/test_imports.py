@@ -1,4 +1,5 @@
-"""Every jamcast module imports on its own in a fresh interpreter, without warnings."""
+"""Every jamcast module imports on its own in a fresh interpreter, without warnings;
+the lower tree layers import without the training engine."""
 
 import os
 import pkgutil
@@ -34,3 +35,15 @@ def test_module_imports_in_a_fresh_interpreter(module):
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("module", ["jamcast.trees.grower", "jamcast.trees.binning"])
+def test_lower_layers_load_no_engine(module):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    heavy = ("jamcast.trees.engine", "multiprocessing")
+    code = f"import sys, {module}; print([m for m in {heavy!r} if m in sys.modules])"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

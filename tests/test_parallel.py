@@ -5,16 +5,10 @@ from hypothesis import strategies as st
 
 from jamcast.errors import ConfigError, ValidationError
 from jamcast.parallel import N_HIST_PARTS, partition_rows, reduce_histograms
-from jamcast.trees.grower import GradHistogram
 
 
 def _sizes(ranges) -> list[int]:
     return [hi - lo for lo, hi in ranges]
-
-
-def _hist(sums) -> GradHistogram:
-    arr = np.asarray(sums, dtype=np.float64)
-    return GradHistogram(sums=arr, n_real_bins=np.full(arr.shape[0], arr.shape[1] - 1))
 
 
 def test_partition_examples():
@@ -46,47 +40,45 @@ def test_partition_properties(n_rows, n_workers):
 
 
 def test_reduce_identity():
-    h = _hist(np.arange(24, dtype=float).reshape(2, 4, 3))
-    zero = _hist(np.zeros((2, 4, 3)))
+    h = np.arange(24, dtype=float).reshape(2, 4, 3)
+    zero = np.zeros((2, 4, 3))
     out = reduce_histograms([h, zero])
-    assert np.array_equal(out.sums, h.sums)
+    assert np.array_equal(out, h)
 
 
 def test_reduce_hand_sums():
-    a = _hist([[[1, 2, 3], [4, 5, 6]]])
-    b = _hist([[[10, 20, 30], [40, 50, 60]]])
+    a = [[[1, 2, 3], [4, 5, 6]]]
+    b = [[[10, 20, 30], [40, 50, 60]]]
     out = reduce_histograms([a, b])
-    assert out.sums.tolist() == [[[11, 22, 33], [44, 55, 66]]]
+    assert out.tolist() == [[[11, 22, 33], [44, 55, 66]]]
 
 
-def test_reduce_shape_mismatch():
-    a = _hist(np.zeros((1, 2, 3)))
-    b = _hist(np.zeros((1, 3, 3)))
-    with pytest.raises(ValidationError):
-        reduce_histograms([a, b])
+def test_reduce_empty_input():
     with pytest.raises(ValidationError):
         reduce_histograms([])
+    with pytest.raises(ValidationError):
+        reduce_histograms(np.zeros((0, 2, 4, 3)))
 
 
 def test_reduce_completion_order_invariance(rng):
-    parts = [_hist(rng.standard_normal((3, 5, 3))) for _ in range(N_HIST_PARTS)]
+    parts = [rng.standard_normal((3, 5, 3)) for _ in range(N_HIST_PARTS)]
     forward = reduce_histograms(parts)
     # simulate workers finishing in reverse: results still placed by index
     slots = [None] * len(parts)
     for i in reversed(range(len(parts))):
         slots[i] = parts[i]
     reversed_completion = reduce_histograms(slots)
-    assert np.array_equal(forward.sums, reversed_completion.sums)
+    assert np.array_equal(forward, reversed_completion)
 
 
 def test_reduce_is_fixed_shape_pairwise(rng):
     # the reduction tree must be pairwise by construction, not a linear fold:
     # for 4 parts the result is exactly (p0+p1) + (p2+p3)
-    parts = [_hist(rng.standard_normal((2, 4, 3))) for _ in range(4)]
+    parts = rng.standard_normal((4, 2, 4, 3))
     out = reduce_histograms(parts)
-    expected = (parts[0].sums + parts[1].sums) + (parts[2].sums + parts[3].sums)
-    assert np.array_equal(out.sums, expected)
+    expected = (parts[0] + parts[1]) + (parts[2] + parts[3])
+    assert np.array_equal(out, expected)
     # and for 3 parts: (p0+p1) + p2
     out3 = reduce_histograms(parts[:3])
-    expected3 = (parts[0].sums + parts[1].sums) + parts[2].sums
-    assert np.array_equal(out3.sums, expected3)
+    expected3 = (parts[0] + parts[1]) + parts[2]
+    assert np.array_equal(out3, expected3)
