@@ -1,16 +1,18 @@
+import hashlib
 import json
 import re
 import struct
 import subprocess
 import sys
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
 from helpers import jam_line
 from jamcast.cli import main
 from jamcast.ingest import load_matrix
-from jamcast.trees.training import TrainConfig, load_model
+from jamcast.trees.training import TRAINERS, TrainConfig, load_model
 
 
 def _generate(tmp_path, n=2000, seed=42, extra=()):
@@ -318,6 +320,54 @@ def test_train_worker_invariant_model_files(tmp_path):
     assert main(base + ["--out", str(p1), "--workers", "1"]) == 0
     assert main(base + ["--out", str(p8), "--workers", "8"]) == 0
     assert p1.read_bytes() == p8.read_bytes()
+
+
+# sha256 of each model file `train` writes from the seeded matrices below
+_PINNED_MODELS = {
+    ("leaky", "rf"):
+        "b6c2593bf43758b0fa0c53c92dc45614eeea08e5aed30e106a72ce7fe66ca9ef",
+    ("leaky", "gbt"):
+        "9ef5935cf04187ce4cac72805fd03af92a5d699bf0298a81b30dae9446589509",
+    ("leaky", "xgb"):
+        "f7431dd10d1a7717f66bb648b3922cfea7a6d7c2f3a920e937ae776748cecd3c",
+    ("honest", "rf"):
+        "f647d92f5997165e8757eadb5b9fe652a711f2dc582115a6f20098e99bafc0fa",
+    ("honest", "gbt"):
+        "544fb14fb55508df8f929d9fffd6d3b5e1cca38e1e6ff6ab9a2eb575698bb69d",
+    ("honest", "xgb"):
+        "1efecb21fe551d25f0399c67a7ea0b5aaff6c742d434ab7b2e3d00882ea6bc8c",
+}
+# (auc, precision, recall) per kind of `bench` on the same matrices
+_PINNED_BENCH = {
+    "leaky": {"rf": (1.0, 1.0, 1.0), "gbt": (1.0, 0.652, 1.0), "xgb": (1.0, 1.0, 1.0)},
+    "honest": {
+        "rf": (0.4977473771634973, 0.6588720770288858, 0.9795501022494888),
+        "gbt": (0.5235095472032218, 0.652, 1.0),
+        "xgb": (0.5100055629990049, 0.6519410977242303, 0.9959100204498977),
+    },
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_train_and_bench_outputs_are_pinned(tmp_path, monkeypatch, workers):
+    """Model bytes and bench metrics from seeded leaky and honest matrices never move."""
+    monkeypatch.chdir(tmp_path)  # relative paths keep the run ids in the files fixed
+    assert main(["generate", "--jams", "3000", "--alerts", "10", "--seed", "11",
+                 "--out", "data"]) == 0
+    for feature_set in ("leaky", "honest"):
+        matrix = f"{feature_set}.tjm"
+        assert main(["ingest", "--input", "data/jams.jsonl", "--feature-set", feature_set,
+                     "--out", matrix]) == 0
+        flags = ["--matrix", matrix, "--trees", "3", "--max-depth", "4", "--seed", "5",
+                 "--subsample-features", "0.7", "--workers", workers]
+        for kind in TRAINERS:
+            assert main(["train", *flags, "--model", kind, "--out", f"{kind}.json"]) == 0
+            digest = hashlib.sha256(Path(f"{kind}.json").read_bytes()).hexdigest()
+            assert digest == _PINNED_MODELS[feature_set, kind]
+        assert main(["bench", *flags, "--out-dir", "bench"]) == 0
+        reports = json.loads(Path("bench/bench_reports.json").read_text())
+        got = {r["model_kind"]: (r["auc"], r["precision"], r["recall"]) for r in reports}
+        assert got == _PINNED_BENCH[feature_set]
 
 
 _FAIL_IN_WORKER = """
