@@ -7,8 +7,8 @@ encode, each timed by the seconds spent producing its blocks), splits it
 the test rows with each model. Every run appends one point to --out (a JSON
 list, created if missing) with the git revision, os.cpu_count(), the
 sizes, each stage's seconds, the ingest rows per second and this
-process's peak RSS. Each train time includes the trainer's own quantize,
-so the quantize stage is also a separate measurement of that step. Pool
+process's peak RSS. The quantize stage bins the training rows once and
+all three trainers train on its result, so no train time includes it. Pool
 workers are separate processes: their memory is not in the peak RSS.
 
     PYTHONPATH=src python scripts/bench_pipeline.py --rows 1000000 \\
@@ -91,13 +91,13 @@ def run(rows: int, feature_set: str, workers: int, seed: int, trees: int, work_d
 
     config = TrainConfig(n_trees=trees, max_depth=5, max_leaves=256, seed=seed, n_workers=workers)
     t0 = time.perf_counter()
-    quantize(train_m.values, config.max_bins, n_threads=workers)
+    binned = quantize(train_m.values, config.max_bins, n_threads=workers)
     stages["quantize"] = time.perf_counter() - t0
 
     train_s, predict_s = {}, {}
     for kind, trainer in TRAINERS.items():
         t0 = time.perf_counter()
-        model = trainer(train_m, config=config)
+        model = trainer(binned, train_m.labels, config, train_m.schema)
         train_s[kind] = time.perf_counter() - t0
         t0 = time.perf_counter()
         predict(model, test_m)

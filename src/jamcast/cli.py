@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import glob as globmod
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -24,6 +25,7 @@ from jamcast.errors import ConfigError, JamcastError
 from jamcast.evaluation import bench, render_table, reports_to_csv, reports_to_json
 from jamcast.ingest import ingest_files, load_matrix, save_matrix, schema_for
 from jamcast.manifest import build_manifest, file_digest, make_run_id
+from jamcast.trees.binning import quantize
 from jamcast.trees.training import TRAINERS, TrainConfig, save_model
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
@@ -201,6 +203,8 @@ def _cmd_ingest(args, argv: list[str]) -> int:
         if args.window_start is None or args.window_end is None:
             raise ConfigError("--window-start and --window-end must be given together")
         window = (_parse_when(args.window_start), _parse_when(args.window_end))
+        if window[0] >= window[1]:
+            raise ConfigError("--window-start must be before --window-end")
     schema = schema_for(args.feature_set)
     digests = {p: file_digest(p) for p in paths}
     matrix, encoding, summary = ingest_files(paths, schema, window=window)
@@ -238,8 +242,8 @@ def _cmd_train(args, argv: list[str]) -> int:
     config.validate()
     matrix, _ = load_matrix(args.matrix)
     digests = {str(args.matrix): file_digest(args.matrix)}
-    trainer = TRAINERS[args.model]
-    model = trainer(matrix, config=config)
+    binned = quantize(matrix.values, config.max_bins, n_threads=config.n_workers)
+    model = TRAINERS[args.model](binned, matrix.labels, config, matrix.schema)
 
     config_doc = {k: v for k, v in config.__dict__.items() if k != "n_workers"}
     config_doc["model"] = args.model
@@ -265,6 +269,8 @@ def _cmd_bench(args, argv: list[str]) -> int:
     for kind in kinds:
         if kind not in TRAINERS:
             raise ConfigError(f"unknown model kind {kind!r}")
+    if not math.isfinite(args.threshold):
+        raise ConfigError(f"--threshold must be finite, got {args.threshold}")
     config = _train_config(args)
     config.validate()
     matrix, _ = load_matrix(args.matrix)

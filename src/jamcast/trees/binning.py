@@ -42,11 +42,11 @@ def _feature_thresholds(col: np.ndarray, max_bins: int) -> np.ndarray:
     finite = col[~np.isnan(col)]
     if finite.size == 0:
         return np.empty(0, dtype=np.float64)
-    distinct = np.unique(finite)
+    v = np.sort(finite)
+    distinct = v[np.r_[True, v[1:] != v[:-1]]]
     if distinct.size <= max_bins:
         # one bin per distinct value: exact splits are representable
         return distinct[:-1].astype(np.float64)
-    v = np.sort(finite)
     k = np.arange(1, max_bins, dtype=np.int64)
     pos = k * finite.size // max_bins - 1
     return np.unique(v[pos]).astype(np.float64)

@@ -6,6 +6,12 @@ train_gbt: first-order boosting, hessian fixed at 1 per row, so gains and
 train_rf:  bagged trees grown on gini impurity with per-node feature
     subsampling; prediction averages per-tree leaf positive fractions.
 
+Each trainer takes its training rows already binned by `binning.quantize`
+(with `config.max_bins`), so the caller quantizes a split once for every
+kind it trains, and a trainer's time excludes that quantize. The feature
+schema (`ingest.FeatureSchema`), when given, names the model's features;
+without one the model's schema fingerprint is `raw:{n_features}`.
+
 Trained ensembles are pure functions of (data, config, seed): all sampling
 comes from the documented counter-based streams and all float accumulation
 has a fixed structure, so model files are byte-identical for any n_workers.
@@ -22,7 +28,7 @@ import numpy as np
 
 from jamcast import rng
 from jamcast.errors import ConfigError, ValidationError
-from jamcast.trees.binning import bin_codes, quantize
+from jamcast.trees.binning import BinnedMatrix, bin_codes
 from jamcast.trees.engine import open_engine
 from jamcast.trees.grower import (
     DecisionTree,
@@ -87,23 +93,26 @@ class Ensemble:
     feature_names: tuple[str, ...] | None = None
 
 
-def _unpack(matrix, labels):
-    if hasattr(matrix, "values") and hasattr(matrix, "labels"):
-        values = matrix.values
-        if labels is None:
-            labels = matrix.labels
-        fingerprint = matrix.schema_fingerprint
-        names = tuple(matrix.schema.names())
-    else:
-        values = np.asarray(matrix, dtype=np.float64)
-        fingerprint = f"raw:{values.shape[1]}"
-        names = None
-    if labels is None:
-        raise ValidationError("labels are required when training from a bare matrix")
+def _labels(binned: BinnedMatrix, labels) -> np.ndarray:
     y = np.asarray(labels).astype(np.float64)
-    if y.shape != (values.shape[0],):
+    if y.shape != (binned.n_rows,):
         raise ValidationError("labels length must match the number of rows")
-    return values, y, fingerprint, names
+    return y
+
+
+def _ensemble(kind, trees, learning_rate, base_margin, binned, config, schema) -> Ensemble:
+    """The trained model, named by its schema, or by `raw:{n_features}` without one."""
+    return Ensemble(
+        kind=kind,
+        trees=trees,
+        learning_rate=learning_rate,
+        base_margin=base_margin,
+        n_features=binned.n_features,
+        schema_fingerprint=f"raw:{binned.n_features}" if schema is None else schema.fingerprint(),
+        config=config,
+        bin_edges=binned.edges,
+        feature_names=None if schema is None else tuple(schema.names()),
+    )
 
 
 def _logit(p: float) -> float:
@@ -118,10 +127,9 @@ def _leaf_deltas(tree: DecisionTree, learning_rate: float) -> list[tuple[int, fl
     ]
 
 
-def _train_boosted(matrix, labels, config: TrainConfig, *, second_order: bool) -> Ensemble:
+def _train_boosted(binned, labels, config, schema, *, second_order: bool) -> Ensemble:
     config.validate()
-    values, y, fingerprint, names = _unpack(matrix, labels)
-    binned = quantize(values, config.max_bins, n_threads=config.n_workers)
+    y = _labels(binned, labels)
     base = _logit(min(max(float(y.mean()), 1e-12), 1.0 - 1e-12))
     engine = open_engine(binned, y, config.n_workers)
     trees: list[DecisionTree] = []
@@ -134,27 +142,18 @@ def _train_boosted(matrix, labels, config: TrainConfig, *, second_order: bool) -
             trees.append(tree)
     finally:
         engine.close()
-    return Ensemble(
-        kind="xgb" if second_order else "gbt",
-        trees=trees,
-        learning_rate=config.learning_rate,
-        base_margin=base,
-        n_features=binned.n_features,
-        schema_fingerprint=fingerprint,
-        config=config,
-        bin_edges=binned.edges,
-        feature_names=names,
-    )
+    kind = "xgb" if second_order else "gbt"
+    return _ensemble(kind, trees, config.learning_rate, base, binned, config, schema)
 
 
-def train_xgb(matrix, labels=None, config: TrainConfig | None = None) -> Ensemble:
+def train_xgb(binned: BinnedMatrix, labels, config: TrainConfig, schema=None) -> Ensemble:
     """Second-order regularized boosting on the logistic loss."""
-    return _train_boosted(matrix, labels, config or TrainConfig(), second_order=True)
+    return _train_boosted(binned, labels, config, schema, second_order=True)
 
 
-def train_gbt(matrix, labels=None, config: TrainConfig | None = None) -> Ensemble:
+def train_gbt(binned: BinnedMatrix, labels, config: TrainConfig, schema=None) -> Ensemble:
     """First-order gradient boosting: h fixed to 1 per row."""
-    return _train_boosted(matrix, labels, config or TrainConfig(), second_order=False)
+    return _train_boosted(binned, labels, config, schema, second_order=False)
 
 
 def _bootstrap_weights(config: TrainConfig, tree_index: int, n_rows: int) -> np.ndarray:
@@ -181,12 +180,10 @@ def _bootstrap_weights(config: TrainConfig, tree_index: int, n_rows: int) -> np.
     return mult
 
 
-def train_rf(matrix, labels=None, config: TrainConfig | None = None) -> Ensemble:
+def train_rf(binned: BinnedMatrix, labels, config: TrainConfig, schema=None) -> Ensemble:
     """Random forest: bootstrap bagging, gini splits, per-node feature subsets."""
-    config = config or TrainConfig()
     config.validate()
-    values, y, fingerprint, names = _unpack(matrix, labels)
-    binned = quantize(values, config.max_bins, n_threads=config.n_workers)
+    y = _labels(binned, labels)
     n_features = binned.n_features
     k = max(1, int(config.subsample_features * n_features))
     engine = open_engine(binned, y, config.n_workers)
@@ -214,17 +211,7 @@ def train_rf(matrix, labels=None, config: TrainConfig | None = None) -> Ensemble
             trees.append(tree)
     finally:
         engine.close()
-    return Ensemble(
-        kind="rf",
-        trees=trees,
-        learning_rate=1.0,
-        base_margin=0.0,
-        n_features=n_features,
-        schema_fingerprint=fingerprint,
-        config=config,
-        bin_edges=binned.edges,
-        feature_names=names,
-    )
+    return _ensemble("rf", trees, 1.0, 0.0, binned, config, schema)
 
 
 # the one registry of model kinds: the CLI, the bench and load_model read it

@@ -1,4 +1,4 @@
-"""Plain test helpers: input lines, parse shortcuts, small matrices, one-tree growth."""
+"""Plain test helpers: input lines, parse shortcuts, small matrices, training, one-tree growth."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ from io import BytesIO
 import numpy as np
 
 from jamcast.datagen import GenConfig, generate_jams
-from jamcast.ingest import clean, encode, parse_jams, schema_for
+from jamcast.ingest import FeatureMatrix, clean, encode, parse_jams, schema_for
+from jamcast.trees.binning import quantize
 from jamcast.trees.engine import InlineSource
 from jamcast.trees.grower import DecisionTree, grow_best_first
 
@@ -55,6 +56,19 @@ def synthetic_matrix(n_jams: int, seed: int = 42, feature_set: str = "leaky", **
     cleaned, _ = clean(records)
     matrix, enc = encode(cleaned, schema_for(feature_set))
     return matrix, enc
+
+
+def fit(trainer, data, labels=None, *, config):
+    """Quantize `data` as `train` and `bench` do, then train `trainer` on it.
+
+    `data` is a FeatureMatrix, whose labels and schema are used, or a raw
+    (n_rows, n_features) array trained with `labels` and no schema.
+    """
+    schema = None
+    if isinstance(data, FeatureMatrix):
+        data, labels, schema = data.values, data.labels, data.schema
+    binned = quantize(data, config.max_bins, n_threads=config.n_workers)
+    return trainer(binned, labels, config, schema)
 
 
 def grow_tree(binned, g, h, config) -> DecisionTree:

@@ -3,12 +3,13 @@
 Everything here deliberately avoids the library's code paths: calendar
 arithmetic goes through datetime, AUC is the O(n^2) pairwise definition,
 histogram sums are plain Python loops, a node's partition histograms are
-built one partition at a time, split search over a histogram goes one
-feature at a time, the exact-greedy tree enumerates splits over raw
-(unquantized) values, prediction routes raw values by each split's
-`threshold` instead of bin codes, and jam ingest goes one record at a time
-through json.loads and scalar checks. Keeping these separate is what makes
-agreement with the library meaningful.
+built one partition at a time, bin edges take their distinct values from
+np.unique and their quantiles from a second sort, split search over a
+histogram goes one feature at a time, the exact-greedy tree enumerates
+splits over raw (unquantized) values, prediction routes raw values by each
+split's `threshold` instead of bin codes, and jam ingest goes one record at
+a time through json.loads and scalar checks. Keeping these separate is what
+makes agreement with the library meaningful.
 """
 
 from __future__ import annotations
@@ -106,6 +107,24 @@ def per_partition_histograms(binned, rows, g, h, bounds) -> np.ndarray:
 def logloss(margin: float, label: bool) -> float:
     p = 1.0 / (1.0 + math.exp(-margin))
     return -math.log(p) if label else -math.log(1.0 - p)
+
+
+# ---------------------------------------------------------------------------
+# bin edges
+
+
+def reference_feature_thresholds(col, max_bins: int) -> np.ndarray:
+    """One feature's bin edges by the two-sort rule: np.unique for the distinct
+    values, then a separate np.sort for the quantile picks (NaN excluded)."""
+    finite = col[~np.isnan(col)]
+    if finite.size == 0:
+        return np.empty(0, dtype=np.float64)
+    distinct = np.unique(finite)
+    if distinct.size <= max_bins:
+        return distinct[:-1].astype(np.float64)
+    v = np.sort(finite)
+    pos = np.arange(1, max_bins, dtype=np.int64) * finite.size // max_bins - 1
+    return np.unique(v[pos]).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

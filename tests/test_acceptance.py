@@ -26,7 +26,7 @@ from jamcast.parallel import reduce_histograms
 from jamcast.trees.binning import quantize
 from jamcast.trees.grower import logistic_grad_hess
 from jamcast.trees.training import TrainConfig, predict, save_model, train_xgb
-from helpers import grow_tree
+from helpers import fit, grow_tree
 from oracles import brute_auc, exact_greedy_tree, logloss
 
 SEED = 42
@@ -68,7 +68,7 @@ def _train_and_score(matrix, n_workers=1, n_trees=20):
         n_trees=n_trees, max_depth=5, max_leaves=256, seed=SEED, n_workers=n_workers
     )
     t0 = time.perf_counter()
-    model = train_xgb(train_m, config=config)
+    model = fit(train_xgb, train_m, config=config)
     train_seconds = time.perf_counter() - t0
     scores = predict(model, test_m)
     cm = confusion(scores, test_m.labels, 0.5)
@@ -203,7 +203,7 @@ def test_criterion_6_determinism_and_worker_invariance(corpus, tmp_path):
     files = {}
     for w in (1, 2, 4, 8):
         config = TrainConfig(n_trees=3, max_depth=5, max_leaves=256, seed=SEED, n_workers=w)
-        model = train_xgb(sub, config=config)
+        model = fit(train_xgb, sub, config=config)
         path = tmp_path / f"model_w{w}.json"
         save_model(path, model, run_id="fixed")
         files[w] = path.read_bytes()
@@ -283,7 +283,7 @@ def test_criterion_9_scale_smoke_16m(tmp_path_factory):
 
         t0 = time.perf_counter()
         config = TrainConfig(n_trees=4, max_depth=5, max_leaves=256, seed=SEED, n_workers=2)
-        model = train_xgb(matrix, config=config)
+        model = fit(train_xgb, matrix, config=config)
         timings["train"] = time.perf_counter() - t0
         assert len(model.trees) == 4
     finally:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from jamcast.errors import ConfigError
 from jamcast.trees.binning import quantize
+from oracles import reference_feature_thresholds
 
 
 def col(values) -> np.ndarray:
@@ -79,11 +80,22 @@ def test_dtype_upgrade_when_many_bins():
 def test_thread_count_does_not_change_output():
     rng = np.random.default_rng(9)
     values = rng.standard_normal((4000, 5))
+    # few distinct values, +-0.0 and +-inf among them, in the last two columns
+    special = np.array([-np.inf, -1.5, -0.0, 0.0, 2.0, np.inf])
+    values[:, 3] = rng.choice(special, 4000)
+    values[:, 4] = np.where(rng.random(4000) < 0.5, rng.choice(special, 4000), values[:, 4])
     values[rng.random((4000, 5)) < 0.05] = np.nan
     a = quantize(values, max_bins=32, n_threads=1)
     b = quantize(values, max_bins=32, n_threads=4)
     assert np.array_equal(a.codes, b.codes)
     assert all(np.array_equal(x, y) for x, y in zip(a.edges, b.edges))
+    # a short column keeps its zeros in input order, so a zero edge's sign shows which
+    # of them the rule picked
+    short = np.array([[0.0, -0.0, 1.0, -np.inf, np.nan, np.inf, -0.0],
+                      [-0.0, 0.0, 1.0, np.inf, np.nan, -np.inf, 0.0]]).T
+    for m, binned in ((values, a), (short, quantize(short, max_bins=32))):
+        for j, edges in enumerate(binned.edges):  # byte-equal: zero edges keep their sign
+            assert edges.tobytes() == reference_feature_thresholds(m[:, j], 32).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

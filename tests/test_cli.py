@@ -12,6 +12,7 @@ import pytest
 from helpers import jam_line
 from jamcast.cli import main
 from jamcast.ingest import load_matrix
+from jamcast.trees.binning import quantize
 from jamcast.trees.training import TRAINERS, TrainConfig, load_model
 
 
@@ -141,6 +142,19 @@ def test_ingest_one_window_flag_exits_one(tmp_path, capsys, flag):
     rc = main(["ingest", "--input", str(corpus), flag, "2018-01-02", "--out", str(out)])
     assert rc == 1
     assert "must be given together" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "start, end", [("2018-01-05", "2018-01-02"), ("2018-01-02", "2018-01-02")]
+)
+def test_ingest_window_not_before_its_end_exits_one(tmp_path, capsys, start, end):
+    corpus = _generate(tmp_path, n=300) / "jams.jsonl"
+    out = tmp_path / "w.tjm"
+    rc = main(["ingest", "--input", str(corpus), "--window-start", start, "--window-end", end,
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --window-start must be before --window-end\n"
     assert not out.exists()
 
 
@@ -467,6 +481,37 @@ def test_bench_single_model_one_column(tmp_path):
     assert rc == 0
     reports = json.loads((out_dir / "bench_reports.json").read_text())
     assert len(reports) == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_bench_non_finite_threshold_exits_one(small_matrix, tmp_path, capsys, value):
+    out_dir = tmp_path / "bench"
+    rc = main(["bench", "--matrix", str(small_matrix), "--models", "xgb", "--trees", "1",
+               f"--threshold={value}", "--out-dir", str(out_dir)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: --threshold must be finite, got {float(value)}\n"
+    assert not out_dir.exists()
+
+
+def test_train_and_bench_quantize_the_training_rows_once(small_matrix, tmp_path, monkeypatch):
+    """`train` bins its matrix once and `bench` its training split once, for all kinds."""
+    calls = []
+
+    def counting(values, *args, **kwargs):
+        calls.append(len(values))
+        return quantize(values, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("jamcast") and getattr(module, "quantize", None) is quantize:
+            monkeypatch.setattr(module, "quantize", counting)
+    n_rows = load_matrix(small_matrix)[0].n_rows
+    assert main(["train", "--matrix", str(small_matrix), "--model", "rf", "--trees", "1",
+                 "--out", str(tmp_path / "m.json")]) == 0
+    assert calls == [n_rows]
+    calls.clear()
+    assert main(["bench", "--matrix", str(small_matrix), "--models", "rf,gbt,xgb",
+                 "--trees", "1", "--out-dir", str(tmp_path / "bench")]) == 0
+    assert calls == [int(n_rows * 0.75)]  # the training split's rows
 
 
 def test_bench_unknown_model_exits_one(tmp_path):

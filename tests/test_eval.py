@@ -177,6 +177,11 @@ def test_bench_records_failures_and_continues():
     assert reports[1].error is None
     (bad,) = bench(matrix, ["xgb"], TrainConfig(n_trees=-5), seed=2)
     assert bad.error is not None and math.isnan(bad.auc)
+    # max_bins too large for the codes: the split's one quantize fails every kind
+    too_wide = bench(matrix, ["rf", "gbt", "xgb"], TrainConfig(max_bins=70000), seed=2)
+    error = "ConfigError: max_bins too large for uint16 codes: 70000"
+    assert [r.error for r in too_wide] == [error] * 3
+    assert all(math.isnan(r.auc) for r in too_wide)
 
 
 def test_bench_leaky_beats_honest_for_every_model():

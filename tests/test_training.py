@@ -28,7 +28,7 @@ from jamcast.trees.training import (
     train_rf,
     train_xgb,
 )
-from helpers import synthetic_matrix
+from helpers import fit, synthetic_matrix
 from oracles import reference_leaf_values, reference_predict
 
 
@@ -52,9 +52,16 @@ def test_config_validation():
     TrainConfig().validate()
 
 
+def test_labels_must_match_the_binned_rows():
+    x, y = _linearly_separable()
+    for train in (train_rf, train_gbt, train_xgb):
+        with pytest.raises(ValidationError, match="labels length"):
+            train(quantize(x), y[:-1], TrainConfig(n_trees=1))
+
+
 def test_xgb_zero_trees_predicts_base_rate():
     x, y = _linearly_separable()
-    model = train_xgb(x, y, TrainConfig(n_trees=0))
+    model = fit(train_xgb, x, y, config=TrainConfig(n_trees=0))
     p = predict(model, x)
     assert np.allclose(p, sigmoid(model.base_margin))
     assert model.base_margin == pytest.approx(math.log(0.5 / 0.5), abs=1e-12)
@@ -62,7 +69,8 @@ def test_xgb_zero_trees_predicts_base_rate():
 
 def test_xgb_separable_stump_perfect_training_accuracy():
     x, y = _linearly_separable()
-    model = train_xgb(x, y, TrainConfig(n_trees=1, max_depth=1, lam=0.0, min_child_weight=0.0))
+    config = TrainConfig(n_trees=1, max_depth=1, lam=0.0, min_child_weight=0.0)
+    model = fit(train_xgb, x, y, config=config)
     p = predict(model, x)
     assert ((p >= 0.5) == y).all()
     assert len(model.trees) == 1
@@ -73,14 +81,15 @@ def test_xgb_separable_stump_perfect_training_accuracy():
 
 def test_gbt_zero_trees_base_rate():
     x, y = _linearly_separable()
-    model = train_gbt(x, y, TrainConfig(n_trees=0))
+    model = fit(train_gbt, x, y, config=TrainConfig(n_trees=0))
     assert np.allclose(predict(model, x), 0.5)
 
 
 def test_gbt_first_order_leaf_weights():
     # with h == 1 per row, leaf weight -G/(count + lam)
     x, y = _linearly_separable()
-    model = train_gbt(x, y, TrainConfig(n_trees=1, max_depth=1, lam=0.0, min_child_weight=0.0))
+    config = TrainConfig(n_trees=1, max_depth=1, lam=0.0, min_child_weight=0.0)
+    model = fit(train_gbt, x, y, config=config)
     tree = model.trees[0]
     leaves = [n for n in tree.nodes if n.is_leaf]
     # g at base margin 0 is +-0.5; each side has two rows: weight = -(-1)/2 or -(1)/2
@@ -94,8 +103,8 @@ def test_gbt_and_xgb_first_trees_differ_with_lambda():
     x = rng.integers(0, 6, size=(20, 3)).astype(float)
     y = rng.random(20) < 0.5
     tc = TrainConfig(n_trees=2, max_depth=3, max_leaves=8, lam=1.0, seed=0)
-    mx = train_xgb(x, y, tc)
-    mg = train_gbt(x, y, tc)
+    mx = fit(train_xgb, x, y, config=tc)
+    mg = fit(train_gbt, x, y, config=tc)
     sx = [(n.feature, n.bin_threshold) for n in mx.trees[0].nodes]
     sg = [(n.feature, n.bin_threshold) for n in mg.trees[0].nodes]
     assert sx != sg
@@ -108,13 +117,13 @@ def test_rf_single_tree_reduction_case():
     tc = TrainConfig(
         n_trees=1, max_depth=4, subsample_rows=1.0, subsample_features=1.0, bootstrap=False
     )
-    model = train_rf(x, y, tc)
+    model = fit(train_rf, x, y, config=tc)
     assert len(model.trees) == 1
     # every training row lands in a leaf whose value is that leaf's class fraction
     p = predict(model, x)
     assert ((p >= 0.0) & (p <= 1.0)).all()
     # plain tree: training with a different seed gives the identical tree
-    model2 = train_rf(x, y, TrainConfig(
+    model2 = fit(train_rf, x, y, config=TrainConfig(
         n_trees=1, max_depth=4, subsample_rows=1.0, subsample_features=1.0,
         bootstrap=False, seed=999,
     ))
@@ -125,15 +134,15 @@ def test_rf_all_true_labels():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((30, 2))
     y = np.ones(30, dtype=bool)
-    model = train_rf(x, y, TrainConfig(n_trees=3, max_depth=3))
+    model = fit(train_rf, x, y, config=TrainConfig(n_trees=3, max_depth=3))
     assert np.allclose(predict(model, x), 1.0)
 
 
 def test_rf_seed_determinism_across_workers(small_matrix):
     tc1 = TrainConfig(n_trees=2, max_depth=3, seed=3, n_workers=1, subsample_features=0.5)
     tc2 = TrainConfig(n_trees=2, max_depth=3, seed=3, n_workers=4, subsample_features=0.5)
-    m1 = train_rf(small_matrix, config=tc1)
-    m2 = train_rf(small_matrix, config=tc2)
+    m1 = fit(train_rf, small_matrix, config=tc1)
+    m2 = fit(train_rf, small_matrix, config=tc2)
     assert json.dumps(model_to_doc(m1), sort_keys=True) == json.dumps(
         model_to_doc(m2), sort_keys=True
     )
@@ -143,7 +152,7 @@ def test_boosting_worker_invariance(small_matrix):
     docs = []
     for w in (1, 2, 4):
         tc = TrainConfig(n_trees=3, max_depth=4, seed=9, n_workers=w)
-        model = train_xgb(small_matrix, config=tc)
+        model = fit(train_xgb, small_matrix, config=tc)
         docs.append(json.dumps(model_to_doc(model), sort_keys=True))
     assert docs[0] == docs[1] == docs[2]
 
@@ -164,7 +173,7 @@ def test_uneven_pool_models_match_the_inline_engine(monkeypatch, tmp_path, hones
         for w in (1, 3):
             config = TrainConfig(n_trees=2, max_depth=5, max_leaves=32, seed=5, n_workers=w)
             path = tmp_path / f"{train.__name__}_w{w}.json"
-            save_model(path, train(honest_matrix, config=config), run_id="fixed")
+            save_model(path, fit(train, honest_matrix, config=config), run_id="fixed")
             files.append(path.read_bytes())
         assert files[0] == files[1]
     n = honest_matrix.n_rows
@@ -215,7 +224,7 @@ def test_pool_workers_receive_only_their_own_rows_weights(monkeypatch, small_mat
 def test_margin_update_identity(small_matrix):
     train, _ = split_train_test(small_matrix, 0.75, 1)
     tc = TrainConfig(n_trees=4, max_depth=4, seed=2)
-    model = train_xgb(train, config=tc)
+    model = fit(train_xgb, train, config=tc)
     # recompute margins from scratch over all trees
     margins = np.full(train.n_rows, model.base_margin)
     for tree in model.trees:
@@ -230,15 +239,15 @@ def test_monotone_binning_invariance():
     x = rng.integers(0, 50, size=(120, 3)).astype(float)
     y = rng.random(120) < 0.4
     tc = TrainConfig(n_trees=3, max_depth=3, max_bins=256)
-    p_base = predict(train_xgb(x, y, tc), x)
+    p_base = predict(fit(train_xgb, x, y, config=tc), x)
     x2 = np.stack([np.exp(x[:, 0] / 10.0), x[:, 1] ** 3, 5.0 * x[:, 2] - 7.0], axis=1)
-    p_trans = predict(train_xgb(x2, y, tc), x2)
+    p_trans = predict(fit(train_xgb, x2, y, config=tc), x2)
     assert np.array_equal(p_base, p_trans)
 
 
 def test_predict_contracts():
     x, y = _linearly_separable()
-    model = train_xgb(x, y, TrainConfig(n_trees=1, max_depth=1))
+    model = fit(train_xgb, x, y, config=TrainConfig(n_trees=1, max_depth=1))
     # empty boosting ensemble with base margin zero predicts one half
     empty = Ensemble(
         kind="xgb", trees=[], learning_rate=0.3, base_margin=0.0,
@@ -286,7 +295,8 @@ def test_rf_prediction_averages():
 def test_missing_values_routed_by_direction():
     x = np.array([[1.0], [4.0], [np.nan], [np.nan], [2.0], [3.0]])
     y = np.array([False, True, True, True, False, True])
-    model = train_xgb(x, y, TrainConfig(n_trees=3, max_depth=2, min_child_weight=0.0, lam=0.1))
+    config = TrainConfig(n_trees=3, max_depth=2, min_child_weight=0.0, lam=0.1)
+    model = fit(train_xgb, x, y, config=config)
     p = predict(model, x)
     assert np.isfinite(p).all()
     # NaN rows got pushed toward the positive side by the learned direction
@@ -295,7 +305,7 @@ def test_missing_values_routed_by_direction():
 
 def test_model_serialization_round_trip(tmp_path, small_matrix):
     tc = TrainConfig(n_trees=2, max_depth=3, seed=4)
-    model = train_xgb(small_matrix, config=tc)
+    model = fit(train_xgb, small_matrix, config=tc)
     path = tmp_path / "model.json"
     save_model(path, model, run_id="deadbeef")
     loaded = load_model(path)
@@ -314,7 +324,7 @@ def test_model_serialization_round_trip(tmp_path, small_matrix):
 def _small_model_doc() -> dict:
     x, y = _linearly_separable()
     config = TrainConfig(n_trees=2, max_depth=2, min_child_weight=0.0)
-    return model_to_doc(train_xgb(x, y, config), run_id="r")
+    return model_to_doc(fit(train_xgb, x, y, config=config), run_id="r")
 
 
 def _first_split(doc: dict) -> dict:
@@ -412,7 +422,7 @@ def test_binned_prediction_matches_raw_thresholds(train, n_features, max_bins, i
     y = np.array(data.draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)))
     config = TrainConfig(n_trees=3, max_depth=3, max_bins=max_bins, min_child_weight=0.0,
                          lam=0.1, subsample_features=0.6, seed=1)
-    model = train(x, y, config)
+    model = fit(train, x, y, config=config)
     columns = []
     for e in model.bin_edges:
         finite = e[np.isfinite(e)]
@@ -427,7 +437,7 @@ def test_binned_prediction_matches_raw_thresholds(train, n_features, max_bins, i
 
 def test_model_doc_excludes_worker_count(small_matrix):
     tc = TrainConfig(n_trees=1, max_depth=2, n_workers=4)
-    doc = model_to_doc(train_xgb(small_matrix, config=tc))
+    doc = model_to_doc(fit(train_xgb, small_matrix, config=tc))
     assert "n_workers" not in doc["config"]
     assert doc["config"]["max_depth"] == 2
 
@@ -435,7 +445,7 @@ def test_model_doc_excludes_worker_count(small_matrix):
 def test_schema_fingerprint_checked(small_matrix):
     from jamcast.ingest import FeatureMatrix, schema_for
 
-    model = train_xgb(small_matrix, config=TrainConfig(n_trees=1, max_depth=2))
+    model = fit(train_xgb, small_matrix, config=TrainConfig(n_trees=1, max_depth=2))
     honest = FeatureMatrix(
         values=small_matrix.values[:10, :10],
         labels=small_matrix.labels[:10],
@@ -468,7 +478,7 @@ def _rf_doc(monkeypatch, matrix, config, exact_sums):
         return trees[-1][0]
 
     monkeypatch.setattr(engine, "_exact_sums", flag_rule)
-    return json.dumps(model_to_doc(train_rf(matrix, config=config)), sort_keys=True), trees
+    return json.dumps(model_to_doc(fit(train_rf, matrix, config=config)), sort_keys=True), trees
 
 
 @pytest.mark.parametrize(
@@ -513,7 +523,7 @@ def test_built_child_is_the_smaller_one_only_where_sums_are_exact(
     monkeypatch.setattr(engine.InlineSource, "expand", recording)
     # with min_child_weight 0, a child below max_depth needs a histogram iff it has 2 rows
     config = TrainConfig(n_trees=2, max_depth=6, max_leaves=40, min_child_weight=0.0, seed=5)
-    train(honest_matrix, config=config)
+    fit(train, honest_matrix, config=config)
     both = [s for s in splits if s[0] is not None and min(s[3:]) >= 2]
     assert len(both) > 20
     for build_id, left_id, right_id, n_left, n_right in both:
