@@ -3,13 +3,17 @@
 
 Generates a seeded jam corpus, ingests it as one stream (parse, clean and
 encode, each timed by the seconds spent producing its blocks), splits it
-75/25, quantizes the training rows, trains rf, gbt and xgb, and predicts
-the test rows with each model. Every run appends one point to --out (a JSON
+75/25 by row index, quantizes the training rows, trains rf, gbt and xgb,
+and predicts the test rows with each model. The matrix is held once, as
+`jamcast bench` holds it. Every run appends one point to --out (a JSON
 list, created if missing) with the git revision, os.cpu_count(), the
-sizes, each stage's seconds, the ingest rows per second and this
-process's peak RSS. The quantize stage bins the training rows once and
-all three trainers train on its result, so no train time includes it. Pool
-workers are separate processes: their memory is not in the peak RSS.
+sizes, each stage's seconds, the ingest rows per second, this process's
+peak RSS and a host yardstick, `host_sort_s`: the median seconds of 3
+sorts of a seeded 4M-value float64 array, taken after the peak RSS is
+read, so points from a slow host or session can be told apart. The
+quantize stage bins the training rows once and all three trainers train
+on its result, so no train time includes it. Pool workers are separate
+processes: their memory is not in the peak RSS.
 
     PYTHONPATH=src python scripts/bench_pipeline.py --rows 1000000 \\
         --feature-set honest --workers 1
@@ -21,14 +25,17 @@ import argparse
 import json
 import os
 import resource
+import statistics
 import subprocess
 import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 from jamcast.datagen import GenConfig, generate_jams
 from jamcast.evaluation import split_train_test
-from jamcast.ingest import clean, encode, parse_jams, schema_for
+from jamcast.ingest import clean, count_lines, encode, parse_jams, schema_for
 from jamcast.trees.binning import quantize
 from jamcast.trees.training import TRAINERS, TrainConfig, predict
 
@@ -47,6 +54,18 @@ def git_revision() -> str | None:
     return out.stdout.strip()
 
 
+def host_yardstick(repeats: int = 3) -> float:
+    """Median seconds to sort one seeded array of 4M float64 values."""
+    values = np.random.default_rng(0).random(4_000_000)
+    seconds = []
+    for _ in range(repeats):
+        work = values.copy()
+        t0 = time.perf_counter()
+        work.sort()
+        seconds.append(time.perf_counter() - t0)
+    return statistics.median(seconds)
+
+
 def timed_blocks(blocks, seconds: dict, key: str):
     """Pass `blocks` through, adding the seconds spent producing them to seconds[key]."""
     it = iter(blocks)
@@ -60,13 +79,19 @@ def timed_blocks(blocks, seconds: dict, key: str):
 
 
 def ingest(path: Path, feature_set: str) -> tuple[object, dict]:
-    """Stream parse -> clean -> encode, with each stage's own seconds."""
+    """Stream parse -> clean -> encode, with each stage's own seconds.
+
+    As in `ingest_files`, the file's lines are counted first so encode
+    allocates the matrix once; the count is in the encode stage's time.
+    """
     spent = {"parse": 0.0, "parse+clean": 0.0}
     t0 = time.perf_counter()
+    n_upper = count_lines(path)
     with open(path, "rb") as fh:
         parsed, _ = parse_jams(fh)
         cleaned, _ = clean(timed_blocks(parsed, spent, "parse"))
-        matrix, _ = encode(timed_blocks(cleaned, spent, "parse+clean"), schema_for(feature_set))
+        blocks = timed_blocks(cleaned, spent, "parse+clean")
+        matrix, _ = encode(blocks, schema_for(feature_set), max_rows=n_upper)
     total = time.perf_counter() - t0
     return matrix, {
         "parse": spent["parse"],
@@ -86,21 +111,21 @@ def run(rows: int, feature_set: str, workers: int, seed: int, trees: int, work_d
     matrix, ingest_s = ingest(corpus, feature_set)
     stages.update(ingest_s)
     corpus.unlink()
-    train_m, test_m = split_train_test(matrix, 0.75, seed)
-    del matrix
+    train_rows, test_rows = split_train_test(matrix, 0.75, seed)
 
     config = TrainConfig(n_trees=trees, max_depth=5, max_leaves=256, seed=seed, n_workers=workers)
     t0 = time.perf_counter()
-    binned = quantize(train_m.values, config.max_bins, n_threads=workers)
+    binned = quantize(matrix.values, config.max_bins, n_threads=workers, rows=train_rows)
     stages["quantize"] = time.perf_counter() - t0
+    train_labels = matrix.labels[train_rows]
 
     train_s, predict_s = {}, {}
     for kind, trainer in TRAINERS.items():
         t0 = time.perf_counter()
-        model = trainer(binned, train_m.labels, config, train_m.schema)
+        model = trainer(binned, train_labels, config, matrix.schema)
         train_s[kind] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        predict(model, test_m)
+        predict(model, matrix.take(test_rows))
         predict_s[kind] = time.perf_counter() - t0
     stages["train"] = train_s
     stages["predict"] = predict_s
@@ -108,7 +133,7 @@ def run(rows: int, feature_set: str, workers: int, seed: int, trees: int, work_d
         "git": git_revision(),
         "cpu_count": os.cpu_count(),
         "rows": rows,
-        "train_rows": train_m.n_rows,
+        "train_rows": int(train_rows.size),
         "feature_set": feature_set,
         "workers": workers,
         "seed": seed,
@@ -132,6 +157,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work_dir:
         point = run(args.rows, args.feature_set, args.workers, args.seed, args.trees,
                     Path(work_dir))
+    point["host_sort_s"] = host_yardstick()
     points = json.loads(args.out.read_text()) if args.out.exists() else []
     points.append(point)
     args.out.write_text(json.dumps(points, indent=1) + "\n")

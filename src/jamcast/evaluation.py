@@ -53,10 +53,13 @@ def split_indices(n_rows: int, train_fraction: float, seed: int) -> tuple[np.nda
 
 def split_train_test(
     matrix: FeatureMatrix, train_fraction: float, seed: int
-) -> tuple[FeatureMatrix, FeatureMatrix]:
-    """Split a FeatureMatrix into disjoint, exhaustive train/test matrices."""
-    train_idx, test_idx = split_indices(matrix.n_rows, train_fraction, seed)
-    return matrix.take(train_idx), matrix.take(test_idx)
+) -> tuple[np.ndarray, np.ndarray]:
+    """A FeatureMatrix's disjoint, exhaustive train/test row indices.
+
+    The split is by index only: no row is copied, so a caller reads the
+    rows it needs from the matrix (see `bench`).
+    """
+    return split_indices(matrix.n_rows, train_fraction, seed)
 
 
 def auc(scores, labels) -> float:
@@ -133,6 +136,10 @@ def precision_recall(cm: ConfusionMatrix) -> PrecisionRecall:
     )
 
 
+# what a successful kind measures; a failed kind reports none of it
+_MEASURED = ("auc", "precision", "recall", "quantize_seconds", "train_seconds", "predict_seconds")
+
+
 @dataclass
 class EvalReport:
     """One model's evaluation: confusion-derived metrics plus wall times.
@@ -160,9 +167,15 @@ class EvalReport:
     error: str | None = None
 
     def as_dict(self) -> dict:
-        """The report's fields, with the confusion matrix under "confusion"."""
+        """The report's fields, with the confusion matrix under "confusion".
+
+        A failed kind's metrics and seconds are None, not the NaN defaults,
+        which JSON cannot hold.
+        """
         doc = dataclasses.asdict(self)
         doc["confusion"] = doc.pop("cm")
+        if self.error is not None:
+            doc.update(dict.fromkeys(_MEASURED))
         return doc
 
 
@@ -177,6 +190,10 @@ def bench(
     """Split, quantize the training rows once, then train, predict and score
     each model kind under one config.
 
+    The split is by row index, so the matrix is held once: quantize reads
+    the training rows from its columns, and each kind's predict gets its
+    own copy of the test rows, freed before the next kind trains.
+
     Kinds run one at a time so timings are not contaminated by
     co-scheduling; wall times cover the split's quantize, training and
     prediction, never ingestion or serialization. A kind that fails is
@@ -185,13 +202,13 @@ def bench(
     """
     if not kinds:
         return []
-    train_m, test_m = split_train_test(matrix, train_fraction, seed)
+    train_rows, test_rows = split_train_test(matrix, train_fraction, seed)
     reports = [
         EvalReport(
             model_kind=kind,
             feature_set=matrix.schema.feature_set,
-            n_train=train_m.n_rows,
-            n_test=test_m.n_rows,
+            n_train=train_rows.size,
+            n_test=test_rows.size,
             threshold=threshold,
             n_workers=config.n_workers,
             config=dataclasses.asdict(config),
@@ -200,12 +217,15 @@ def bench(
     ]
     try:
         t0 = time.perf_counter()
-        binned = quantize(train_m.values, config.max_bins, n_threads=config.n_workers)
+        binned = quantize(
+            matrix.values, config.max_bins, n_threads=config.n_workers, rows=train_rows
+        )
         quantize_seconds = time.perf_counter() - t0
     except JamcastError as exc:
         for report in reports:
             report.error = f"{type(exc).__name__}: {exc}"
         return reports
+    train_labels, test_labels = matrix.labels[train_rows], matrix.labels[test_rows]
     for report in reports:
         report.quantize_seconds = quantize_seconds
         try:
@@ -213,14 +233,14 @@ def bench(
             if trainer is None:
                 raise ConfigError(f"unknown model kind {report.model_kind!r}")
             t0 = time.perf_counter()
-            model = trainer(binned, train_m.labels, config, train_m.schema)
+            model = trainer(binned, train_labels, config, matrix.schema)
             report.train_seconds = time.perf_counter() - t0
             t0 = time.perf_counter()
-            scores = predict(model, test_m)
+            scores = predict(model, matrix.take(test_rows))
             report.predict_seconds = time.perf_counter() - t0
-            report.cm = confusion(scores, test_m.labels, threshold)
+            report.cm = confusion(scores, test_labels, threshold)
             pr = precision_recall(report.cm)
-            report.auc = auc(scores, test_m.labels)
+            report.auc = auc(scores, test_labels)
             report.precision = pr.precision
             report.recall = pr.recall
             report.precision_defined = pr.precision_defined
@@ -292,4 +312,4 @@ def reports_to_json(reports: Sequence[EvalReport], run_id: str | None = None) ->
     if run_id is not None:
         for doc in docs:
             doc["run_id"] = run_id
-    return json.dumps(docs, indent=1, sort_keys=True) + "\n"
+    return json.dumps(docs, indent=1, sort_keys=True, allow_nan=False) + "\n"

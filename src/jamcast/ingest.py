@@ -6,8 +6,9 @@ key are transposed into columns, and each column is checked with one
 set-of-types test and one numpy mask. Only rows failing a fast check go to
 the scalar validator `_jam_rejection`, whose order of checks decides which
 rejection reason wins. `clean` drops rows with ordered masks and `encode`
-fills the matrix from the columns, so memory holds one block of lines and
-decoded objects plus the output columns.
+writes each block's columns into a matrix allocated once, for as many rows
+as the input has lines, so memory holds one block of lines and decoded
+objects plus the output matrix.
 
 Parsing is line-tolerant: every non-empty line either yields a row or
 increments a rejection reason, and rows_accepted + rows_rejected always
@@ -369,49 +370,63 @@ def _validate_schema_sources(schema: FeatureSchema) -> None:
             raise SchemaError(f"{spec.name}: no {spec.kind} source {spec.source!r}")
 
 
-def encode(blocks: Iterable[JamBlock], schema: FeatureSchema) -> tuple[FeatureMatrix, EncodingMap]:
+def encode(
+    blocks: Iterable[JamBlock], schema: FeatureSchema, max_rows: int | None = None
+) -> tuple[FeatureMatrix, EncodingMap]:
     """Encode cleaned jam blocks into a FeatureMatrix in schema order.
 
     Categorical indices are assigned 1..k in lexicographic order of the
     observed category text (deterministic, no hashing); index 0 is reserved
     and never assigned. Labels come from the jam level and nothing else.
+
+    The output is one (n_features, max_rows) float64 block and one label
+    vector, allocated before the first block is read; each block's columns
+    are written straight into them and the matrix is the filled prefix.
+    `max_rows` bounds the rows the blocks hold (`ingest_files` counts its
+    inputs' lines); without it `blocks` is listed and its rows counted.
+    More rows than the bound are a ValidationError: the input grew after
+    it was counted.
     """
     _validate_schema_sources(schema)
+    if max_rows is None:
+        blocks = list(blocks)
+        max_rows = sum(map(len, blocks))
     specs = schema.features
     # first-seen provisional indices, remapped lexicographically at the end
     prov: dict[str, dict[str, int]] = {s.name: {} for s in specs if s.kind == "categorical"}
 
-    # per feature, its column chunk of every block; empty-start for no blocks
-    columns: list[list[np.ndarray] | None] = [[np.empty(0)] for _ in specs]
-    label_chunks: list[np.ndarray] = [np.empty(0, dtype=bool)]
+    by_feature = np.empty((len(specs), max_rows), dtype=np.float64)
+    labels = np.empty(max_rows, dtype=bool)
+    n = 0
     for block in blocks:
+        end = n + len(block)
+        if end > max_rows:
+            raise ValidationError(
+                f"more than the {max_rows} rows counted: the input grew while it was read"
+            )
         time_fields = decompose_epoch_ms(block["pub_date"])
         for j, spec in enumerate(specs):
             if spec.kind == "categorical":
                 seen = prov[spec.name]
-                codes = [seen.setdefault(cat, len(seen)) for cat in block[spec.source]]
-                col = np.array(codes, dtype=np.int64)
+                col = [seen.setdefault(cat, len(seen)) for cat in block[spec.source]]
             elif spec.source in _TIME_SOURCES:
-                # calendar fields are below 60, so one byte holds them exactly
-                col = time_fields[spec.source.split(".", 1)[1]].astype(np.int8)
+                col = time_fields[spec.source.split(".", 1)[1]]
             else:
                 col = block[spec.source]
-            columns[j].append(col)
-        label_chunks.append(jam_labels(block["level"]))
-
-    # one contiguous block per feature; each feature's chunks are freed as it is filled
-    labels = np.concatenate(label_chunks)
-    by_feature = np.empty((len(specs), len(labels)), dtype=np.float64)
-    for j in range(len(specs)):
-        np.concatenate(columns[j], out=by_feature[j])
-        columns[j] = None
+            by_feature[j, n:end] = col
+        labels[n:end] = jam_labels(block["level"])
+        n = end
+    by_feature, labels = by_feature[:, :n], labels[:n]
 
     final = {name: {c: i + 1 for i, c in enumerate(sorted(cats))} for name, cats in prov.items()}
-    # remap provisional (first-seen) indices to lexicographic ones
+    # remap provisional (first-seen) indices to lexicographic ones in place,
+    # a block of rows at a time, so the integer index copy stays block-sized
     for j, spec in enumerate(specs):
         if prov.get(spec.name):  # a dict iterates in first-seen order
             lut = np.array([final[spec.name][cat] for cat in prov[spec.name]], dtype=np.float64)
-            by_feature[j] = lut[by_feature[j].astype(np.int64)]
+            for lo in range(0, n, _BLOCK_LINES):
+                part = by_feature[j, lo : lo + _BLOCK_LINES]
+                np.take(lut, part.astype(np.intp), out=part)
 
     matrix = FeatureMatrix(values=by_feature.T, labels=labels, schema=schema)
     return matrix, EncodingMap(by_feature=final)
@@ -432,6 +447,18 @@ class IngestSummary:
         return asdict(self)
 
 
+_COUNT_BYTES = 1 << 20  # read size of count_lines
+
+
+def count_lines(path: str | Path) -> int:
+    """An upper bound on a file's lines: its newlines plus one, read a MiB at a time."""
+    n = 1
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_COUNT_BYTES):
+            n += chunk.count(b"\n")
+    return n
+
+
 def ingest_files(
     paths: Iterable[str | Path],
     schema: FeatureSchema,
@@ -440,9 +467,11 @@ def ingest_files(
     """Parse -> clean -> encode a set of jam JSONL files, streaming.
 
     Files are processed in sorted-name order so the output is independent
-    of filesystem enumeration order.
+    of filesystem enumeration order. Their lines are counted first, so
+    `encode` allocates the matrix once for at most that many rows.
     """
     ordered = sorted(str(p) for p in paths)
+    n_upper = sum(map(count_lines, ordered))
     parse_report = IngestReport()
 
     def all_blocks() -> Iterator[JamBlock]:
@@ -454,7 +483,7 @@ def ingest_files(
             parse_report.merge(rep)
 
     cleaned, clean_report = clean(all_blocks(), window=window)
-    matrix, enc = encode(cleaned, schema)
+    matrix, enc = encode(cleaned, schema, max_rows=n_upper)
     summary = IngestSummary(
         files=ordered, parse=parse_report, clean=clean_report, n_rows=matrix.n_rows
     )

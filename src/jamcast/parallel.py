@@ -13,6 +13,7 @@ bit-identical for any ``n_workers``.
 
 from __future__ import annotations
 
+import os
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +23,17 @@ from jamcast.errors import ConfigError, ValidationError
 # Fixed data-parallel grain. Part of the deterministic summation structure:
 # changing it changes float sums, changing n_workers does not.
 N_HIST_PARTS = 8
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one.
+
+    os.cpu_count() counts the host's CPUs, which a cpuset or a container
+    may not grant this process.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def partition_rows(n_rows: int, n_workers: int) -> list[tuple[int, int]]:

@@ -9,13 +9,13 @@ feature occupies at most max_bins + 1 histogram slots.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from jamcast.errors import ConfigError, ValidationError
+from jamcast.parallel import usable_cpus
 
 
 @dataclass
@@ -59,12 +59,19 @@ def bin_codes(col: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return codes
 
 
-def quantize(values: np.ndarray, max_bins: int = 256, n_threads: int = 1) -> BinnedMatrix:
+def quantize(
+    values: np.ndarray, max_bins: int = 256, n_threads: int = 1, rows: np.ndarray | None = None
+) -> BinnedMatrix:
     """Quantize a row-major (n_rows, n_features) float matrix into bin codes.
 
     Per-feature quantile edges over at most max_bins real bins; constant
     features get a single bin; NaN maps to the feature's reserved missing
     bin. Binning preserves order: a <= b implies bin(a) <= bin(b).
+
+    With `rows`, only those rows are quantized, in that order, exactly as
+    quantize(values[rows]) would be; each feature's rows are gathered from
+    its column when it is binned, so the selected rows are never copied as
+    a whole.
 
     Features are independent, so n_threads > 1 only parallelizes the
     per-feature work (sorting dominates and releases the GIL); the output
@@ -75,10 +82,15 @@ def quantize(values: np.ndarray, max_bins: int = 256, n_threads: int = 1) -> Bin
     if max_bins > 65534:
         raise ConfigError(f"max_bins too large for uint16 codes: {max_bins}")
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] < 1:
-        raise ValidationError(f"expected a non-empty 2-d matrix, got shape {values.shape}")
-    n_rows, n_features = values.shape
-    n_threads = max(1, min(n_threads, n_features, os.cpu_count() or 1))
+    if values.ndim != 2:
+        raise ValidationError(f"expected a 2-d matrix, got shape {values.shape}")
+    n_rows, n_features = values.shape if rows is None else (len(rows), values.shape[1])
+    if n_rows < 1:
+        raise ValidationError(f"expected at least one row, got shape {values.shape}")
+    n_threads = max(1, min(n_threads, n_features, usable_cpus()))
+
+    def column(j: int) -> np.ndarray:
+        return values[:, j] if rows is None else values[rows, j]
 
     def _map(fn, items):
         if n_threads == 1 or n_rows * n_features < 1 << 20:
@@ -87,7 +99,7 @@ def quantize(values: np.ndarray, max_bins: int = 256, n_threads: int = 1) -> Bin
             return list(pool.map(fn, items))
 
     edges: list[np.ndarray] = _map(
-        lambda j: _feature_thresholds(values[:, j], max_bins), range(n_features)
+        lambda j: _feature_thresholds(column(j), max_bins), range(n_features)
     )
     n_real = np.array([e.size + 1 for e in edges], dtype=np.int64)
 
@@ -95,7 +107,7 @@ def quantize(values: np.ndarray, max_bins: int = 256, n_threads: int = 1) -> Bin
     codes = np.empty((n_features, n_rows), dtype=dtype)
 
     def _bin_feature(j: int) -> None:
-        codes[j] = bin_codes(values[:, j], edges[j])
+        codes[j] = bin_codes(column(j), edges[j])
 
     _map(_bin_feature, range(n_features))
 

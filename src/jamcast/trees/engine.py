@@ -17,7 +17,7 @@ which process built which partition, so both engines produce bit-identical
 trees.
 
 The pool forks workers after the binned matrix exists (inherited
-copy-on-write) and clamps the process count to the machine's cores; the
+copy-on-write) and clamps the process count to the cores it may use; the
 requested n_workers stays a purely logical degree of parallelism. Workers
 write per-partition histograms into a fork-inherited shared-memory block
 instead of piping them, a split plus the resulting child histogram build
@@ -28,13 +28,12 @@ receives only its own rows, so per-node traffic is a few bytes.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 from typing import Sequence
 
 import numpy as np
 
 from jamcast.errors import JamcastError
-from jamcast.parallel import N_HIST_PARTS, partition_rows, reduce_histograms
+from jamcast.parallel import N_HIST_PARTS, partition_rows, reduce_histograms, usable_cpus
 from jamcast.trees.grower import GradHistogram, build_histograms, logistic_grad_hess, split_rows
 
 
@@ -234,14 +233,15 @@ class PoolSource(_Engine):
     holding one state over its run of them; per-partition histograms come
     back in partition order through shared memory and are reduced
     exactly as in InlineSource, so results are bit-identical. No more
-    processes are forked than the machine has cores: extra requested
-    workers would only contend for the same cores.
+    processes are forked than there are cores this process may run on
+    (`parallel.usable_cpus`): extra requested workers would only contend
+    for the same cores.
     """
 
     def __init__(self, binned, labels: np.ndarray, n_workers: int):
         self.binned = binned
         self.labels = labels
-        n_procs = max(1, min(n_workers, N_HIST_PARTS, os.cpu_count() or 1))
+        n_procs = max(1, min(n_workers, N_HIST_PARTS, usable_cpus()))
         edges = _partition_edges(binned.n_rows)
         assign = partition_rows(N_HIST_PARTS, n_procs)
         hist_shape = (binned.n_features, binned.hist_bins, 3)

@@ -63,7 +63,7 @@ def corpus(tmp_path_factory):
 
 
 def _train_and_score(matrix, n_workers=1, n_trees=20):
-    train_m, test_m = split_train_test(matrix, 0.75, SEED)
+    train_m, test_m = map(matrix.take, split_train_test(matrix, 0.75, SEED))
     config = TrainConfig(
         n_trees=n_trees, max_depth=5, max_leaves=256, seed=SEED, n_workers=n_workers
     )

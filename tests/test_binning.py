@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jamcast.errors import ConfigError
+from jamcast.errors import ConfigError, ValidationError
 from jamcast.trees.binning import quantize
 from oracles import reference_feature_thresholds
 
@@ -75,6 +75,24 @@ def test_dtype_upgrade_when_many_bins():
     assert binned.n_real_bins[0] == 300
     small = quantize(values, max_bins=128)
     assert small.codes.dtype == np.uint8
+
+
+@pytest.mark.parametrize("n_threads", [1, 3])
+def test_rows_quantize_exactly_as_their_copy(n_threads):
+    rng = np.random.default_rng(6)
+    values = rng.normal(size=(300_000, 4))
+    values[rng.random(values.shape) < 0.1] = np.nan
+    values[:, 1] = rng.integers(0, 300, size=values.shape[0])  # one bin per value: uint16
+    columns = np.asfortranarray(values)  # column-major, as encode and load_matrix hold it
+    for rows in (np.sort(rng.choice(len(values), 200_000, replace=False)),
+                 rng.permutation(len(values))[:1000], np.array([7])):
+        want = quantize(values[rows], 512, n_threads=n_threads)
+        got = quantize(columns, 512, n_threads=n_threads, rows=rows)
+        assert got.n_rows == rows.size and got.codes.dtype == want.codes.dtype
+        assert got.codes.tobytes() == want.codes.tobytes()
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got.edges, want.edges))
+    with pytest.raises(ValidationError):
+        quantize(columns, 16, rows=np.array([], dtype=np.intp))
 
 
 def test_thread_count_does_not_change_output():

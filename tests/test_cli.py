@@ -498,8 +498,9 @@ def test_train_and_bench_quantize_the_training_rows_once(small_matrix, tmp_path,
     calls = []
 
     def counting(values, *args, **kwargs):
-        calls.append(len(values))
-        return quantize(values, *args, **kwargs)
+        binned = quantize(values, *args, **kwargs)
+        calls.append(binned.n_rows)
+        return binned
 
     for name, module in list(sys.modules.items()):
         if name.startswith("jamcast") and getattr(module, "quantize", None) is quantize:
@@ -512,6 +513,21 @@ def test_train_and_bench_quantize_the_training_rows_once(small_matrix, tmp_path,
     assert main(["bench", "--matrix", str(small_matrix), "--models", "rf,gbt,xgb",
                  "--trees", "1", "--out-dir", str(tmp_path / "bench")]) == 0
     assert calls == [int(n_rows * 0.75)]  # the training split's rows
+
+
+def test_bench_failed_kinds_write_strict_json(tmp_path):
+    """A kind that fails in bench writes null metrics, never NaN, and the run exits 0."""
+    matrix_path = _ingest(tmp_path)
+    out = tmp_path / "b"
+    assert main(["bench", "--matrix", str(matrix_path), "--models", "rf,xgb",
+                 "--max-bins", "70000", "--out-dir", str(out)]) == 0
+
+    def no_constants(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    docs = json.loads((out / "bench_reports.json").read_text(), parse_constant=no_constants)
+    assert [doc["error"].startswith("ConfigError") for doc in docs] == [True, True]
+    assert {doc["auc"] for doc in docs} == {doc["train_seconds"] for doc in docs} == {None}
 
 
 def test_bench_unknown_model_exits_one(tmp_path):

@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from jamcast.evaluation import (
     precision_recall,
     render_table,
     reports_to_csv,
+    reports_to_json,
     split_indices,
     split_train_test,
 )
@@ -57,8 +60,8 @@ def test_split_validation():
 def test_split_matrix_partition():
     matrix, _ = synthetic_matrix(400, seed=3)
     train, test = split_train_test(matrix, 0.75, 9)
-    assert train.n_rows == 300 and test.n_rows == 100
-    assert train.schema is matrix.schema
+    assert train.size == 300 and test.size == 100
+    assert np.array_equal(np.sort(np.r_[train, test]), np.arange(400))
 
 
 def test_auc_examples():
@@ -182,6 +185,42 @@ def test_bench_records_failures_and_continues():
     error = "ConfigError: max_bins too large for uint16 codes: 70000"
     assert [r.error for r in too_wide] == [error] * 3
     assert all(math.isnan(r.auc) for r in too_wide)
+
+
+def _no_constants(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def test_failed_kinds_write_null_metrics_as_strict_json():
+    matrix, _ = synthetic_matrix(1000, seed=5)
+    measured = ("auc", "precision", "recall", "quantize_seconds", "train_seconds",
+                "predict_seconds")
+    too_wide = bench(matrix, ["xgb"], TrainConfig(max_bins=70000))
+    mixed = bench(matrix, ["nope", "xgb"], TrainConfig(n_trees=2, max_depth=3))
+    assert [r.error is None for r in too_wide + mixed] == [False, False, True]
+    for reports in (too_wide, mixed):
+        docs = json.loads(reports_to_json(reports, run_id="r"), parse_constant=_no_constants)
+        for report, doc in zip(reports, docs):
+            if report.error:
+                assert {key: doc[key] for key in measured} == dict.fromkeys(measured)
+            else:  # a successful kind's report is written as it is
+                assert {key: doc[key] for key in measured} == {
+                    key: getattr(report, key) for key in measured
+                }
+                assert doc["confusion"] == vars(report.cm)
+
+
+def test_bench_holds_the_matrix_once():
+    """bench splits by row index: no copy of the training rows sits beside the matrix."""
+    matrix, _ = synthetic_matrix(50_000, seed=11, feature_set="honest")
+    tracemalloc.start()
+    try:
+        reports = bench(matrix, ["rf", "gbt", "xgb"], TrainConfig(n_trees=3, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.error for r in reports] == [None] * 3
+    assert peak < 1.5 * matrix.values.nbytes
 
 
 def test_bench_leaky_beats_honest_for_every_model():

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from helpers import column, jam_line, parse_all, synthetic_matrix
 from jamcast.datagen import GenConfig, generate_jams
 from jamcast.errors import JamcastError, SchemaError, ValidationError
+import jamcast.ingest as ingest
 from jamcast.ingest import (
     FeatureSchema,
     FeatureSpec,
     clean,
+    count_lines,
     encode,
     ingest_files,
     load_matrix,
@@ -240,6 +242,47 @@ def test_encode_and_save_matrix_hold_the_matrix_once(tmp_path, feature_set):
     nbytes = matrix.values.nbytes
     assert encode_peak < 1.5 * nbytes
     assert save_peak < 0.5 * nbytes
+
+
+@pytest.mark.parametrize("feature_set", ["honest", "leaky"])
+def test_ingest_peak_above_its_matrix_does_not_grow_with_rows(tmp_path, feature_set):
+    """ingest_files writes each block into one matrix sized from the input's lines."""
+    above = {}
+    for n_jams in (20_000, 80_000):
+        path = tmp_path / f"jams{n_jams}.jsonl"
+        with open(path, "wb") as fh:
+            generate_jams(GenConfig(n_jams=n_jams, seed=3), fh)
+        (matrix, _, _), peak = _traced_peak(ingest_files, [path], schema_for(feature_set))
+        assert matrix.n_rows == n_jams
+        above[n_jams] = (peak - matrix.values.nbytes, matrix.values.nbytes)
+    growth = above[80_000][0] - above[20_000][0]
+    assert growth < 0.15 * above[80_000][1]
+
+
+def test_input_grown_after_its_lines_were_counted_is_an_error(tmp_path, monkeypatch):
+    path = tmp_path / "jams.jsonl"
+    lines = b"".join(jam_line(street=f"s{i}") + b"\n" for i in range(50))
+    path.write_bytes(lines)
+    def count_then_grow(p):
+        n = count_lines(p)
+        with open(p, "ab") as fh:
+            fh.write(lines)
+        return n
+
+    monkeypatch.setattr(ingest, "count_lines", count_then_grow)
+    with pytest.raises(ValidationError, match="grew"):
+        ingest_files([path], schema_for("leaky"))
+    blocks, _ = parse_all([jam_line()] * 3)
+    with pytest.raises(ValidationError, match="grew"):
+        encode(blocks, schema_for("leaky"), max_rows=2)
+
+
+def test_count_lines_bounds_the_lines_of_a_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "_COUNT_BYTES", 3)  # newlines fall on every read boundary
+    path = tmp_path / "f"
+    for data in (b"", b"a", b"a\n", b"\n\n\n", b"ab\ncd\r\nef", b"x\n" * 10):
+        path.write_bytes(data)
+        assert count_lines(path) == data.count(b"\n") + 1  # >= the lines, last one included
 
 
 def test_load_matrix_holds_the_matrix_once(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import pickle
 import tempfile
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from jamcast import rng as streams
 from jamcast.errors import ConfigError, JamcastError, ValidationError
 from jamcast.evaluation import split_train_test
-from jamcast.trees import engine
+from jamcast.trees import binning, engine
 from jamcast.trees.binning import quantize
 from jamcast.trees.grower import sigmoid
 from jamcast.trees.training import (
@@ -159,7 +160,7 @@ def test_boosting_worker_invariance(small_matrix):
 
 def test_uneven_pool_models_match_the_inline_engine(monkeypatch, tmp_path, honest_matrix):
     """Three processes split the 8 partitions 3/3/2 and change no model byte."""
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     row_runs = []
     pool_init = engine.PoolSource.__init__
 
@@ -182,6 +183,40 @@ def test_uneven_pool_models_match_the_inline_engine(monkeypatch, tmp_path, hones
     assert row_runs == [runs] * 3  # one pool per model
 
 
+def test_pool_forks_no_more_workers_than_the_process_may_use(monkeypatch, honest_matrix):
+    """os.cpu_count() counts the host; a process pinned to one CPU forks one worker."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    forked = []
+    pool_init = engine.PoolSource.__init__
+
+    def recording_init(self, *args):
+        pool_init(self, *args)
+        forked.append(len(self._procs))
+
+    monkeypatch.setattr(engine.PoolSource, "__init__", recording_init)
+    docs = []
+    for w in (1, 2):
+        config = TrainConfig(n_trees=2, max_depth=4, seed=5, n_workers=w)
+        docs.append(json.dumps(model_to_doc(fit(train_xgb, honest_matrix, config=config))))
+    assert forked == [1]
+    assert docs[0] == docs[1]
+
+
+def test_quantize_threads_no_more_than_the_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    values = np.random.default_rng(4).normal(size=(1 << 17, 8))  # big enough for threads
+    want = quantize(values, 64)
+
+    def no_threads(*args, **kwargs):
+        raise AssertionError("quantize started a thread pool on one CPU")
+
+    monkeypatch.setattr(binning, "ThreadPoolExecutor", no_threads)
+    got = quantize(values, 64, n_threads=4)
+    assert got.codes.tobytes() == want.codes.tobytes()
+
+
 class _RecordingConn:
     """A pipe end that records every message sent through it."""
 
@@ -198,7 +233,7 @@ class _RecordingConn:
 
 
 def test_pool_workers_receive_only_their_own_rows_weights(monkeypatch, small_matrix):
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     binned = quantize(small_matrix.values[:1000], 16)
     y = small_matrix.labels[:1000].astype(np.float64)
     mult = np.arange(1000, dtype=np.int64) % 3
@@ -222,7 +257,7 @@ def test_pool_workers_receive_only_their_own_rows_weights(monkeypatch, small_mat
 
 
 def test_margin_update_identity(small_matrix):
-    train, _ = split_train_test(small_matrix, 0.75, 1)
+    train = small_matrix.take(split_train_test(small_matrix, 0.75, 1)[0])
     tc = TrainConfig(n_trees=4, max_depth=4, seed=2)
     model = fit(train_xgb, train, config=tc)
     # recompute margins from scratch over all trees
