@@ -10,7 +10,7 @@ list, created if missing) with the git revision, os.cpu_count(), the
 sizes, each stage's seconds, the ingest rows per second, this process's
 peak RSS and a host yardstick, `host_sort_s`: the median seconds of 3
 sorts of a seeded 4M-value float64 array, taken after the peak RSS is
-read, so points from a slow host or session can be told apart. The
+read, so points taken while the host ran slow can be told apart. The
 quantize stage bins the training rows once and all three trainers train
 on its result, so no train time includes it. Pool workers are separate
 processes: their memory is not in the peak RSS.

@@ -28,6 +28,15 @@ JAM_LINE_DEFAULTS = {
 }
 
 
+def strict_json(text: str):
+    """json.loads that fails on NaN, Infinity and -Infinity, which are not JSON."""
+
+    def refuse(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def jam_line(**overrides) -> bytes:
     """One serialized jam event with sane defaults."""
     obj = dict(JAM_LINE_DEFAULTS)

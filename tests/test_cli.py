@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import jam_line
+from helpers import jam_line, strict_json
 from jamcast.cli import main
 from jamcast.ingest import load_matrix
 from jamcast.trees.binning import quantize
@@ -521,11 +521,7 @@ def test_bench_failed_kinds_write_strict_json(tmp_path):
     out = tmp_path / "b"
     assert main(["bench", "--matrix", str(matrix_path), "--models", "rf,xgb",
                  "--max-bins", "70000", "--out-dir", str(out)]) == 0
-
-    def no_constants(name):
-        raise AssertionError(f"{name} is not JSON")
-
-    docs = json.loads((out / "bench_reports.json").read_text(), parse_constant=no_constants)
+    docs = strict_json((out / "bench_reports.json").read_text())
     assert [doc["error"].startswith("ConfigError") for doc in docs] == [True, True]
     assert {doc["auc"] for doc in docs} == {doc["train_seconds"] for doc in docs} == {None}
 

@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import synthetic_matrix
+from helpers import strict_json, synthetic_matrix
 from jamcast.errors import UndefinedMetricError, ValidationError
 from jamcast.evaluation import (
     ConfusionMatrix,
@@ -187,10 +186,6 @@ def test_bench_records_failures_and_continues():
     assert all(math.isnan(r.auc) for r in too_wide)
 
 
-def _no_constants(name):
-    raise AssertionError(f"{name} is not JSON")
-
-
 def test_failed_kinds_write_null_metrics_as_strict_json():
     matrix, _ = synthetic_matrix(1000, seed=5)
     measured = ("auc", "precision", "recall", "quantize_seconds", "train_seconds",
@@ -199,7 +194,7 @@ def test_failed_kinds_write_null_metrics_as_strict_json():
     mixed = bench(matrix, ["nope", "xgb"], TrainConfig(n_trees=2, max_depth=3))
     assert [r.error is None for r in too_wide + mixed] == [False, False, True]
     for reports in (too_wide, mixed):
-        docs = json.loads(reports_to_json(reports, run_id="r"), parse_constant=_no_constants)
+        docs = strict_json(reports_to_json(reports, run_id="r"))
         for report, doc in zip(reports, docs):
             if report.error:
                 assert {key: doc[key] for key in measured} == dict.fromkeys(measured)
