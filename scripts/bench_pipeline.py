@@ -2,18 +2,19 @@
 """End-to-end pipeline benchmark: seconds per stage at a fixed size.
 
 Generates a seeded jam corpus, ingests it as one stream (parse, clean and
-encode, each timed by the seconds spent producing its blocks), splits it
-75/25 by row index, quantizes the training rows, trains rf, gbt and xgb,
-and predicts the test rows with each model. The matrix is held once, as
-`jamcast bench` holds it. Every run appends one point to --out (a JSON
-list, created if missing) with the git revision, os.cpu_count(), the
-sizes, each stage's seconds, the ingest rows per second, this process's
-peak RSS and a host yardstick, `host_sort_s`: the median seconds of 3
-sorts of a seeded 4M-value float64 array, taken after the peak RSS is
-read, so points taken while the host ran slow can be told apart. The
-quantize stage bins the training rows once and all three trainers train
-on its result, so no train time includes it. Pool workers are separate
-processes: their memory is not in the peak RSS.
+encode, each timed by the seconds spent producing its blocks), then runs
+`evaluation.bench` on the matrix as `jamcast bench` does: a 75/25 split by
+row index, one quantize of the training rows, and rf, gbt and xgb each
+trained on its result and predicting the test rows. The quantize, train
+and predict seconds are the bench reports', so no train time includes the
+quantize; a kind that fails ends the run with exit code 1. Every run
+appends one point to --out (a JSON list, created if missing) with the git
+revision, os.cpu_count(), the sizes, each stage's seconds, the ingest rows
+per second, this process's peak RSS and a host yardstick, `host_sort_s`:
+the median seconds of 3 sorts of a seeded 4M-value float64 array, taken
+after the peak RSS is read, so points taken while the host ran slow can be
+told apart. Pool workers are separate processes: their memory is not in
+the peak RSS.
 
     PYTHONPATH=src python scripts/bench_pipeline.py --rows 1000000 \\
         --feature-set honest --workers 1
@@ -34,10 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from jamcast.datagen import GenConfig, generate_jams
-from jamcast.evaluation import split_train_test
+from jamcast.evaluation import bench
 from jamcast.ingest import clean, count_lines, encode, parse_jams, schema_for
-from jamcast.trees.binning import quantize
-from jamcast.trees.training import TRAINERS, TrainConfig, predict
+from jamcast.trees.training import TRAINERS, TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -111,29 +111,20 @@ def run(rows: int, feature_set: str, workers: int, seed: int, trees: int, work_d
     matrix, ingest_s = ingest(corpus, feature_set)
     stages.update(ingest_s)
     corpus.unlink()
-    train_rows, test_rows = split_train_test(matrix, 0.75, seed)
 
     config = TrainConfig(n_trees=trees, max_depth=5, max_leaves=256, seed=seed, n_workers=workers)
-    t0 = time.perf_counter()
-    binned = quantize(matrix.values, config.max_bins, n_threads=workers, rows=train_rows)
-    stages["quantize"] = time.perf_counter() - t0
-    train_labels = matrix.labels[train_rows]
-
-    train_s, predict_s = {}, {}
-    for kind, trainer in TRAINERS.items():
-        t0 = time.perf_counter()
-        model = trainer(binned, train_labels, config, matrix.schema)
-        train_s[kind] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        predict(model, matrix.take(test_rows))
-        predict_s[kind] = time.perf_counter() - t0
-    stages["train"] = train_s
-    stages["predict"] = predict_s
+    reports = bench(matrix, list(TRAINERS), config, train_fraction=0.75, seed=seed)
+    failed = [f"{r.model_kind}: {r.error}" for r in reports if r.error]
+    if failed:
+        raise SystemExit("bench failed: " + "; ".join(failed))
+    stages["quantize"] = reports[0].quantize_seconds
+    stages["train"] = {r.model_kind: r.train_seconds for r in reports}
+    stages["predict"] = {r.model_kind: r.predict_seconds for r in reports}
     return {
         "git": git_revision(),
         "cpu_count": os.cpu_count(),
         "rows": rows,
-        "train_rows": int(train_rows.size),
+        "train_rows": reports[0].n_train,
         "feature_set": feature_set,
         "workers": workers,
         "seed": seed,

@@ -16,13 +16,13 @@ and noise.
 from __future__ import annotations
 
 import argparse
-import json
 import time
 from pathlib import Path
 
 from jamcast.datagen import GenConfig, generate_jams
-from jamcast.evaluation import bench, render_table, reports_to_json
+from jamcast.evaluation import bench, render_table, write_reports
 from jamcast.ingest import ingest_files, schema_for
+from jamcast.manifest import write_json
 from jamcast.trees.training import TRAINERS, TrainConfig
 
 
@@ -63,11 +63,11 @@ def main() -> int:
         print(f"\n=== {feature_set} features ===")
         print(table)
         (args.out_dir / f"table_{feature_set}.txt").write_text(table)
-        (args.out_dir / f"reports_{feature_set}.json").write_text(reports_to_json(reports))
+        write_reports(args.out_dir / f"reports_{feature_set}.json", reports)
         contrast[feature_set] = {r.model_kind: r.auc for r in reports}
 
     summary_doc = {"auc": contrast, "rows": args.rows, "seed": args.seed, "noise": args.noise}
-    (args.out_dir / "contrast.json").write_text(json.dumps(summary_doc, indent=1) + "\n")
+    write_json(args.out_dir / "contrast.json", summary_doc)
     print("AUC contrast (leaky vs honest):")
     for kind in kinds:
         print(f"  {kind}: {contrast['leaky'][kind]:.4f} vs {contrast['honest'][kind]:.4f}")

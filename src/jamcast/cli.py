@@ -22,9 +22,9 @@ from pathlib import Path
 from jamcast import __version__
 from jamcast.datagen import GenConfig, generate_alerts, generate_jams
 from jamcast.errors import ConfigError, JamcastError
-from jamcast.evaluation import bench, render_table, reports_to_csv, reports_to_json
+from jamcast.evaluation import bench, render_table, reports_to_csv, write_reports
 from jamcast.ingest import ingest_files, load_matrix, save_matrix, schema_for
-from jamcast.manifest import build_manifest, file_digest, make_run_id
+from jamcast.manifest import file_digest, make_run_id, write_json
 from jamcast.trees.binning import quantize
 from jamcast.trees.training import TRAINERS, TrainConfig, save_model
 
@@ -169,8 +169,41 @@ def _gen_config(args) -> GenConfig:
     return config
 
 
+def _record(
+    args,
+    argv: list[str],
+    run_id: str,
+    config: dict,
+    inputs: dict[str, str],
+    outputs: list[Path],
+    manifest: Path,
+    seed: int | None = None,
+    n_workers: int | None = None,
+) -> None:
+    """Write a finished command's manifest, digesting the outputs stamped with `run_id`.
+
+    `run_id` is `make_run_id(args.command, config, inputs)`, made once by the
+    command; worker count and the time stamp are recorded beside it, not in it.
+    """
+    write_json(manifest, {
+        "command": args.command,
+        "command_line": argv,
+        "run_id": run_id,
+        "config": config,
+        "input_digests": inputs,
+        "output_digests": {str(p): file_digest(p) for p in outputs},
+        "seed": seed,
+        "n_workers": n_workers,
+        "artifacts": [str(p) for p in outputs],
+        "tool_version": __version__,
+        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+    })
+
+
 def _cmd_generate(args, argv: list[str]) -> int:
     config = _gen_config(args)
+    config_doc = dataclasses.asdict(config)
+    run_id = make_run_id("generate", config_doc, {})
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     jams_path = out_dir / "jams.jsonl"
@@ -179,17 +212,8 @@ def _cmd_generate(args, argv: list[str]) -> int:
         n_jams = generate_jams(config, fh)
     with open(alerts_path, "wb") as fh:
         n_alerts = generate_alerts(config, fh)
-
-    manifest = build_manifest(
-        command="generate",
-        command_line=argv,
-        config=dataclasses.asdict(config),
-        input_digests={},
-        artifacts=[jams_path, alerts_path],
-        seed=config.seed,
-        n_workers=None,
-    )
-    manifest.write(out_dir / "generate.manifest.json")
+    _record(args, argv, run_id, config_doc, {}, [jams_path, alerts_path],
+            out_dir / "generate.manifest.json", seed=config.seed)
     print(f"wrote {n_jams} jams and {n_alerts} alerts to {out_dir}")
     return 0
 
@@ -218,17 +242,9 @@ def _cmd_ingest(args, argv: list[str]) -> int:
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_matrix(args.out, matrix, encoding, run_id=run_id)
     report_path = Path(str(args.out) + ".report.json")
-    report_path.write_text(json.dumps(summary.as_dict(), indent=1, sort_keys=True) + "\n")
-    manifest = build_manifest(
-        command="ingest",
-        command_line=argv,
-        config=config_doc,
-        input_digests=digests,
-        artifacts=[args.out, report_path],
-        seed=None,
-        n_workers=None,
-    )
-    manifest.write(Path(str(args.out) + ".manifest.json"))
+    write_json(report_path, summary.as_dict())
+    _record(args, argv, run_id, config_doc, digests, [args.out, report_path],
+            Path(str(args.out) + ".manifest.json"))
     print(
         f"ingested {matrix.n_rows} rows "
         f"({summary.parse.rows_rejected} parse-rejected, "
@@ -245,21 +261,12 @@ def _cmd_train(args, argv: list[str]) -> int:
     binned = quantize(matrix.values, config.max_bins, n_threads=config.n_workers)
     model = TRAINERS[args.model](binned, matrix.labels, config, matrix.schema)
 
-    config_doc = {k: v for k, v in config.__dict__.items() if k != "n_workers"}
-    config_doc["model"] = args.model
+    config_doc = {**config.identity(), "model": args.model}
     run_id = make_run_id("train", config_doc, digests)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_model(args.out, model, run_id=run_id)
-    manifest = build_manifest(
-        command="train",
-        command_line=argv,
-        config=config_doc,
-        input_digests=digests,
-        artifacts=[args.out],
-        seed=config.seed,
-        n_workers=config.n_workers,
-    )
-    manifest.write(Path(str(args.out) + ".manifest.json"))
+    _record(args, argv, run_id, config_doc, digests, [args.out],
+            Path(str(args.out) + ".manifest.json"), seed=config.seed, n_workers=config.n_workers)
     print(f"trained {args.model} ({len(model.trees)} trees) -> {args.out}")
     return 0
 
@@ -283,30 +290,23 @@ def _cmd_bench(args, argv: list[str]) -> int:
         seed=args.seed,
         threshold=args.threshold,
     )
-    config_doc = {k: v for k, v in config.__dict__.items() if k != "n_workers"}
-    config_doc.update(
-        {"models": kinds, "train_fraction": args.train_fraction, "threshold": args.threshold}
-    )
+    config_doc = {
+        **config.identity(),
+        "models": kinds,
+        "train_fraction": args.train_fraction,
+        "threshold": args.threshold,
+    }
     run_id = make_run_id("bench", config_doc, digests)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = args.out_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = [out_dir / "bench_table.txt", out_dir / "bench_table.csv",
+               out_dir / "bench_reports.json"]
     table = render_table(reports)
-    (args.out_dir / "bench_table.txt").write_text(table)
-    (args.out_dir / "bench_table.csv").write_text(reports_to_csv(reports))
-    (args.out_dir / "bench_reports.json").write_text(reports_to_json(reports, run_id=run_id))
-    manifest = build_manifest(
-        command="bench",
-        command_line=argv,
-        config=config_doc,
-        input_digests=digests,
-        artifacts=[
-            args.out_dir / "bench_table.txt",
-            args.out_dir / "bench_table.csv",
-            args.out_dir / "bench_reports.json",
-        ],
-        seed=args.seed,
-        n_workers=config.n_workers,
-    )
-    manifest.write(args.out_dir / "bench.manifest.json")
+    outputs[0].write_text(table)
+    outputs[1].write_text(reports_to_csv(reports))
+    write_reports(outputs[2], reports, run_id=run_id)
+    _record(args, argv, run_id, config_doc, digests, outputs, out_dir / "bench.manifest.json",
+            seed=args.seed, n_workers=config.n_workers)
     print(table, end="")
     return 0
 

@@ -98,7 +98,7 @@ _CH_DESC = 15
 _TAG_JAMS = 0x4A414D53  # "JAMS"
 _TAG_ALERTS = 0x414C5254  # "ALRT"
 
-_CHUNK = 1 << 18
+_CHUNK = 1 << 16  # rows rendered at once; their lines, text and bytes are all held together
 
 
 @dataclass(frozen=True)

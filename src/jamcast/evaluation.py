@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -24,6 +23,7 @@ import numpy as np
 from jamcast import rng
 from jamcast.errors import ConfigError, JamcastError, UndefinedMetricError, ValidationError
 from jamcast.ingest import FeatureMatrix
+from jamcast.manifest import write_json
 from jamcast.trees.binning import quantize
 from jamcast.trees.training import TRAINERS, TrainConfig, predict
 
@@ -307,9 +307,10 @@ def reports_to_csv(reports: Sequence[EvalReport]) -> str:
     return buf.getvalue()
 
 
-def reports_to_json(reports: Sequence[EvalReport], run_id: str | None = None) -> str:
+def write_reports(path, reports: Sequence[EvalReport], run_id: str | None = None) -> None:
+    """Write the reports as one strict JSON list, each stamped with `run_id` when given."""
     docs = [r.as_dict() for r in reports]
     if run_id is not None:
         for doc in docs:
             doc["run_id"] = run_id
-    return json.dumps(docs, indent=1, sort_keys=True, allow_nan=False) + "\n"
+    write_json(path, docs)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import operator
 import os
 import struct
@@ -37,6 +38,7 @@ import numpy as np
 
 from jamcast.errors import SchemaError, ValidationError
 from jamcast.events import decompose_epoch_ms, jam_labels
+from jamcast.manifest import canonical_json
 
 # ---------------------------------------------------------------------------
 # schema
@@ -93,8 +95,7 @@ class FeatureSchema:
             "feature_set": self.feature_set,
             "features": [[f.name, f.kind, f.source] for f in self.features],
         }
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return hashlib.sha256(canonical_json(doc)).hexdigest()[:16]
 
 
 FEATURE_SETS = ("leaky", "honest")
@@ -220,9 +221,12 @@ def _jam_rejection(obj) -> str | None:
         return "missing_field"
     for key, (types, dtype) in _JAM_COLUMNS.items():
         value = obj[key]
-        # a float64 column must also hold the value: 1e400 written out does not fit
+        # a float64 column must also hold the value: the integer 10**400 does not fit
         if type(value) not in types or (dtype is np.float64 and not _fits(value, dtype)):
             return "bad_field_type"
+    # 1e400 and Infinity decode to float inf; NaN stays missing, as null is
+    if any(obj[key] is not None and math.isinf(obj[key]) for key in _JAM_NUMERICS):
+        return "non_finite"
     if not 0 < obj["pub_date"] < 2**63:  # epoch-ms must fit int64
         return "invalid_pub_date"
     return None
@@ -302,6 +306,8 @@ def _parse_block(lines: list[bytes], report: IngestReport) -> JamBlock:
         columns[key], wrong = _column(values, *_JAM_COLUMNS[key])
         bad |= wrong
     bad |= (columns["level"] < 1) | (columns["level"] > 5) | (columns["pub_date"] <= 0)
+    for key in _JAM_NUMERICS:
+        bad |= np.isinf(columns[key])
     for obj in itertools.chain(rejected, itertools.compress(whole, bad)):
         report.reject(_jam_rejection(obj))
     block = JamBlock(columns).take(~bad)
@@ -518,7 +524,7 @@ def save_matrix(
         "labels_dtype": "u1",
         "run_id": run_id,
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    blob = canonical_json(header)
     with open(path, "wb") as fh:
         fh.write(_TJM_MAGIC)
         fh.write(struct.pack("<I", len(blob)))

@@ -28,6 +28,7 @@ import numpy as np
 
 from jamcast import rng
 from jamcast.errors import ConfigError, ValidationError
+from jamcast.manifest import write_json
 from jamcast.trees.binning import BinnedMatrix, bin_codes
 from jamcast.trees.engine import open_engine
 from jamcast.trees.grower import (
@@ -76,6 +77,12 @@ class TrainConfig:
             raise ConfigError(f"max_bins must be >= 2, got {self.max_bins}")
         if self.n_workers < 1:
             raise ConfigError(f"n_workers must be >= 1, got {self.n_workers}")
+
+    def identity(self) -> dict:
+        """The fields that decide a model, for model files and run ids: all but n_workers."""
+        doc = asdict(self)
+        del doc["n_workers"]
+        return doc
 
 
 @dataclass
@@ -340,12 +347,10 @@ def _tree_from_doc(doc: dict, edges: list[np.ndarray]) -> DecisionTree:
 def model_to_doc(ensemble: Ensemble, run_id: str | None = None) -> dict:
     """JSON-ready document for a trained ensemble.
 
-    n_workers is an execution detail, not part of the model, and is omitted
-    so files stay byte-identical across worker counts.
+    Its config is `TrainConfig.identity()`, so files stay byte-identical
+    across worker counts.
     """
-    config = asdict(ensemble.config)
-    config.pop("n_workers")
-    doc = {
+    return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "kind": ensemble.kind,
@@ -354,17 +359,16 @@ def model_to_doc(ensemble: Ensemble, run_id: str | None = None) -> dict:
         "n_features": ensemble.n_features,
         "schema_fingerprint": ensemble.schema_fingerprint,
         "feature_names": list(ensemble.feature_names) if ensemble.feature_names else None,
-        "config": config,
+        "config": ensemble.config.identity(),
         "bin_edges": [edges.tolist() for edges in ensemble.bin_edges],
         "trees": [{"nodes": [_node_to_doc(n) for n in t.nodes]} for t in ensemble.trees],
         "run_id": run_id,
     }
-    return doc
 
 
 def save_model(path: str | Path, ensemble: Ensemble, run_id: str | None = None) -> None:
-    doc = model_to_doc(ensemble, run_id)
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    """Write the model file; a non-finite value (a bin edge at -inf) is a ValidationError."""
+    write_json(path, model_to_doc(ensemble, run_id))
 
 
 def load_model(path: str | Path) -> Ensemble:

@@ -423,6 +423,8 @@ def _ref_parse_common(obj: dict):
     pub = obj["pub_date"]
     if isinstance(pub, bool) or not isinstance(pub, int):
         return {}, "bad_field_type"
+    if any(math.isinf(out[key]) for key in _REF_NUMERICS):
+        return {}, "non_finite"
     if pub <= 0 or pub >= 2**63:
         return {}, "invalid_pub_date"
     out["pub_date_utc"] = pub

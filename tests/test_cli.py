@@ -7,11 +7,12 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import jam_line, strict_json
 from jamcast.cli import main
-from jamcast.ingest import load_matrix
+from jamcast.ingest import FeatureMatrix, load_matrix, save_matrix
 from jamcast.trees.binning import quantize
 from jamcast.trees.training import TRAINERS, TrainConfig, load_model
 
@@ -210,6 +211,24 @@ def test_ingest_integer_too_large_for_its_column(tmp_path, field, value, reason)
     assert rc == 0
     assert report["parse"]["rejection_reasons"] == {reason: 1}
     assert report["n_rows"] == 50
+
+
+@pytest.mark.parametrize(
+    "field, literal, reasons",
+    [
+        ("speed", b"1e400", {"non_finite": 1}),
+        ("location_x", b"-1e400", {"non_finite": 1}),
+        ("delay", b"Infinity", {"non_finite": 1}),
+        ("length", b"-Infinity", {"non_finite": 1}),
+        ("speed", b"NaN", {}),  # missing, as null is
+    ],
+    ids=["speed_1e400", "location_x_minus_1e400", "delay_inf", "length_minus_inf", "speed_nan"],
+)
+def test_ingest_float_out_of_range_is_non_finite(tmp_path, field, literal, reasons):
+    rc, report = _ingest_with(tmp_path, jam_line(**{field: 7.25}).replace(b"7.25", literal))
+    assert rc == 0
+    assert report["parse"]["rejection_reasons"] == reasons
+    assert report["n_rows"] == 51 - sum(reasons.values())
 
 
 def _ingest(tmp_path, **kw):
@@ -444,6 +463,22 @@ def test_train_on_a_truncated_matrix_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: .*m\.tjm: truncated tjm file\n", err)
     assert not out.exists()
+
+
+def test_train_on_a_matrix_holding_minus_inf_exits_one(tmp_path, capsys):
+    """-inf becomes a bin edge, which strict JSON cannot hold: no model file is written."""
+    matrix_path = _ingest(tmp_path)
+    matrix, encoding = load_matrix(matrix_path)
+    values = matrix.values.copy()
+    values[0, matrix.schema.names().index("road_type")] = -np.inf
+    save_matrix(matrix_path, FeatureMatrix(values, matrix.labels, matrix.schema), encoding)
+    out = tmp_path / "m.json"
+    rc = main(["train", "--matrix", str(matrix_path), "--model", "xgb", "--trees", "1",
+               "--out", str(out)])
+    assert rc == 1
+    assert re.fullmatch(r"error: .*m\.json: not strict JSON \(.+\)\n", capsys.readouterr().err)
+    assert not out.exists()
+    assert not (tmp_path / "m.json.manifest.json").exists()
 
 
 def test_workers_env_var(tmp_path, monkeypatch):

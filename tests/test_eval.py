@@ -17,9 +17,9 @@ from jamcast.evaluation import (
     precision_recall,
     render_table,
     reports_to_csv,
-    reports_to_json,
     split_indices,
     split_train_test,
+    write_reports,
 )
 from jamcast.trees.training import TrainConfig
 from oracles import brute_auc
@@ -186,7 +186,7 @@ def test_bench_records_failures_and_continues():
     assert all(math.isnan(r.auc) for r in too_wide)
 
 
-def test_failed_kinds_write_null_metrics_as_strict_json():
+def test_failed_kinds_write_null_metrics_as_strict_json(tmp_path):
     matrix, _ = synthetic_matrix(1000, seed=5)
     measured = ("auc", "precision", "recall", "quantize_seconds", "train_seconds",
                 "predict_seconds")
@@ -194,7 +194,8 @@ def test_failed_kinds_write_null_metrics_as_strict_json():
     mixed = bench(matrix, ["nope", "xgb"], TrainConfig(n_trees=2, max_depth=3))
     assert [r.error is None for r in too_wide + mixed] == [False, False, True]
     for reports in (too_wide, mixed):
-        docs = strict_json(reports_to_json(reports, run_id="r"))
+        write_reports(tmp_path / "reports.json", reports, run_id="r")
+        docs = strict_json((tmp_path / "reports.json").read_text())
         for report, doc in zip(reports, docs):
             if report.error:
                 assert {key: doc[key] for key in measured} == dict.fromkeys(measured)

@@ -6,6 +6,7 @@ size is drawn small, so block boundaries fall between every pair of lines.
 """
 
 import json
+import re
 import tempfile
 from io import BytesIO
 from pathlib import Path
@@ -21,7 +22,9 @@ from oracles import reference_clean, reference_encode, reference_parse_jams
 
 WINDOW = (1514678400000, 1515456000000)
 
-_ODD = [None, True, False, "3", [1], {"a": 1}, 10**400, -(10**400)]
+# number literals json.dumps never writes: float overflow and the bare constants
+_RAW = [f"<raw:{literal}>" for literal in ("1e400", "-1e400", "Infinity", "-Infinity", "NaN")]
+_ODD = [None, True, False, "3", [1], {"a": 1}, 10**400, -(10**400), *_RAW]
 _STRINGS = st.one_of(
     st.none(),
     st.sampled_from(["A", "B", "I-405 N", "é", "日本", "", "a\x0bb", "a\u2028b", "a\x85"]),
@@ -57,6 +60,11 @@ _ODD_LINES = [
 ]
 
 
+def _dumps(obj, ensure_ascii=True) -> str:
+    """json.dumps, with each `_RAW` string written as the bare literal it names."""
+    return re.sub(r'"<raw:([^>]*)>"', r"\1", json.dumps(obj, ensure_ascii=ensure_ascii))
+
+
 @st.composite
 def jam_lines(draw) -> bytes:
     """One jam line: random field values, a dropped key now and then, a random framing."""
@@ -73,7 +81,7 @@ def jam_lines(draw) -> bytes:
             obj[defect] = draw(st.sampled_from([-1, -0.5]))
     if draw(st.integers(0, 19)) == 0:
         del obj[draw(st.sampled_from(sorted(obj)))]
-    text = json.dumps(obj, ensure_ascii=draw(st.booleans()))
+    text = _dumps(obj, ensure_ascii=draw(st.booleans()))
     frame = draw(
         st.sampled_from(
             ["plain"] * 16 + ["crlf", "pad", "bom", "nul", "utf16", "cut", "tail", "raw_ctl"]
@@ -150,7 +158,7 @@ def test_columnar_ingest_matches_row_reference(
 
 
 def _jam(**overrides) -> bytes:
-    return json.dumps({**JAM_LINE_DEFAULTS, **overrides}).encode()
+    return _dumps({**JAM_LINE_DEFAULTS, **overrides}).encode()
 
 
 def test_every_rejection_reason_matches_row_reference():
@@ -162,6 +170,10 @@ def test_every_rejection_reason_matches_row_reference():
         b'{"level": 3}',
         _jam(level="3"),
         _jam(speed=10**400),
+        _jam(location_x="<raw:-1e400>"),
+        _jam(delay="<raw:Infinity>"),
+        _jam(speed="<raw:NaN>", pub_date=0),
+        _jam(level="<raw:1e400>"),
         _jam(level=9),
         _jam(level=10**30),
         _jam(pub_date=0),
@@ -192,6 +204,7 @@ def test_every_rejection_reason_matches_row_reference():
         "malformed_json",
         "missing_field",
         "bad_field_type",
+        "non_finite",
         "level_out_of_range",
         "invalid_pub_date",
         "negative_speed",
