@@ -9,12 +9,14 @@ trained on its result and predicting the test rows. The quantize, train
 and predict seconds are the bench reports', so no train time includes the
 quantize; a kind that fails ends the run with exit code 1. Every run
 appends one point to --out (a JSON list, created if missing) with the git
-revision, os.cpu_count(), the sizes, each stage's seconds, the ingest rows
-per second, this process's peak RSS and a host yardstick, `host_sort_s`:
-the median seconds of 3 sorts of a seeded 4M-value float64 array, taken
-after the peak RSS is read, so points taken while the host ran slow can be
-told apart. Pool workers are separate processes: their memory is not in
-the peak RSS.
+revision, os.cpu_count(), `usable_cpus` (the CPUs this process may run on,
+which cap the training engine's process count, this one included), the
+sizes, each stage's seconds, the ingest rows per second, this process's
+peak RSS and a host yardstick, `host_sort_s`: the median seconds of 3
+sorts of a seeded 4M-value float64 array, taken after the peak RSS is
+read, so points taken while the host ran slow can be told apart. This
+process holds the training state of the first run of partitions, so its
+share is in the peak RSS; the forked workers' memory is not.
 
     PYTHONPATH=src python scripts/bench_pipeline.py --rows 1000000 \\
         --feature-set honest --workers 1
@@ -36,7 +38,8 @@ import numpy as np
 
 from jamcast.datagen import GenConfig, generate_jams
 from jamcast.evaluation import bench
-from jamcast.ingest import clean, count_lines, encode, parse_jams, schema_for
+from jamcast.ingest import FEATURE_SETS, clean, count_lines, encode, parse_jams, schema_for
+from jamcast.parallel import usable_cpus
 from jamcast.trees.training import TRAINERS, TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -123,6 +126,7 @@ def run(rows: int, feature_set: str, workers: int, seed: int, trees: int, work_d
     return {
         "git": git_revision(),
         "cpu_count": os.cpu_count(),
+        "usable_cpus": usable_cpus(),
         "rows": rows,
         "train_rows": reports[0].n_train,
         "feature_set": feature_set,
@@ -138,7 +142,7 @@ def run(rows: int, feature_set: str, workers: int, seed: int, trees: int, work_d
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("--rows", type=int, default=1_000_000)
-    ap.add_argument("--feature-set", choices=("leaky", "honest"), default="honest")
+    ap.add_argument("--feature-set", choices=FEATURE_SETS, default="honest")
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--trees", type=int, default=20)

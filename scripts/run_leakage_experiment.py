@@ -21,7 +21,7 @@ from pathlib import Path
 
 from jamcast.datagen import GenConfig, generate_jams
 from jamcast.evaluation import bench, render_table, write_reports
-from jamcast.ingest import ingest_files, schema_for
+from jamcast.ingest import FEATURE_SETS, ingest_files, schema_for
 from jamcast.manifest import write_json
 from jamcast.trees.training import TRAINERS, TrainConfig
 
@@ -53,7 +53,7 @@ def main() -> int:
     )
     kinds = [k.strip() for k in args.models.split(",") if k.strip()]
     contrast = {}
-    for feature_set in ("leaky", "honest"):
+    for feature_set in FEATURE_SETS:
         print(f"\ningesting with the {feature_set} feature set ...")
         matrix, _, summary = ingest_files([corpus], schema_for(feature_set))
         print(f"  {matrix.n_rows} rows, {matrix.n_features} features, "

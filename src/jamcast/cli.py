@@ -23,7 +23,7 @@ from jamcast import __version__
 from jamcast.datagen import GenConfig, generate_alerts, generate_jams
 from jamcast.errors import ConfigError, JamcastError
 from jamcast.evaluation import bench, render_table, reports_to_csv, write_reports
-from jamcast.ingest import ingest_files, load_matrix, save_matrix, schema_for
+from jamcast.ingest import FEATURE_SETS, ingest_files, load_matrix, save_matrix, schema_for
 from jamcast.manifest import file_digest, make_run_id, write_json
 from jamcast.trees.binning import quantize
 from jamcast.trees.training import TRAINERS, TrainConfig, save_model
@@ -114,7 +114,7 @@ def build_parser() -> _Parser:
 
     i = sub.add_parser("ingest", help="parse/clean/encode jam JSONL into a matrix file")
     i.add_argument("--input", required=True, help="glob of *.jsonl files")
-    i.add_argument("--feature-set", choices=("leaky", "honest"), default="leaky")
+    i.add_argument("--feature-set", choices=FEATURE_SETS, default="leaky")
     i.add_argument("--window-start", type=str, default=None)
     i.add_argument("--window-end", type=str, default=None)
     i.add_argument("--out", type=Path, required=True, help="matrix output path (.tjm)")

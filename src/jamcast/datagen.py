@@ -125,8 +125,10 @@ class GenConfig:
         if not (_is_finite(self.coupling_noise) and self.coupling_noise >= 0):
             raise ValidationError("coupling_noise must be finite and >= 0")
         window = self.date_window
-        if not (len(window) == 2 and all(_is_int(v) for v in window) and 0 < window[0] < window[1]):
-            raise ValidationError("date_window must be two integers with 0 < start < end")
+        # pub_dates lie in [start, end), and ingest accepts epoch-ms below 2**63
+        ok = len(window) == 2 and all(_is_int(v) for v in window)
+        if not (ok and 0 < window[0] < window[1] <= 2**63):
+            raise ValidationError("date_window must be two integers with 0 < start < end <= 2**63")
 
 
 def _is_int(value) -> bool:

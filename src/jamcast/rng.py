@@ -73,16 +73,9 @@ def integers(seed: int, tag: int, start: int, count: int, bound: int) -> np.ndar
 
 def normals(seed: int, tag: int, start: int, count: int) -> np.ndarray:
     """Standard normals via Box-Muller; draw i consumes uniforms 2i and 2i+1."""
-    pos = np.arange(start, start + count, dtype=np.int64)
-    key = np.uint64(stream_key(seed, tag))
-    i1 = (2 * pos + 1).astype(np.uint64)
-    i2 = (2 * pos + 2).astype(np.uint64)
-    b1 = mix64(key + i1 * _GOLDEN)
-    b2 = mix64(key + i2 * _GOLDEN)
-    u1 = (b1 >> np.uint64(11)).astype(np.float64) * (2.0**-53)
-    u2 = (b2 >> np.uint64(11)).astype(np.float64) * (2.0**-53)
-    r = np.sqrt(-2.0 * np.log1p(-u1))
-    return r * np.cos(2.0 * np.pi * u2)
+    u = uniforms(seed, tag, 2 * start, 2 * count)
+    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    return r * np.cos(2.0 * np.pi * u[1::2])
 
 
 def permutation(seed: int, tag: int, n: int) -> np.ndarray:

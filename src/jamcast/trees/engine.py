@@ -1,28 +1,34 @@
-"""Training execution engines: the same training state runs inline or forked.
+"""The training engine: one training state per process, the parent's included.
 
 A PartitionState owns a contiguous run of the fixed partitions (see
 jamcast.parallel): their labels, margins, gradients and per-node row sets,
-and each of its methods is one training step. Each engine process holds one
-state: the inline engine's covers all N_HIST_PARTS partitions, a pool
-worker's its assigned run of them. So a step runs once per node, not once
-per partition, and a node histogram is built for all of the state's
-partitions in one cache-blocked pass (see build_histograms). An engine has a
-single primitive, `_run(method, args, build_id, row_args)`: call
-PartitionState `method(*args, *row_args)` on every state, each state
-receiving only its own rows of the whole-matrix arrays in `row_args`, then,
-when `build_id` is not None, return node `build_id`'s histogram, which is
-always the fixed-shape reduction of the N_HIST_PARTS per-partition
-histograms in partition order. The summation structure never depends on
-which process built which partition, so both engines produce bit-identical
-trees.
+and each of its methods is one training step. The engine splits the
+N_HIST_PARTS partitions into one contiguous run per process: the parent
+holds the state of the first run and forks one worker per later run. With
+one process (one worker requested, one usable CPU, or no fork on the
+platform) nothing is forked and the parent's state covers every partition.
+So a step runs once per node and process, not once per partition, and a
+node histogram is built for all of a state's partitions in one
+cache-blocked pass (see build_histograms). The engine has a single
+primitive, `_run(method, args, build_id, row_args)`: call PartitionState
+`method(*args, *row_args)` on every state, each state receiving only its
+own rows of the whole-matrix arrays in `row_args`, then, when `build_id` is
+not None, return node `build_id`'s histogram, which is always the
+fixed-shape reduction of the N_HIST_PARTS per-partition histograms in
+partition order. The summation structure never depends on which process
+built which partition, so every process count produces bit-identical trees.
 
-The pool forks workers after the binned matrix exists (inherited
-copy-on-write) and clamps the process count to the cores it may use; the
-requested n_workers stays a purely logical degree of parallelism. Workers
-write per-partition histograms into a fork-inherited shared-memory block
-instead of piping them, a split plus the resulting child histogram build
-travel as one round-trip, and per-row arguments are sliced so each worker
-receives only its own rows, so per-node traffic is a few bytes.
+Workers are forked after the binned matrix exists (inherited
+copy-on-write), and the process count is clamped to the cores this process
+may use; the requested n_workers stays a purely logical degree of
+parallelism. Every state writes its partitions' histograms in place into
+its slots of one (N_HIST_PARTS, F, B, 3) block, which is fork-inherited
+shared memory when workers exist, so no histogram is piped or copied. A
+split plus the resulting child histogram build travel as one round-trip,
+and per-row arguments are sliced so each worker receives only its own
+rows, so per-node traffic is a few bytes. InlineSource and PoolSource are
+this one engine under the two names that tracing tells apart: opened for
+one worker or for several.
 """
 
 from __future__ import annotations
@@ -41,11 +47,13 @@ class PartitionState:
     """Training state of one process over a contiguous run of partitions.
 
     `bounds` are the partitions' row edges b_0 <= ... <= b_P; the state owns
-    rows b_0..b_P. Each method is one training step.
+    rows b_0..b_P. `hist` is the (P, F, B, 3) block its node histograms are
+    written into. Each method is one training step.
     """
 
-    def __init__(self, bounds: Sequence[int], binned, labels: np.ndarray):
+    def __init__(self, bounds: Sequence[int], binned, labels: np.ndarray, hist: np.ndarray):
         self.bounds = tuple(bounds)
+        self.hist = hist
         self.lo = self.bounds[0]
         self.hi = self.bounds[-1]
         self.binned = binned
@@ -69,11 +77,14 @@ class PartitionState:
         w = np.asarray(w, dtype=np.float64)
         self.g = self.y * w
         self.h = w
-        self.nodes = {0: np.nonzero(w > 0)[0].astype(np.int64) + self.lo}
+        rows = np.flatnonzero(w > 0).astype(np.int64, copy=False)
+        rows += self.lo
+        self.nodes = {0: rows}
 
     def node_hist(self, node_id: int) -> np.ndarray:
-        """Node `node_id`'s (n_parts, F, B, 3) histograms, one per partition."""
-        return build_histograms(self.binned, self.nodes[node_id], self.g, self.h, self.bounds)
+        """Node `node_id`'s histograms, one per partition, written into `hist`."""
+        rows = self.nodes[node_id]
+        return build_histograms(self.binned, rows, self.g, self.h, self.bounds, out=self.hist)
 
     def apply_split(
         self,
@@ -103,21 +114,12 @@ class PartitionState:
         self.g = self.h = None
 
 
-def _step(state: PartitionState, method: str | None, args: tuple, build_id):
-    """One training step on `state`: its node `build_id` histograms, if asked."""
+def _step(state: PartitionState, method: str | None, args: tuple, build_id) -> None:
+    """One training step on `state`, then its node `build_id` histograms, if asked."""
     if method is not None:
         getattr(state, method)(*args)
-    return None if build_id is None else state.node_hist(build_id)
-
-
-def _partition_edges(n_rows: int) -> list[int]:
-    """Row edges 0 = b_0 <= ... <= b_N = n_rows of the N_HIST_PARTS fixed partitions."""
-    return [lo for lo, _ in partition_rows(n_rows, N_HIST_PARTS)] + [n_rows]
-
-
-def _reduce(binned, sums: np.ndarray) -> GradHistogram:
-    """The node histogram: the fixed reduction of its (n_parts, F, B, 3) partition sums."""
-    return GradHistogram(sums=reduce_histograms(sums), n_real_bins=binned.n_real_bins)
+    if build_id is not None:
+        state.node_hist(build_id)
 
 
 def _exact_sums(labels: np.ndarray, mult: np.ndarray) -> bool:
@@ -138,13 +140,100 @@ def _exact_sums(labels: np.ndarray, mult: np.ndarray) -> bool:
 
 
 class _Engine:
-    """The training protocol: every step is one `_run` over all states.
+    """The training engine: every step is one `_run` over all states.
 
     `exact_sums` tells the grower whether the current tree's histogram sums
     are exact (see jamcast.trees.grower); boosting rounds never are.
     """
 
     exact_sums = False
+
+    def __init__(self, binned, labels: np.ndarray, n_workers: int = 1):
+        self.binned = binned
+        self.labels = labels
+        n_procs = max(1, min(n_workers, N_HIST_PARTS, usable_cpus()))
+        try:
+            ctx = mp.get_context("fork")
+        except ValueError:  # no fork on this platform: the parent holds every partition
+            n_procs = 1
+        # row edges 0 = b_0 <= ... <= b_N = n_rows of the N_HIST_PARTS fixed partitions
+        edges = [lo for lo, _ in partition_rows(binned.n_rows, N_HIST_PARTS)] + [binned.n_rows]
+        assign = partition_rows(N_HIST_PARTS, n_procs)
+        self._rows = [(edges[p_lo], edges[p_hi]) for p_lo, p_hi in assign]
+        shape = (N_HIST_PARTS, binned.n_features, binned.hist_bins, 3)
+        if n_procs == 1:
+            self._slots = np.empty(shape)
+        else:  # forked workers fill their slots in place
+            shm = ctx.RawArray("d", int(np.prod(shape)))
+            self._slots = np.frombuffer(shm, dtype=np.float64).reshape(shape)
+        (p_lo, p_hi), forked = assign[0], assign[1:]
+        self.state = PartitionState(edges[p_lo : p_hi + 1], binned, labels, self._slots[p_lo:p_hi])
+        self._conns = []
+        self._procs = []
+        for p_lo, p_hi in forked:
+            parent_conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(
+                target=_worker_main,
+                args=(child_conn, edges[p_lo : p_hi + 1], binned, labels, self._slots[p_lo:p_hi]),
+                daemon=True,
+            )
+            proc.start()
+            child_conn.close()
+            self._conns.append(parent_conn)
+            self._procs.append(proc)
+
+    def _run(self, method, args=(), build_id=None, row_args=()) -> GradHistogram | None:
+        """Send one step to every worker, run the parent's own, then collect every reply.
+
+        Each state receives only its own rows' slice of `row_args`. Every
+        worker's reply is received before an exception of the parent's own
+        step propagates. A worker that died or whose step raised stops the
+        engine and is reported as a JamcastError naming the worker; forked
+        workers are numbered from 0.
+        """
+        steps = [(method, args + tuple(a[lo:hi] for a in row_args), build_id)
+                 for lo, hi in self._rows]
+        failed = own_error = None
+        try:
+            for worker, conn in enumerate(self._conns):
+                conn.send(steps[worker + 1])
+            try:
+                _step(self.state, *steps[0])
+            except Exception as exc:  # raised once every worker has replied
+                own_error = exc
+            for worker, conn in enumerate(self._conns):
+                error = conn.recv()
+                if error is not None and failed is None:
+                    failed = (worker, f"failed: {error}")
+        except (EOFError, OSError):
+            failed = (worker, None)
+        if failed is not None:
+            worker, what = failed
+            proc = self._procs[worker]
+            self.close()
+            what = what or f"died with exit code {proc.exitcode}"
+            raise JamcastError(f"pool worker {worker} (pid {proc.pid}) {what}")
+        if own_error is not None:
+            raise own_error
+        if build_id is None:
+            return None
+        sums = reduce_histograms(self._slots)  # the fixed reduction of the partition sums
+        return GradHistogram(sums=sums, n_real_bins=self.binned.n_real_bins)
+
+    def close(self) -> None:
+        for conn in self._conns:
+            try:
+                conn.send(None)
+            except OSError:  # the worker is already gone
+                pass
+            conn.close()
+        for proc in self._procs:
+            proc.join(timeout=10)
+            if proc.is_alive():  # pragma: no cover - defensive cleanup
+                proc.terminate()
+                proc.join()
+        self._conns = []
+        self._procs = []
 
     def init_boost(self, base_margin: float) -> None:
         self._run("init_boost", (base_margin,))
@@ -171,6 +260,27 @@ class _Engine:
         return self._run("apply_split", split, build_id)
 
 
+def _worker_main(conn, bounds, binned, labels, hist) -> None:
+    """Forked worker loop: runs each received step on its state until None.
+
+    The state covers the partitions with row edges `bounds`; their
+    histograms are written into `hist`, its slots of the shared block.
+    The reply is None, or the type and message of the exception the step
+    raised, which the parent reports.
+    """
+    state = PartitionState(bounds, binned, labels, hist)
+    try:
+        while (msg := conn.recv()) is not None:
+            error = None
+            try:
+                _step(state, *msg)
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+            conn.send(error)
+    finally:
+        conn.close()
+
+
 def _own_steps(cls):
     """Bind the protocol steps in `cls` itself, not only through inheritance.
 
@@ -185,134 +295,16 @@ def _own_steps(cls):
 
 @_own_steps
 class InlineSource(_Engine):
-    """Single-process engine: one state over all the fixed partitions."""
-
-    def __init__(self, binned, labels: np.ndarray):
-        self.binned = binned
-        self.labels = labels
-        self.state = PartitionState(_partition_edges(binned.n_rows), binned, labels)
-
-    def _run(self, method, args=(), build_id=None, row_args=()) -> GradHistogram | None:
-        sums = _step(self.state, method, args + row_args, build_id)  # the state has every row
-        return None if sums is None else _reduce(self.binned, sums)
-
-    def close(self) -> None:
-        pass
-
-
-def _worker_main(conn, first_part, bounds, binned, labels, shm_buf, hist_shape) -> None:
-    """Forked worker loop: runs each received step on its state until None.
-
-    The state covers the partitions first_part.. with row edges `bounds`;
-    their histograms are written into those slots of the shared buffer.
-    The reply is None, or the type and message of the exception the step
-    raised, which the parent reports.
-    """
-    state = PartitionState(bounds, binned, labels)
-    slots = np.frombuffer(shm_buf, dtype=np.float64).reshape((N_HIST_PARTS,) + hist_shape)
-    own = slots[first_part : first_part + len(bounds) - 1]
-    try:
-        while (msg := conn.recv()) is not None:
-            error = None
-            try:
-                sums = _step(state, *msg)
-                if sums is not None:
-                    own[...] = sums
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-            conn.send(error)
-    finally:
-        conn.close()
+    """The engine as opened for one worker."""
 
 
 @_own_steps
 class PoolSource(_Engine):
-    """Engine backed by forked worker processes.
-
-    The fixed partitions are distributed contiguously over workers, each
-    holding one state over its run of them; per-partition histograms come
-    back in partition order through shared memory and are reduced
-    exactly as in InlineSource, so results are bit-identical. No more
-    processes are forked than there are cores this process may run on
-    (`parallel.usable_cpus`): extra requested workers would only contend
-    for the same cores.
-    """
-
-    def __init__(self, binned, labels: np.ndarray, n_workers: int):
-        self.binned = binned
-        self.labels = labels
-        n_procs = max(1, min(n_workers, N_HIST_PARTS, usable_cpus()))
-        edges = _partition_edges(binned.n_rows)
-        assign = partition_rows(N_HIST_PARTS, n_procs)
-        hist_shape = (binned.n_features, binned.hist_bins, 3)
-        ctx = mp.get_context("fork")
-        shm = ctx.RawArray("d", N_HIST_PARTS * int(np.prod(hist_shape)))
-        self._slots = np.frombuffer(shm, dtype=np.float64).reshape((N_HIST_PARTS,) + hist_shape)
-        self._rows = [(edges[p_lo], edges[p_hi]) for p_lo, p_hi in assign]
-        self._conns = []
-        self._procs = []
-        for p_lo, p_hi in assign:
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(child_conn, p_lo, edges[p_lo : p_hi + 1], binned, labels, shm, hist_shape),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._procs.append(proc)
-
-    def _run(self, method, args=(), build_id=None, row_args=()) -> GradHistogram | None:
-        """Send one step to every worker, then wait for all of them to finish it.
-
-        Each worker receives only its own rows' slice of `row_args`. A
-        worker that died or whose step raised stops the pool and is
-        reported as a JamcastError naming the worker.
-        """
-        failed = None
-        try:
-            for worker, conn in enumerate(self._conns):
-                lo, hi = self._rows[worker]
-                conn.send((method, args + tuple(a[lo:hi] for a in row_args), build_id))
-            for worker, conn in enumerate(self._conns):
-                error = conn.recv()
-                if error is not None and failed is None:
-                    failed = (worker, f"failed: {error}")
-        except (EOFError, OSError):
-            failed = (worker, None)
-        if failed is not None:
-            worker, what = failed
-            proc = self._procs[worker]
-            self.close()
-            what = what or f"died with exit code {proc.exitcode}"
-            raise JamcastError(f"pool worker {worker} (pid {proc.pid}) {what}")
-        return None if build_id is None else _reduce(self.binned, self._slots)
+    """The engine as opened for several workers."""
 
     apply_split = _Engine.expand  # perfbench/tracer.py wraps it by name
 
-    def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(None)
-            except OSError:  # the worker is already gone
-                pass
-            conn.close()
-        for proc in self._procs:
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - defensive cleanup
-                proc.terminate()
-                proc.join()
-        self._conns = []
-        self._procs = []
-
 
 def open_engine(binned, labels: np.ndarray, n_workers: int):
-    """Inline engine for one worker, forked pool otherwise (fork platforms only)."""
-    if n_workers <= 1:
-        return InlineSource(binned, labels)
-    try:
-        mp.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platform fallback
-        return InlineSource(binned, labels)
-    return PoolSource(binned, labels, n_workers)
+    """The engine for `n_workers`; only the class name, which tracing reads, depends on it."""
+    return (InlineSource if n_workers <= 1 else PoolSource)(binned, labels, n_workers)

@@ -110,12 +110,14 @@ def build_histograms(
     g: np.ndarray,
     h: np.ndarray | None,
     bounds: Sequence[int],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-partition g/h/count histograms over exactly `rows` of a binned matrix.
 
     Returns an (n_parts, n_features, hist_bins, 3) array whose last axis is
-    (gradient, hessian, count). `bounds` are ascending row edges
-    b_0 <= ... <= b_P, and partition p sums the rows in [b_p, b_p+1).
+    (gradient, hessian, count): `out`, every slot overwritten, or a new
+    array. `bounds` are ascending row edges b_0 <= ... <= b_P, and
+    partition p sums the rows in [b_p, b_p+1).
     `rows` must be ascending and lie in [b_0, b_P). Every (partition, bin)
     slot accumulates its rows in that order, so the sums are
     bit-deterministic and the same as one build per partition.
@@ -134,7 +136,8 @@ def build_histograms(
     rows = np.asarray(rows, dtype=np.int64)
     cuts = np.searchsorted(rows, bounds).tolist()
     n_parts = len(cuts) - 1
-    out = np.zeros((n_parts, binned.codes.shape[0], binned.hist_bins, 3), dtype=np.float64)
+    if out is None:
+        out = np.empty((n_parts, binned.codes.shape[0], binned.hist_bins, 3), dtype=np.float64)
     p = 0
     while p < n_parts:
         q = p + 1
@@ -144,6 +147,8 @@ def build_histograms(
             group = rows[cuts[p] : cuts[q]]
             sizes = np.diff(cuts[p : q + 1])
             _accumulate_group(out[p:q], binned, group, sizes, g, h, bounds[0])
+        else:
+            out[p:q] = 0.0
         p = q
     return out
 

@@ -4,6 +4,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -51,6 +52,27 @@ def test_generate_negative_count_exits_one(tmp_path, capsys):
     rc = main(["generate", "--jams", "-1", "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_generate_window_ends_at_most_at_two_to_the_63(tmp_path, capsys):
+    """pub_dates lie in [start, end), so an end of 2**63 keeps every one inside int64."""
+    out = tmp_path / "data"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["generate", "--jams", "3", "--alerts", "3", "--start", "1",
+                   "--end", str(2**63), "--out", str(out)])
+    assert rc == 0
+    for name in ("jams.jsonl", "alerts.jsonl"):
+        for line in (out / name).read_bytes().splitlines():
+            assert 1 <= json.loads(line)["pub_date"] < 2**63
+    bad = tmp_path / "bad"
+    rc = main(["generate", "--jams", "3", "--start", "1", "--end", str(2**63 + 1),
+               "--out", str(bad)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: date_window must be two integers with 0 < start < end <= 2**63\n"
+    )
+    assert not (bad / "jams.jsonl").exists()
 
 
 def test_generate_config_file_flags_win(tmp_path):
@@ -404,8 +426,9 @@ def test_train_and_bench_outputs_are_pinned(tmp_path, monkeypatch, workers):
 
 
 _FAIL_IN_WORKER = """
-import multiprocessing, os, sys
+import multiprocessing, os, sys, time
 from jamcast.cli import main
+from jamcast.errors import JamcastError
 from jamcast.trees.engine import PartitionState
 
 parent = os.getpid()
@@ -413,6 +436,8 @@ parent = os.getpid()
 def fail_in_worker(self, second_order):
     if os.getpid() != parent:
         {failure}
+    else:
+        {in_parent}
 
 PartitionState.begin_round = fail_in_worker
 rc = main(sys.argv[1:])
@@ -421,12 +446,18 @@ sys.exit(rc)
 """
 
 
-def _train_failing_in_worker(tmp_path, failure: str) -> subprocess.CompletedProcess:
-    """`train --workers 2` in a subprocess whose pool workers run `failure` in begin_round."""
+def _train_failing_in_worker(
+    tmp_path, failure: str, in_parent: str = "pass"
+) -> subprocess.CompletedProcess:
+    """`train --workers 2` in a subprocess whose pool workers run `failure` in begin_round.
+
+    The parent, which holds partition run 0, runs `in_parent` there instead.
+    """
     matrix_path = _ingest(tmp_path)
     out = tmp_path / "failed.json"
+    script = _FAIL_IN_WORKER.format(failure=failure, in_parent=in_parent)
     proc = subprocess.run(
-        [sys.executable, "-c", _FAIL_IN_WORKER.format(failure=failure), "train",
+        [sys.executable, "-c", script, "train",
          "--matrix", str(matrix_path), "--model", "xgb", "--trees", "2", "--workers", "2",
          "--out", str(out)],
         capture_output=True,
@@ -451,6 +482,15 @@ def test_train_reports_a_worker_error(tmp_path):
         r"error: pool worker 0 \(pid \d+\) failed: ValueError: margin went sideways\n",
         proc.stderr,
     )
+
+
+def test_train_reports_an_error_in_the_parents_own_step(tmp_path):
+    """The parent's step raises; the slower worker's reply is still collected, so none prints."""
+    proc = _train_failing_in_worker(
+        tmp_path, "time.sleep(0.5)", in_parent='raise JamcastError("parent rows went sideways")'
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: parent rows went sideways\n"
 
 
 def test_train_on_a_truncated_matrix_exits_one(tmp_path, capsys):

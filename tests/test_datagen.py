@@ -60,6 +60,15 @@ def test_generator_output_is_pinned():
     )
 
 
+def test_noisy_generator_output_is_pinned():
+    """The jam bytes at coupling_noise > 0, which draw rng.normals for every banded field."""
+    buf = BytesIO()
+    generate_jams(GenConfig(n_jams=400, seed=2024, coupling_noise=0.3), buf)
+    assert hashlib.sha256(buf.getvalue()).hexdigest() == (
+        "a5b0c05f21b26fb04cc069ece24ee0105b82cff1fbb8b7b48c1f96312e0158c0"
+    )
+
+
 def test_seeded_determinism_bytes():
     a = _jam_bytes(n_jams=1000, seed=42)
     b = _jam_bytes(n_jams=1000, seed=42)

@@ -234,6 +234,17 @@ def test_blocked_histograms_match_the_per_partition_builds(node, block):
     assert reduced.tobytes() == reference.tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(_partitioned_node(), st.sampled_from([1, 5, 1 << 62]))
+def test_histograms_built_into_a_used_block_overwrite_every_slot(node, block):
+    """The engine reuses one block per state: a build leaves nothing of the one before."""
+    binned, rows, g, h, bounds = node
+    out = np.full((len(bounds) - 1, binned.n_features, binned.hist_bins, 3), 7.25)
+    with mock.patch.object(grower, "HIST_BLOCK_ROWS", block):
+        assert build_histograms(binned, rows, g, h, bounds, out=out) is out
+    assert out.tobytes() == per_partition_histograms(binned, rows, g, h, bounds).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # split finding
 

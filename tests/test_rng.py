@@ -1,4 +1,7 @@
+import hashlib
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +42,19 @@ def test_normals_moments():
     assert abs(z.mean()) < 0.01
     assert abs(z.std() - 1.0) < 0.01
     assert np.isfinite(z).all()
+
+
+@pytest.mark.parametrize(
+    "start, count, digest",
+    [
+        (0, 1, "85309f09c8f9ee4045f2f40694e276ef074e29b8f3c5c36f13782a79c8941715"),
+        (0, 1000, "98d26f2f0f3a30d5e0450b413ec2a3756151a2db69cb27761500d27ee62dd20b"),
+        (123457, 4097, "e45ec1a9a7020318b6e9eb1c9872989511a3e3055e8ca533f178c0284521456e"),
+        (2**40, 33, "c9c0dde5c63050cbe6067e448215aaad89f4025914be7414e52767d670f0a345"),
+    ],
+)
+def test_normals_bytes_are_pinned(start, count, digest):
+    assert hashlib.sha256(rng.normals(77, 5, start, count).tobytes()).hexdigest() == digest
 
 
 def test_permutation_is_permutation():

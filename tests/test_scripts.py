@@ -45,7 +45,7 @@ def test_bench_pipeline_appends_one_point_per_run(tmp_path):
     assert [p["workers"] for p in points] == [1, 2]
     point = points[-1]
     assert set(point) - {"host_sort_s"} == {
-        "git", "cpu_count", "rows", "train_rows", "feature_set", "workers",
+        "git", "cpu_count", "usable_cpus", "rows", "train_rows", "feature_set", "workers",
         "seed", "trees", "stages_s", "ingest_rows_per_s", "peak_rss_mb"}
     assert point["host_sort_s"] > 0
     assert (point["rows"], point["feature_set"]) == (3000, "honest")

@@ -184,7 +184,7 @@ def test_uneven_pool_models_match_the_inline_engine(monkeypatch, tmp_path, hones
 
 
 def test_pool_forks_no_more_workers_than_the_process_may_use(monkeypatch, honest_matrix):
-    """os.cpu_count() counts the host; a process pinned to one CPU forks one worker."""
+    """os.cpu_count() counts the host; a process pinned to one CPU forks no worker."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     forked = []
@@ -199,8 +199,61 @@ def test_pool_forks_no_more_workers_than_the_process_may_use(monkeypatch, honest
     for w in (1, 2):
         config = TrainConfig(n_trees=2, max_depth=4, seed=5, n_workers=w)
         docs.append(json.dumps(model_to_doc(fit(train_xgb, honest_matrix, config=config))))
-    assert forked == [1]
+    assert forked == [0]
     assert docs[0] == docs[1]
+
+
+def test_a_platform_without_fork_trains_in_the_parent(monkeypatch, tmp_path, honest_matrix):
+    """With no fork context, 2 workers fork nothing and write the 1-worker model bytes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forked = []
+    pool_init = engine.PoolSource.__init__
+
+    def recording_init(self, *args):
+        pool_init(self, *args)
+        forked.append(len(self._procs))
+
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    def model_files(w):
+        config = TrainConfig(n_trees=2, max_depth=4, seed=5, n_workers=w)
+        for train in (train_rf, train_gbt, train_xgb):
+            path = tmp_path / f"{train.__name__}_w{w}.json"
+            save_model(path, fit(train, honest_matrix, config=config), run_id="fixed")
+            yield path.read_bytes()
+
+    inline = list(model_files(1))
+    monkeypatch.setattr(engine.mp, "get_context", no_fork)
+    monkeypatch.setattr(engine.PoolSource, "__init__", recording_init)
+    assert list(model_files(2)) == inline
+    assert forked == [0, 0, 0]
+
+
+def test_a_failing_parent_step_collects_every_reply_first(monkeypatch, small_matrix):
+    """The parent's own step raises only once every forked worker has replied."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    parent = os.getpid()
+    begin_round = engine.PartitionState.begin_round
+
+    def fail_in_parent(self, second_order):
+        if os.getpid() == parent:
+            raise ValueError("parent rows went sideways")
+        begin_round(self, second_order)
+
+    monkeypatch.setattr(engine.PartitionState, "begin_round", fail_in_parent)
+    binned = quantize(small_matrix.values[:1000], 16)
+    source = engine.PoolSource(binned, small_matrix.labels[:1000].astype(np.float64), 3)
+    procs = list(source._procs)
+    try:
+        source.init_boost(0.0)
+        with pytest.raises(ValueError, match="sideways"):
+            source.begin_round(second_order=True)
+        assert len(source._conns) == 2
+        assert not any(conn.poll(0.5) for conn in source._conns)  # no reply left unread
+    finally:
+        source.close()
+    assert not any(proc.is_alive() for proc in procs)
 
 
 def test_quantize_threads_no_more_than_the_process_may_use(monkeypatch):
@@ -241,11 +294,13 @@ def test_pool_workers_receive_only_their_own_rows_weights(monkeypatch, small_mat
     try:
         source._conns = [_RecordingConn(c) for c in source._conns]
         source.begin_tree_weighted(mult)
+        own_weights = source.state.h  # the parent's rows, never pickled
         pooled = source.node_hist(0)
         sent = [c.sent[0] for c in source._conns]
     finally:
         source.close()
-    for (lo, hi), (method, args, build_id) in zip(((0, 500), (500, 1000)), sent):
+    assert len(sent) == 1 and np.array_equal(own_weights, mult[0:500])
+    for (lo, hi), (method, args, build_id) in zip(((500, 1000),), sent):
         assert method == "begin_tree_weighted" and build_id is None
         (weights,) = args
         assert np.array_equal(weights, mult[lo:hi])
