@@ -2,21 +2,25 @@
 """End-to-end pipeline benchmark: seconds per stage at a fixed size.
 
 Generates a seeded jam corpus, ingests it as one stream (parse, clean and
-encode, each timed by the seconds spent producing its blocks), then runs
-`evaluation.bench` on the matrix as `jamcast bench` does: a 75/25 split by
-row index, one quantize of the training rows, and rf, gbt and xgb each
-trained on its result and predicting the test rows. The quantize, train
-and predict seconds are the bench reports', so no train time includes the
-quantize; a kind that fails ends the run with exit code 1. Every run
-appends one point to --out (a JSON list, created if missing) with the git
-revision, os.cpu_count(), `usable_cpus` (the CPUs this process may run on,
-which cap the training engine's process count, this one included), the
-sizes, each stage's seconds, the ingest rows per second, this process's
-peak RSS and a host yardstick, `host_sort_s`: the median seconds of 3
-sorts of a seeded 4M-value float64 array, taken after the peak RSS is
-read, so points taken while the host ran slow can be told apart. This
-process holds the training state of the first run of partitions, so its
-share is in the peak RSS; the forked workers' memory is not.
+encode, each timed by the seconds spent producing its blocks), saves the
+matrix and drops it, then runs `evaluation.bench` on what `load_matrix`
+reads back, as `jamcast bench` does: a 75/25 split by row index, one
+quantize of the training rows read a column at a time from the file, and
+rf, gbt and xgb each trained on its result and predicting the test rows.
+The quantize, train and predict seconds are the bench reports', so no
+train time includes the quantize; a kind that fails ends the run with exit
+code 1. Every run appends one point to --out (a JSON list, created if
+missing) with the git revision, os.cpu_count(), `usable_cpus` (the CPUs
+this process may run on, which cap the training engine's process count,
+this one included), the sizes, each stage's seconds, the ingest rows per
+second, this process's peak RSS and a host yardstick, `host_sort_s`: the
+median seconds of 3 sorts of a seeded 4M-value float64 array, taken after
+the peak RSS is read, so points taken while the host ran slow can be told
+apart. No stage holds another's matrix, so the peak RSS is the highest of
+the generate, ingest and bench stages, as the peak of the three CLI
+commands would be. This process holds the training state of the first run
+of partitions, so its share is in the peak RSS; the forked workers' memory
+is not.
 
     PYTHONPATH=src python scripts/bench_pipeline.py --rows 1000000 \\
         --feature-set honest --workers 1
@@ -38,7 +42,16 @@ import numpy as np
 
 from jamcast.datagen import GenConfig, generate_jams
 from jamcast.evaluation import bench
-from jamcast.ingest import FEATURE_SETS, clean, count_lines, encode, parse_jams, schema_for
+from jamcast.ingest import (
+    FEATURE_SETS,
+    clean,
+    count_lines,
+    encode,
+    load_matrix,
+    parse_jams,
+    save_matrix,
+    schema_for,
+)
 from jamcast.parallel import usable_cpus
 from jamcast.trees.training import TRAINERS, TrainConfig
 
@@ -81,7 +94,7 @@ def timed_blocks(blocks, seconds: dict, key: str):
         yield block
 
 
-def ingest(path: Path, feature_set: str) -> tuple[object, dict]:
+def ingest(path: Path, feature_set: str) -> tuple[object, object, dict]:
     """Stream parse -> clean -> encode, with each stage's own seconds.
 
     As in `ingest_files`, the file's lines are counted first so encode
@@ -94,9 +107,9 @@ def ingest(path: Path, feature_set: str) -> tuple[object, dict]:
         parsed, _ = parse_jams(fh)
         cleaned, _ = clean(timed_blocks(parsed, spent, "parse"))
         blocks = timed_blocks(cleaned, spent, "parse+clean")
-        matrix, _ = encode(blocks, schema_for(feature_set), max_rows=n_upper)
+        matrix, encoding = encode(blocks, schema_for(feature_set), max_rows=n_upper)
     total = time.perf_counter() - t0
-    return matrix, {
+    return matrix, encoding, {
         "parse": spent["parse"],
         "clean": spent["parse+clean"] - spent["parse"],
         "encode": total - spent["parse+clean"],
@@ -111,9 +124,13 @@ def run(rows: int, feature_set: str, workers: int, seed: int, trees: int, work_d
         generate_jams(GenConfig(n_jams=rows, seed=seed), fh)
     stages["generate"] = time.perf_counter() - t0
 
-    matrix, ingest_s = ingest(corpus, feature_set)
+    matrix, encoding, ingest_s = ingest(corpus, feature_set)
     stages.update(ingest_s)
     corpus.unlink()
+    save_matrix(work_dir / "matrix.tjm", matrix, encoding)
+    # the encoded matrix is dropped: bench reads the saved one a column at a
+    # time, as `jamcast bench` does
+    matrix, _ = load_matrix(work_dir / "matrix.tjm")
 
     config = TrainConfig(n_trees=trees, max_depth=5, max_leaves=256, seed=seed, n_workers=workers)
     reports = bench(matrix, list(TRAINERS), config, train_fraction=0.75, seed=seed)

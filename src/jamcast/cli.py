@@ -258,7 +258,7 @@ def _cmd_train(args, argv: list[str]) -> int:
     config.validate()
     matrix, _ = load_matrix(args.matrix)
     digests = {str(args.matrix): file_digest(args.matrix)}
-    binned = quantize(matrix.values, config.max_bins, n_threads=config.n_workers)
+    binned = quantize(matrix, config.max_bins, n_threads=config.n_workers)
     model = TRAINERS[args.model](binned, matrix.labels, config, matrix.schema)
 
     config_doc = {**config.identity(), "model": args.model}

@@ -23,3 +23,7 @@ class DegenerateNodeError(JamcastError):
 
 class UndefinedMetricError(JamcastError):
     """Metric has no defined value for the given inputs (e.g. single-class AUC)."""
+
+
+class FileChangedError(ValidationError):
+    """A data file was cut short or rewritten after it was opened and checked."""

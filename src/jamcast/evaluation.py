@@ -21,7 +21,13 @@ from typing import Sequence
 import numpy as np
 
 from jamcast import rng
-from jamcast.errors import ConfigError, JamcastError, UndefinedMetricError, ValidationError
+from jamcast.errors import (
+    ConfigError,
+    FileChangedError,
+    JamcastError,
+    UndefinedMetricError,
+    ValidationError,
+)
 from jamcast.ingest import FeatureMatrix
 from jamcast.manifest import write_json
 from jamcast.trees.binning import quantize
@@ -190,15 +196,17 @@ def bench(
     """Split, quantize the training rows once, then train, predict and score
     each model kind under one config.
 
-    The split is by row index, so the matrix is held once: quantize reads
-    the training rows from its columns, and each kind's predict gets its
-    own copy of the test rows, freed before the next kind trains.
+    The split is by row index and no row is copied: quantize gathers the
+    training rows from each feature's column, and predict gathers the test
+    rows of each feature its trees split on. A matrix from `load_matrix`
+    is read a column at a time, so bench never holds its float values.
 
     Kinds run one at a time so timings are not contaminated by
     co-scheduling; wall times cover the split's quantize, training and
     prediction, never ingestion or serialization. A kind that fails is
     recorded in its report and the remaining kinds still run; a failed
-    quantize is recorded in every kind's report.
+    quantize is recorded in every kind's report. A matrix file changed
+    after it was loaded (FileChangedError) fails the whole bench.
     """
     if not kinds:
         return []
@@ -217,10 +225,10 @@ def bench(
     ]
     try:
         t0 = time.perf_counter()
-        binned = quantize(
-            matrix.values, config.max_bins, n_threads=config.n_workers, rows=train_rows
-        )
+        binned = quantize(matrix, config.max_bins, n_threads=config.n_workers, rows=train_rows)
         quantize_seconds = time.perf_counter() - t0
+    except FileChangedError:
+        raise
     except JamcastError as exc:
         for report in reports:
             report.error = f"{type(exc).__name__}: {exc}"
@@ -236,7 +244,7 @@ def bench(
             model = trainer(binned, train_labels, config, matrix.schema)
             report.train_seconds = time.perf_counter() - t0
             t0 = time.perf_counter()
-            scores = predict(model, matrix.take(test_rows))
+            scores = predict(model, matrix, rows=test_rows)
             report.predict_seconds = time.perf_counter() - t0
             report.cm = confusion(scores, test_labels, threshold)
             pr = precision_recall(report.cm)
@@ -245,6 +253,8 @@ def bench(
             report.recall = pr.recall
             report.precision_defined = pr.precision_defined
             report.recall_defined = pr.recall_defined
+        except FileChangedError:
+            raise
         except JamcastError as exc:
             report.error = f"{type(exc).__name__}: {exc}"
     return reports

@@ -52,21 +52,56 @@ def _feature_thresholds(col: np.ndarray, max_bins: int) -> np.ndarray:
     return np.unique(v[pos]).astype(np.float64)
 
 
-def bin_codes(col: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Bin code per value: the count of edges below it; NaN gets the missing bin, edges.size + 1."""
-    codes = np.searchsorted(edges, col, side="left")
-    codes[np.isnan(col)] = edges.size + 1
-    return codes
+_CODE_BLOCK = 1 << 16  # values searched at a time by bin_codes
+
+
+def bin_codes(column: np.ndarray, edges: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write each value's bin code into `out` and return it: the count of edges
+    below the value; NaN gets the missing bin, edges.size + 1.
+
+    The codes are searched a block of values at a time and cast into `out`'s
+    unsigned type, so no int64 code array of the whole column exists.
+    """
+    missing = edges.size + 1
+    for lo in range(0, column.size, _CODE_BLOCK):
+        part = column[lo : lo + _CODE_BLOCK]
+        codes = np.searchsorted(edges, part, side="left")
+        codes[np.isnan(part)] = missing
+        out[lo : lo + _CODE_BLOCK] = codes
+    return out
+
+
+def feature_columns(data, rows: np.ndarray | None = None):
+    """(n_rows, n_features, column): the number of rows `rows` selects (all
+    without it), the number of features, and column(j), feature j's values
+    at those rows, in that order.
+
+    `data` is a 2-d (n_rows, n_features) array, or a matrix with `column(j)`,
+    `n_rows` and `n_features` (an `ingest.FeatureMatrix`, which may read each
+    column from its file when asked for it).
+    """
+    if hasattr(data, "column"):
+        read, (n_rows, n_features) = data.column, (data.n_rows, data.n_features)
+    else:
+        data = np.asarray(data, dtype=np.float64)
+        if data.ndim != 2:
+            raise ValidationError(f"expected a 2-d matrix, got shape {data.shape}")
+        read, (n_rows, n_features) = (lambda j: data[:, j]), data.shape
+    if rows is None:
+        return n_rows, n_features, read
+    return len(rows), n_features, lambda j: read(j)[rows]
 
 
 def quantize(
-    values: np.ndarray, max_bins: int = 256, n_threads: int = 1, rows: np.ndarray | None = None
+    values, max_bins: int = 256, n_threads: int = 1, rows: np.ndarray | None = None
 ) -> BinnedMatrix:
-    """Quantize a row-major (n_rows, n_features) float matrix into bin codes.
+    """Quantize an (n_rows, n_features) float matrix into bin codes.
 
-    Per-feature quantile edges over at most max_bins real bins; constant
-    features get a single bin; NaN maps to the feature's reserved missing
-    bin. Binning preserves order: a <= b implies bin(a) <= bin(b).
+    `values` is a row-major array or a matrix whose columns are read one at
+    a time (see `feature_columns`). Per-feature quantile edges over at most
+    max_bins real bins; constant features get a single bin; NaN maps to the
+    feature's reserved missing bin. Binning preserves order: a <= b implies
+    bin(a) <= bin(b).
 
     With `rows`, only those rows are quantized, in that order, exactly as
     quantize(values[rows]) would be; each feature's rows are gathered from
@@ -81,16 +116,10 @@ def quantize(
         raise ConfigError(f"max_bins must be >= 2, got {max_bins}")
     if max_bins > 65534:
         raise ConfigError(f"max_bins too large for uint16 codes: {max_bins}")
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValidationError(f"expected a 2-d matrix, got shape {values.shape}")
-    n_rows, n_features = values.shape if rows is None else (len(rows), values.shape[1])
+    n_rows, n_features, column = feature_columns(values, rows)
     if n_rows < 1:
-        raise ValidationError(f"expected at least one row, got shape {values.shape}")
+        raise ValidationError(f"expected at least one row, got {n_rows}")
     n_threads = max(1, min(n_threads, n_features, usable_cpus()))
-
-    def column(j: int) -> np.ndarray:
-        return values[:, j] if rows is None else values[rows, j]
 
     def _map(fn, items):
         if n_threads == 1 or n_rows * n_features < 1 << 20:
@@ -102,13 +131,7 @@ def quantize(
         lambda j: _feature_thresholds(column(j), max_bins), range(n_features)
     )
     n_real = np.array([e.size + 1 for e in edges], dtype=np.int64)
-
-    dtype = np.uint8 if int(n_real.max()) + 1 <= 256 else np.uint16
-    codes = np.empty((n_features, n_rows), dtype=dtype)
-
-    def _bin_feature(j: int) -> None:
-        codes[j] = bin_codes(column(j), edges[j])
-
-    _map(_bin_feature, range(n_features))
-
+    # the narrowest type holding every feature's missing bin, n_real
+    codes = np.empty((n_features, n_rows), dtype=np.min_scalar_type(int(n_real.max())))
+    _map(lambda j: bin_codes(column(j), edges[j], codes[j]), range(n_features))
     return BinnedMatrix(codes=codes, edges=edges, n_real_bins=n_real, n_rows=n_rows)

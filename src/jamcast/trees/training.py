@@ -29,7 +29,7 @@ import numpy as np
 from jamcast import rng
 from jamcast.errors import ConfigError, ValidationError
 from jamcast.manifest import write_json
-from jamcast.trees.binning import BinnedMatrix, bin_codes
+from jamcast.trees.binning import BinnedMatrix, bin_codes, feature_columns
 from jamcast.trees.engine import open_engine
 from jamcast.trees.grower import (
     DecisionTree,
@@ -243,30 +243,37 @@ def _leaf_values(tree: DecisionTree, codes: dict[int, np.ndarray], edges, n_rows
     return out
 
 
-def predict(ensemble: Ensemble, rows) -> np.ndarray:
-    """Probability of the positive class for each row.
+def predict(ensemble: Ensemble, matrix, rows: np.ndarray | None = None) -> np.ndarray:
+    """Probability of the positive class for each row of `matrix`, or for
+    each of `rows` in that order, exactly as for a copy of those rows.
 
-    Each tree routes rows by their bin codes under bin_edges, as training did.
+    `matrix` is a FeatureMatrix, whose schema must be the model's, or an
+    (n_rows, n_features) array (a 1-d array is one row). Only the features
+    the trees split on are read, and only at the rows predicted; each tree
+    routes rows by their bin codes under bin_edges, as training did.
     rf: mean of per-tree leaf fractions. Boosting kinds:
     sigmoid(base_margin + learning_rate * sum of leaf weights).
     """
-    if hasattr(rows, "values") and hasattr(rows, "schema_fingerprint"):
-        if rows.schema_fingerprint != ensemble.schema_fingerprint:
+    if hasattr(matrix, "schema_fingerprint"):
+        if matrix.schema_fingerprint != ensemble.schema_fingerprint:
             raise ValidationError(
                 "matrix schema fingerprint does not match the model's training schema"
             )
-        values = rows.values
     else:
-        values = np.asarray(rows, dtype=np.float64)
-        if values.ndim == 1:
-            values = values[None, :]
-        if values.shape[1] != ensemble.n_features:
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim == 1:
+            matrix = matrix[None, :]
+        if matrix.shape[1] != ensemble.n_features:
             raise ValidationError(
-                f"expected {ensemble.n_features} features, got {values.shape[1]}"
+                f"expected {ensemble.n_features} features, got {matrix.shape[1]}"
             )
-    n_rows = values.shape[0]
+    n_rows, _, column = feature_columns(matrix, rows)
     used = {n.feature for tree in ensemble.trees for n in tree.nodes if not n.is_leaf}
-    codes = {f: bin_codes(values[:, f], ensemble.bin_edges[f]) for f in sorted(used)}
+    codes = {}
+    for f in sorted(used):
+        edges = ensemble.bin_edges[f]
+        out = np.empty(n_rows, dtype=np.min_scalar_type(edges.size + 1))
+        codes[f] = bin_codes(column(f), edges, out)
     rf = ensemble.kind == "rf"
     if rf and not ensemble.trees:
         return np.full(n_rows, 0.5)

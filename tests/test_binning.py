@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import synthetic_matrix
 from jamcast.errors import ConfigError, ValidationError
-from jamcast.trees.binning import quantize
+from jamcast.ingest import load_matrix, save_matrix
+from jamcast.trees import binning
+from jamcast.trees.binning import bin_codes, quantize
 from oracles import reference_feature_thresholds
 
 
@@ -129,3 +132,53 @@ def test_binning_respects_order_and_bounds(raw, max_bins):
     assert (codes < binned.n_real_bins[0]).all()
     order = np.argsort(values[:, 0], kind="mergesort")
     assert (np.diff(codes[order]) >= 0).all()
+
+
+def _searchsorted_codes(column, edges):
+    """Codes as one int64 searchsorted of the whole column, NaN to edges.size + 1."""
+    codes = np.searchsorted(edges, column, side="left")
+    codes[np.isnan(column)] = edges.size + 1
+    return codes
+
+
+@pytest.mark.parametrize("block", [7, 1 << 16])
+def test_bin_codes_equal_searchsorted_codes(monkeypatch, block):
+    """Codes searched a block at a time into uint8 or uint16 equal one searchsorted's."""
+    monkeypatch.setattr(binning, "_CODE_BLOCK", block)
+    rng = np.random.default_rng(4)
+    for n_edges in (0, 1, 5, 253, 254, 300):
+        edges = np.unique(rng.integers(-400, 400, size=4 * n_edges))[:n_edges].astype(float)
+        if n_edges > 1:
+            edges[0] = -np.inf  # quantize makes -inf an edge when it is a value
+        special = np.r_[edges, np.nan, np.inf, -np.inf, -0.0, 0.0]
+        column = rng.choice(np.r_[rng.normal(0, 300, 500), special], 150_001)
+        out = np.empty(column.size, dtype=np.min_scalar_type(n_edges + 1))
+        assert out.dtype == (np.uint8 if n_edges < 255 else np.uint16)
+        assert bin_codes(column, edges, out) is out
+        assert np.array_equal(out, _searchsorted_codes(column, edges))
+
+
+@pytest.fixture(scope="module")
+def stored_matrix(tmp_path_factory):
+    """A 90k-row leaky matrix, and the same matrix loaded from its .tjm file."""
+    matrix, enc = synthetic_matrix(90_000, seed=8, feature_set="leaky")
+    path = tmp_path_factory.mktemp("stored") / "m.tjm"
+    save_matrix(path, matrix, enc)
+    return matrix, load_matrix(path)[0]
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+@pytest.mark.parametrize("max_bins", [256, 300])  # uint8 and uint16 codes
+def test_a_loaded_matrix_quantizes_as_its_values(stored_matrix, n_threads, max_bins):
+    """quantize reads a loaded matrix a column at a time: the same codes, dtype and edges."""
+    matrix, loaded = stored_matrix
+    rng = np.random.default_rng(5)
+    for rows in (None, np.sort(rng.choice(matrix.n_rows, 67_500, replace=False)),
+                 rng.integers(0, matrix.n_rows, 500)):
+        want = quantize(matrix.values, max_bins, n_threads=n_threads, rows=rows)
+        got = quantize(loaded, max_bins, n_threads=n_threads, rows=rows)
+        assert got.n_rows == want.n_rows and got.codes.dtype == want.codes.dtype
+        assert got.codes.flags.c_contiguous
+        assert got.codes.tobytes() == want.codes.tobytes()
+        assert np.array_equal(got.n_real_bins, want.n_real_bins)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got.edges, want.edges))

@@ -4,6 +4,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import jam_line, strict_json
+from jamcast import cli, evaluation
 from jamcast.cli import main
 from jamcast.ingest import FeatureMatrix, load_matrix, save_matrix
 from jamcast.trees.binning import quantize
@@ -502,6 +504,56 @@ def test_train_on_a_truncated_matrix_exits_one(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: .*m\.tjm: truncated tjm file\n", err)
+    assert not out.exists()
+
+
+def test_bench_peaks_below_the_float_matrix(tmp_path):
+    """bench reads the loaded matrix a column at a time and never holds its float64 values.
+
+    Its training state grows with the rows too (about 0.8x the float matrix
+    at 200k leaky rows, 0.9x at 100k), and the histograms add a fixed part.
+    """
+    matrix_path = _ingest(tmp_path, n=100_000)
+    matrix, _ = load_matrix(matrix_path)
+    float_bytes = matrix.n_rows * matrix.n_features * 8
+    tracemalloc.start()
+    try:
+        rc = main(["bench", "--matrix", str(matrix_path), "--trees", "2", "--max-depth", "3",
+                   "--out-dir", str(tmp_path / "bench")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < float_bytes
+
+
+def _cut_short_after(fn, path: Path):
+    """`fn`, which then truncates `path` to half its size."""
+
+    def cut(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        with open(path, "r+b") as fh:
+            fh.truncate(path.stat().st_size // 2)
+        return result
+
+    return cut
+
+
+@pytest.mark.parametrize("command, after", [
+    ("train", "load_matrix"), ("bench", "load_matrix"), ("bench", "quantize")])
+def test_a_matrix_cut_short_after_it_was_loaded_exits_one(tmp_path, monkeypatch, capsys,
+                                                          command, after):
+    """A .tjm truncated once loaded (or once bench quantized it) is exit 1, no traceback."""
+    matrix_path = _ingest(tmp_path, n=300)
+    module = cli if after == "load_matrix" else evaluation
+    monkeypatch.setattr(module, after, _cut_short_after(getattr(module, after), matrix_path))
+    out = tmp_path / "out"
+    argv = {"train": ["train", "--model", "xgb", "--out", str(out)],
+            "bench": ["bench", "--out-dir", str(out)]}[command]
+    rc = main(argv + ["--matrix", str(matrix_path), "--trees", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: .*m\.tjm: tjm file changed after it was loaded\n", err)
     assert not out.exists()
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import column, jam_line, parse_all, synthetic_matrix
 from jamcast.datagen import GenConfig, generate_jams
-from jamcast.errors import JamcastError, SchemaError, ValidationError
+from jamcast.errors import FileChangedError, JamcastError, SchemaError, ValidationError
 import jamcast.ingest as ingest
 from jamcast.ingest import (
     FeatureSchema,
@@ -292,6 +292,39 @@ def test_load_matrix_holds_the_matrix_once(tmp_path):
     assert load_peak < 1.5 * matrix.values.nbytes
     assert np.array_equal(loaded.values, matrix.values, equal_nan=True)
     assert np.array_equal(loaded.labels, matrix.labels)
+
+
+def test_a_loaded_matrix_saves_over_its_own_file(tmp_path):
+    """save_matrix reads a loaded matrix's columns before it empties the file they are in."""
+    matrix, enc = synthetic_matrix(2_000, seed=5)
+    path = tmp_path / "m.tjm"
+    save_matrix(path, matrix, enc, run_id="r")
+    data = path.read_bytes()
+    loaded, enc2 = load_matrix(path)
+    save_matrix(path, loaded, enc2, run_id="r")
+    assert path.read_bytes() == data
+
+
+@pytest.mark.parametrize("change", ["truncate", "replace"])
+def test_a_matrix_file_changed_after_loading_fails_its_reads(tmp_path, change):
+    """Columns are read when asked for: a file cut short, or replaced by another of
+    the same size, is a FileChangedError then, never values from the wrong file."""
+    matrix, enc = synthetic_matrix(2_000, seed=5)
+    path = tmp_path / "m.tjm"
+    save_matrix(path, matrix, enc)
+    loaded, _ = load_matrix(path)
+    if change == "truncate":
+        with open(path, "r+b") as fh:
+            fh.truncate(path.stat().st_size - 1)
+    else:
+        other = tmp_path / "other.tjm"
+        save_matrix(other, synthetic_matrix(2_000, seed=6)[0], enc)
+        assert other.stat().st_size == path.stat().st_size
+        other.replace(path)
+    with pytest.raises(FileChangedError, match="changed after it was loaded"):
+        loaded.column(0)
+    with pytest.raises(FileChangedError):
+        loaded.values
 
 
 def test_truncated_matrix_file_is_a_validation_error(tmp_path):

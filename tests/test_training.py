@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from jamcast import rng as streams
 from jamcast.errors import ConfigError, JamcastError, ValidationError
 from jamcast.evaluation import split_train_test
+from jamcast.ingest import EncodingMap, load_matrix, save_matrix
 from jamcast.trees import binning, engine
 from jamcast.trees.binning import quantize
 from jamcast.trees.grower import sigmoid
@@ -665,3 +666,20 @@ def test_engine_sets_the_exact_sums_flag_per_tree(small_matrix):
     source.init_boost(0.0)
     source.begin_round(second_order=False)
     assert not source.exact_sums
+
+
+def test_predict_rows_equal_predict_of_their_copy(small_matrix, tmp_path):
+    """predict(rows=) bins only the chosen rows of the used features, bit for bit as a copy."""
+    save_matrix(tmp_path / "m.tjm", small_matrix, EncodingMap())
+    loaded, _ = load_matrix(tmp_path / "m.tjm")
+    rng = np.random.default_rng(12)
+    n = small_matrix.n_rows
+    row_sets = (np.sort(rng.choice(n, n // 4, replace=False)), rng.integers(0, n, 3000),
+                np.array([n - 1]))
+    tc = TrainConfig(n_trees=3, max_depth=4, seed=3)
+    for trainer in (train_rf, train_gbt, train_xgb):
+        model = fit(trainer, small_matrix, config=tc)
+        for rows in row_sets:
+            want = predict(model, small_matrix.take(rows))
+            for data in (small_matrix, loaded, small_matrix.values):
+                assert predict(model, data, rows=rows).tobytes() == want.tobytes()
