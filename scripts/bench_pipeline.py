@@ -2,8 +2,10 @@
 """End-to-end pipeline benchmark: seconds per stage at a fixed size.
 
 Generates a seeded jam corpus, ingests it as one stream (parse, clean and
-encode, each timed by the seconds spent producing its blocks), saves the
-matrix and drops it, then runs `evaluation.bench` on what `load_matrix`
+encode, each timed by the seconds spent producing its blocks; encode spools
+the columns into the work directory, as `jamcast ingest` spools them beside
+its output), saves the matrix and drops it, then runs `evaluation.bench` on
+what `load_matrix`
 reads back, as `jamcast bench` does: a 75/25 split by row index, one
 quantize of the training rows read a column at a time from the file, and
 rf, gbt and xgb each trained on its result and predicting the test rows.
@@ -16,11 +18,12 @@ this one included), the sizes, each stage's seconds, the ingest rows per
 second, this process's peak RSS and a host yardstick, `host_sort_s`: the
 median seconds of 3 sorts of a seeded 4M-value float64 array, taken after
 the peak RSS is read, so points taken while the host ran slow can be told
-apart. No stage holds another's matrix, so the peak RSS is the highest of
-the generate, ingest and bench stages, as the peak of the three CLI
-commands would be. This process holds the training state of the first run
-of partitions, so its share is in the peak RSS; the forked workers' memory
-is not.
+apart. No stage holds the float matrix: ingest holds one block of lines
+and a label byte per row, and bench the quantized training rows, so the
+peak RSS is the highest of the generate, ingest and bench stages, as the
+peak of the three CLI commands would be. This process holds the training
+state of the first run of partitions, so its share is in the peak RSS; the
+forked workers' memory is not.
 
     PYTHONPATH=src python scripts/bench_pipeline.py --rows 1000000 \\
         --feature-set honest --workers 1
@@ -94,11 +97,12 @@ def timed_blocks(blocks, seconds: dict, key: str):
         yield block
 
 
-def ingest(path: Path, feature_set: str) -> tuple[object, object, dict]:
+def ingest(path: Path, feature_set: str, spool_dir: Path) -> tuple[object, object, dict]:
     """Stream parse -> clean -> encode, with each stage's own seconds.
 
     As in `ingest_files`, the file's lines are counted first so encode
-    allocates the matrix once; the count is in the encode stage's time.
+    spools each column, in `spool_dir`, with room for that many rows; the
+    count is in the encode stage's time.
     """
     spent = {"parse": 0.0, "parse+clean": 0.0}
     t0 = time.perf_counter()
@@ -107,7 +111,8 @@ def ingest(path: Path, feature_set: str) -> tuple[object, object, dict]:
         parsed, _ = parse_jams(fh)
         cleaned, _ = clean(timed_blocks(parsed, spent, "parse"))
         blocks = timed_blocks(cleaned, spent, "parse+clean")
-        matrix, encoding = encode(blocks, schema_for(feature_set), max_rows=n_upper)
+        matrix, encoding = encode(blocks, schema_for(feature_set), max_rows=n_upper,
+                                  spool_dir=spool_dir)
     total = time.perf_counter() - t0
     return matrix, encoding, {
         "parse": spent["parse"],
@@ -124,12 +129,12 @@ def run(rows: int, feature_set: str, workers: int, seed: int, trees: int, work_d
         generate_jams(GenConfig(n_jams=rows, seed=seed), fh)
     stages["generate"] = time.perf_counter() - t0
 
-    matrix, encoding, ingest_s = ingest(corpus, feature_set)
+    matrix, encoding, ingest_s = ingest(corpus, feature_set, work_dir)
     stages.update(ingest_s)
     corpus.unlink()
     save_matrix(work_dir / "matrix.tjm", matrix, encoding)
-    # the encoded matrix is dropped: bench reads the saved one a column at a
-    # time, as `jamcast bench` does
+    # the encoded matrix and its spool are dropped: bench reads the saved one a
+    # column at a time, as `jamcast bench` does
     matrix, _ = load_matrix(work_dir / "matrix.tjm")
 
     config = TrainConfig(n_trees=trees, max_depth=5, max_leaves=256, seed=seed, n_workers=workers)

@@ -231,7 +231,10 @@ def _cmd_ingest(args, argv: list[str]) -> int:
             raise ConfigError("--window-start must be before --window-end")
     schema = schema_for(args.feature_set)
     digests = {p: file_digest(p) for p in paths}
-    matrix, encoding, summary = ingest_files(paths, schema, window=window)
+    # the spool sits beside the matrix, on the filesystem chosen for it
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    matrix, encoding, summary = ingest_files(paths, schema, window=window,
+                                             spool_dir=args.out.parent)
 
     config_doc = {
         "feature_set": args.feature_set,
@@ -239,7 +242,6 @@ def _cmd_ingest(args, argv: list[str]) -> int:
         "schema_fingerprint": matrix.schema_fingerprint,
     }
     run_id = make_run_id("ingest", config_doc, digests)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
     save_matrix(args.out, matrix, encoding, run_id=run_id)
     report_path = Path(str(args.out) + ".report.json")
     write_json(report_path, summary.as_dict())

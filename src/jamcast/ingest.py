@@ -6,9 +6,9 @@ key are transposed into columns, and each column is checked with one
 set-of-types test and one numpy mask. Only rows failing a fast check go to
 the scalar validator `_jam_rejection`, whose order of checks decides which
 rejection reason wins. `clean` drops rows with ordered masks and `encode`
-writes each block's columns into a matrix allocated once, for as many rows
-as the input has lines, so memory holds one block of lines and decoded
-objects plus the output matrix.
+writes each block's columns into a spool file, so memory holds one block of
+lines and decoded objects plus one label byte per row, whatever the corpus
+size; the matrix's columns are read from the spool when asked for.
 
 Parsing is line-tolerant: every non-empty line either yields a row or
 increments a rejection reason, and rows_accepted + rows_rejected always
@@ -23,13 +23,17 @@ functional tie to the jam level, `leaky` adds the level-coupled telemetry
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import math
 import operator
 import os
+import secrets
 import struct
+import tempfile
+import weakref
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
@@ -142,11 +146,11 @@ class IngestReport:
 class FeatureMatrix:
     """Encoded design matrix: (n_rows, n_features) float64 values plus boolean labels.
 
-    `encode` holds the values column-major, one contiguous block per
-    feature as .tjm files store them, and returns the row-major view of
-    that block. A matrix from `load_matrix` holds only its labels: each
-    `column(j)` is read from its file when asked for, and `values` reads
-    every column the first time it is used and keeps them.
+    A matrix from `encode` or `load_matrix` holds only its labels: each
+    `column(j)` is read from its store, the spool `encode` wrote or the
+    .tjm file, when asked for, and `values` reads every column the first
+    time it is used and keeps them. `take` returns a matrix that holds
+    its values.
     """
 
     def __init__(
@@ -169,16 +173,17 @@ class FeatureMatrix:
     def values(self) -> np.ndarray:
         if self._values is None:
             columns = np.empty((self.n_features, self.n_rows), dtype="<f8")
-            _read_stored(self._stored, 0, columns)
+            for j, col in enumerate(columns):
+                _read_stored(self._stored, j, col)
             self._values = columns.T
         return self._values
 
     def column(self, j: int) -> np.ndarray:
-        """Feature j's values: a view of the values held, else a fresh read from the file."""
+        """Feature j's values: a view of the values held, else a fresh read from the store."""
         if self._values is not None:
             return self._values[:, j]
         col = np.empty(self.n_rows, dtype="<f8")
-        _read_stored(self._stored, j * col.nbytes, col)
+        _read_stored(self._stored, j, col)
         return col
 
     @property
@@ -403,7 +408,10 @@ def _validate_schema_sources(schema: FeatureSchema) -> None:
 
 
 def encode(
-    blocks: Iterable[JamBlock], schema: FeatureSchema, max_rows: int | None = None
+    blocks: Iterable[JamBlock],
+    schema: FeatureSchema,
+    max_rows: int | None = None,
+    spool_dir: str | Path | None = None,
 ) -> tuple[FeatureMatrix, EncodingMap]:
     """Encode cleaned jam blocks into a FeatureMatrix in schema order.
 
@@ -411,9 +419,11 @@ def encode(
     observed category text (deterministic, no hashing); index 0 is reserved
     and never assigned. Labels come from the jam level and nothing else.
 
-    The output is one (n_features, max_rows) float64 block and one label
-    vector, allocated before the first block is read; each block's columns
-    are written straight into them and the matrix is the filled prefix.
+    Each block's columns are written to a spool: an unnamed temporary file
+    in `spool_dir` (tempfile's default without it), column-major with room
+    for `max_rows` rows per column. Memory holds one block and a label
+    vector of `max_rows` bytes; the matrix returned reads its columns from
+    the spool, which is deleted when the matrix is dropped or encode raises.
     `max_rows` bounds the rows the blocks hold (`ingest_files` counts its
     inputs' lines); without it `blocks` is listed and its rows counted.
     More rows than the bound are a ValidationError: the input grew after
@@ -423,11 +433,25 @@ def encode(
     if max_rows is None:
         blocks = list(blocks)
         max_rows = sum(map(len, blocks))
-    specs = schema.features
+    spool = tempfile.TemporaryFile(dir=spool_dir, buffering=0)
+    try:
+        labels, final = _spool_columns(spool.fileno(), blocks, schema.features, max_rows)
+    except BaseException:
+        spool.close()
+        raise
+    stored = _Stored("<spool>", 0, max_rows, file=spool)
+    matrix = FeatureMatrix(None, labels, schema, stored=stored)
+    weakref.finalize(matrix, spool.close)
+    return matrix, EncodingMap(by_feature=final)
+
+
+def _spool_columns(
+    fd: int, blocks: Iterable[JamBlock], specs: tuple[FeatureSpec, ...], max_rows: int
+) -> tuple[np.ndarray, dict[str, dict[str, int]]]:
+    """Write each block's columns into the spool fd, column j's rows from byte
+    8 * j * max_rows on; the labels and the lexicographic categorical indices."""
     # first-seen provisional indices, remapped lexicographically at the end
     prov: dict[str, dict[str, int]] = {s.name: {} for s in specs if s.kind == "categorical"}
-
-    by_feature = np.empty((len(specs), max_rows), dtype=np.float64)
     labels = np.empty(max_rows, dtype=bool)
     n = 0
     for block in blocks:
@@ -445,23 +469,23 @@ def encode(
                 col = time_fields[spec.source.split(".", 1)[1]]
             else:
                 col = block[spec.source]
-            by_feature[j, n:end] = col
+            _pwrite_all(fd, np.ascontiguousarray(col, dtype="<f8"), 8 * (j * max_rows + n))
         labels[n:end] = jam_labels(block["level"])
         n = end
-    by_feature, labels = by_feature[:, :n], labels[:n]
 
     final = {name: {c: i + 1 for i, c in enumerate(sorted(cats))} for name, cats in prov.items()}
-    # remap provisional (first-seen) indices to lexicographic ones in place,
-    # a block of rows at a time, so the integer index copy stays block-sized
+    # remap provisional (first-seen) indices to lexicographic ones inside the
+    # spool, a block of rows at a time
+    part = np.empty(min(n, _BLOCK_LINES), dtype="<f8")
     for j, spec in enumerate(specs):
         if prov.get(spec.name):  # a dict iterates in first-seen order
-            lut = np.array([final[spec.name][cat] for cat in prov[spec.name]], dtype=np.float64)
+            lut = np.array([final[spec.name][cat] for cat in prov[spec.name]], dtype="<f8")
             for lo in range(0, n, _BLOCK_LINES):
-                part = by_feature[j, lo : lo + _BLOCK_LINES]
-                np.take(lut, part.astype(np.intp), out=part)
-
-    matrix = FeatureMatrix(values=by_feature.T, labels=labels, schema=schema)
-    return matrix, EncodingMap(by_feature=final)
+                chunk = part[: min(n - lo, _BLOCK_LINES)]
+                _pread_all(fd, chunk, 8 * (j * max_rows + lo))
+                np.take(lut, chunk.astype(np.intp), out=chunk)
+                _pwrite_all(fd, chunk, 8 * (j * max_rows + lo))
+    return labels[:n], final
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +520,14 @@ def ingest_files(
     paths: Iterable[str | Path],
     schema: FeatureSchema,
     window: tuple[int, int] | None = None,
+    spool_dir: str | Path | None = None,
 ) -> tuple[FeatureMatrix, EncodingMap, IngestSummary]:
     """Parse -> clean -> encode a set of jam JSONL files, streaming.
 
     Files are processed in sorted-name order so the output is independent
     of filesystem enumeration order. Their lines are counted first, so
-    `encode` allocates the matrix once for at most that many rows.
+    `encode` spools each column with room for at most that many rows, in
+    `spool_dir`; memory holds one block of lines and one label byte per row.
     """
     ordered = sorted(str(p) for p in paths)
     n_upper = sum(map(count_lines, ordered))
@@ -516,7 +542,7 @@ def ingest_files(
             parse_report.merge(rep)
 
     cleaned, clean_report = clean(all_blocks(), window=window)
-    matrix, enc = encode(cleaned, schema, max_rows=n_upper)
+    matrix, enc = encode(cleaned, schema, max_rows=n_upper, spool_dir=spool_dir)
     summary = IngestSummary(
         files=ordered, parse=parse_report, clean=clean_report, n_rows=matrix.n_rows
     )
@@ -536,7 +562,13 @@ def save_matrix(
     encoding: EncodingMap,
     run_id: str | None = None,
 ) -> None:
-    """Write the versioned columnar binary matrix format (see docs/formats.md)."""
+    """Write the versioned columnar binary matrix format (see docs/formats.md).
+
+    The file is written as a sibling temporary file that replaces `path`
+    only once it is whole, so a failed save leaves any file at `path` as it
+    was. Columns the matrix does not hold are copied from its store a
+    bounded chunk at a time.
+    """
     header = {
         "format": "tjm",
         "version": TJM_VERSION,
@@ -551,29 +583,96 @@ def save_matrix(
         "run_id": run_id,
     }
     blob = canonical_json(header)
-    stored = matrix._stored
-    if stored is not None and os.path.exists(path) and os.path.samefile(path, stored.path):
-        matrix.values  # saved over the file it reads: read the columns before emptying it
-    with open(path, "wb") as fh:
-        fh.write(_TJM_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        # one contiguous float64 block per feature, in schema order; a column
-        # of a column-major matrix (as encode builds it) is written uncopied,
-        # and a loaded matrix's columns are read one at a time
-        for j in range(matrix.n_features):
-            fh.write(np.ascontiguousarray(matrix.column(j), dtype="<f8").data)
-        fh.write(matrix.labels.astype(np.uint8).data)
+    head, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(head, f".{name}.{secrets.token_hex(6)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        try:
+            pos = _pwrite_all(fd, _TJM_MAGIC + struct.pack("<I", len(blob)) + blob, 0)
+            # one contiguous float64 block per feature, in schema order
+            for j in range(matrix.n_features):
+                pos = _write_column(matrix, j, fd, pos)
+            _pwrite_all(fd, np.ascontiguousarray(matrix.labels, dtype=bool).view(np.uint8), pos)
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _write_column(matrix: FeatureMatrix, j: int, fd: int, pos: int) -> int:
+    """Write feature j's values at `pos` in fd; the position after them."""
+    if matrix._values is not None:
+        return _pwrite_all(fd, np.ascontiguousarray(matrix._values[:, j], dtype="<f8"), pos)
+    stored, nbytes = matrix._stored, 8 * matrix.n_rows
+    with _stored_fd(stored) as src:
+        if _copy_range(src, stored.start + 8 * j * stored.pitch, fd, pos, nbytes) != nbytes:
+            raise _changed(stored)
+    return pos + nbytes
+
+
+# bytes moved by one copy_file_range, or one read and write where it is missing
+_COPY_BYTES = 1 << 20
+
+
+def _copy_range(src: int, src_pos: int, dst: int, dst_pos: int, nbytes: int) -> int:
+    """Copy nbytes between file positions, a chunk at a time, inside the kernel where
+    it can; the bytes copied, fewer only where src ends first."""
+    done = 0
+    while done < nbytes:
+        want = min(nbytes - done, _COPY_BYTES)
+        try:
+            n = os.copy_file_range(src, dst, want, src_pos + done, dst_pos + done)
+        except (AttributeError, OSError):  # not on this platform, or not between these files
+            data = os.pread(src, want, src_pos + done)
+            n = len(data)
+            _pwrite_all(dst, data, dst_pos + done)
+            del data  # one chunk at a time in memory
+        if not n:
+            break
+        done += n
+    return done
+
+
+def _pwrite_all(fd: int, data, pos: int) -> int:
+    """Write all of a contiguous buffer at `pos` in fd; the position after it."""
+    view = memoryview(data).cast("B")
+    while view:
+        n = os.pwrite(fd, view, pos)
+        view, pos = view[n:], pos + n
+    return pos
+
+
+def _pread_all(fd: int, out: np.ndarray, pos: int) -> int:
+    """Fill a contiguous array from `pos` in fd until it is full or the file ends; the
+    bytes read. Reads are positional, so threads may share fd."""
+    view = memoryview(out).cast("B")
+    done = 0
+    while done < len(view):
+        n = os.preadv(fd, [view[done:]], pos + done)
+        if not n:
+            break
+        done += n
+    return done
 
 
 @dataclass(frozen=True)
 class _Stored:
-    """Where a loaded matrix's values are: its file, the byte offset of the first
-    column, and the file's (size, mtime_ns, inode) when it was loaded."""
+    """Where a matrix's values are while it does not hold them: column j's rows start
+    `start + 8 * j * pitch` bytes into `file`, the open spool `encode` wrote, or
+    else into the .tjm file at `path`, whose (size, mtime_ns, inode) were `stamp`
+    when it was loaded."""
 
     path: str
     start: int
-    stamp: tuple[int, int, int]
+    pitch: int
+    stamp: tuple[int, int, int] | None = None
+    file: BinaryIO | None = None
+
+
+def _changed(stored: _Stored) -> FileChangedError:
+    return FileChangedError(f"{stored.path}: tjm file changed after it was loaded")
 
 
 def _stamp(fh) -> tuple[int, int, int]:
@@ -581,12 +680,24 @@ def _stamp(fh) -> tuple[int, int, int]:
     return st.st_size, st.st_mtime_ns, st.st_ino
 
 
-def _read_stored(stored: _Stored, offset: int, out: np.ndarray) -> None:
-    """Fill `out` from a loaded matrix's file, `offset` bytes past its first column."""
+@contextlib.contextmanager
+def _stored_fd(stored: _Stored) -> Iterator[int]:
+    """A descriptor to read the store from: the spool's, or the .tjm file opened and
+    checked to be the one loaded."""
+    if stored.file is not None:
+        yield stored.file.fileno()
+        return
     with open(stored.path, "rb") as fh:
-        fh.seek(stored.start + offset)
-        if _stamp(fh) != stored.stamp or fh.readinto(out) != out.nbytes:
-            raise FileChangedError(f"{stored.path}: tjm file changed after it was loaded")
+        if _stamp(fh) != stored.stamp:
+            raise _changed(stored)
+        yield fh.fileno()
+
+
+def _read_stored(stored: _Stored, j: int, out: np.ndarray) -> None:
+    """Fill `out` with the first rows of column j of a matrix's store."""
+    with _stored_fd(stored) as fd:
+        if _pread_all(fd, out, stored.start + 8 * j * stored.pitch) != out.nbytes:
+            raise _changed(stored)
 
 
 def load_matrix(path: str | Path) -> tuple[FeatureMatrix, EncodingMap]:
@@ -615,7 +726,7 @@ def load_matrix(path: str | Path) -> tuple[FeatureMatrix, EncodingMap]:
         if type(n) is not int or n < 0 or f != len(features):
             raise ValidationError(f"{path}: tjm header has a bad shape ({n} x {f})")
         # the size is checked before allocating, so a corrupt n_rows cannot ask for all memory
-        stored = _Stored(os.path.abspath(path), fh.tell(), _stamp(fh))
+        stored = _Stored(os.path.abspath(path), fh.tell(), n, _stamp(fh))
         if stored.stamp[0] - stored.start < n * (f * 8 + 1):
             raise ValidationError(f"{path}: truncated tjm file")
         labels = np.empty(n, dtype=np.uint8)

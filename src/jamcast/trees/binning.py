@@ -78,7 +78,7 @@ def feature_columns(data, rows: np.ndarray | None = None):
 
     `data` is a 2-d (n_rows, n_features) array, or a matrix with `column(j)`,
     `n_rows` and `n_features` (an `ingest.FeatureMatrix`, which may read each
-    column from its file when asked for it).
+    column from its spool or .tjm file when asked for it).
     """
     if hasattr(data, "column"):
         read, (n_rows, n_features) = data.column, (data.n_rows, data.n_features)

@@ -75,7 +75,7 @@ def fit(trainer, data, labels=None, *, config):
     """
     schema = None
     if isinstance(data, FeatureMatrix):
-        data, labels, schema = data.values, data.labels, data.schema
+        labels, schema = data.labels, data.schema
     binned = quantize(data, config.max_bins, n_threads=config.n_workers)
     return trainer(binned, labels, config, schema)
 

@@ -427,6 +427,40 @@ def test_train_and_bench_outputs_are_pinned(tmp_path, monkeypatch, workers):
         assert got == _PINNED_BENCH[feature_set]
 
 
+# sha256 of the matrix and report `ingest` writes from the seeded corpus below
+_PINNED_INGEST = {
+    "leaky.tjm":
+        "8265c13eaa4b73d6d5bf0b1bac5ab0dbbdbece19b6f71974f763d30f349c04bd",
+    "leaky.tjm.report.json":
+        "b401110d0aa0df12e13eacb5ed75cf2d6d56bd2efeacba9a76843a86891f1489",
+    "honest.tjm":
+        "c64029b1b4a3f91b41d4f26cbcd6c2b4e8698f49c3dab2e302c6e44c10b0759f",
+    "honest.tjm.report.json":
+        "b401110d0aa0df12e13eacb5ed75cf2d6d56bd2efeacba9a76843a86891f1489",
+}
+
+
+def test_ingest_outputs_are_pinned(tmp_path, monkeypatch):
+    """Matrix and report bytes of `ingest` on a seeded corpus with bad lines and a
+    publication window never move."""
+    monkeypatch.chdir(tmp_path)  # relative paths keep the run ids in the files fixed
+    assert main(["generate", "--jams", "5000", "--alerts", "10", "--seed", "23",
+                 "--out", "data"]) == 0
+    lines = Path("data/jams.jsonl").read_bytes().splitlines()
+    bad = [b"not json", jam_line(level=9), jam_line(speed=-1), b"", jam_line(pub_date=0),
+           jam_line(street=None, city="Zz"), b'{"level": 3}', jam_line(location_x=0, location_y=0)]
+    for at, line in zip(range(0, len(lines), len(lines) // len(bad)), bad):
+        lines.insert(at, line)
+    Path("data/jams.jsonl").write_bytes(b"\n".join(lines) + b"\n")
+    for feature_set in ("leaky", "honest"):
+        assert main(["ingest", "--input", "data/jams.jsonl", "--feature-set", feature_set,
+                     "--window-start", "2018-01-02", "--window-end", "2018-01-07T12:00",
+                     "--out", f"out/{feature_set}.tjm"]) == 0
+    got = {name: hashlib.sha256(Path("out", name).read_bytes()).hexdigest()
+           for name in _PINNED_INGEST}
+    assert got == _PINNED_INGEST
+
+
 _FAIL_IN_WORKER = """
 import multiprocessing, os, sys, time
 from jamcast.cli import main

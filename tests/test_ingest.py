@@ -1,5 +1,8 @@
+import errno
+import gc
 import json
 import math
+import os
 import tempfile
 import tracemalloc
 from io import BytesIO
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import column, jam_line, parse_all, synthetic_matrix
+from jamcast.cli import main
 from jamcast.datagen import GenConfig, generate_jams
 from jamcast.errors import FileChangedError, JamcastError, SchemaError, ValidationError
 import jamcast.ingest as ingest
@@ -244,19 +248,130 @@ def test_encode_and_save_matrix_hold_the_matrix_once(tmp_path, feature_set):
     assert save_peak < 0.5 * nbytes
 
 
-@pytest.mark.parametrize("feature_set", ["honest", "leaky"])
-def test_ingest_peak_above_its_matrix_does_not_grow_with_rows(tmp_path, feature_set):
-    """ingest_files writes each block into one matrix sized from the input's lines."""
-    above = {}
-    for n_jams in (20_000, 80_000):
-        path = tmp_path / f"jams{n_jams}.jsonl"
-        with open(path, "wb") as fh:
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory):
+    """Seeded jam corpora of 20k and 320k lines, by line count."""
+    paths = {}
+    for n_jams in (20_000, 320_000):
+        paths[n_jams] = tmp_path_factory.mktemp("corpus") / f"jams{n_jams}.jsonl"
+        with open(paths[n_jams], "wb") as fh:
             generate_jams(GenConfig(n_jams=n_jams, seed=3), fh)
-        (matrix, _, _), peak = _traced_peak(ingest_files, [path], schema_for(feature_set))
+    return paths
+
+
+def test_ingest_peak_grows_by_under_two_bytes_a_row(corpora):
+    """ingest_files spools its columns: memory holds a block of lines plus a label
+    byte per row, never the float matrix."""
+    peak = {}
+    for n_jams, path in corpora.items():
+        (matrix, _, _), peak[n_jams] = _traced_peak(ingest_files, [path], schema_for("leaky"))
         assert matrix.n_rows == n_jams
-        above[n_jams] = (peak - matrix.values.nbytes, matrix.values.nbytes)
-    growth = above[80_000][0] - above[20_000][0]
-    assert growth < 0.15 * above[80_000][1]
+    assert peak[320_000] - peak[20_000] < 2 * (320_000 - 20_000)
+
+
+def _open_files_in(directory) -> list[str]:
+    """What this process's open descriptors into `directory` name, unnamed files included."""
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("needs /proc/self/fd")
+    inside = os.path.realpath(directory) + os.sep
+    names = []
+    for fd in fds.iterdir():
+        try:
+            target = os.readlink(fd)
+        except OSError:  # the descriptor listing the directory is closed by now
+            continue
+        if target.startswith(inside):
+            names.append(target)
+    return names
+
+
+def test_the_spool_is_unnamed_and_closed_with_its_matrix(tmp_path):
+    path = tmp_path / "jams.jsonl"
+    path.write_bytes(b"".join(jam_line(street=f"s{i % 7}") + b"\n" for i in range(5000)))
+    spool_dir = tmp_path / "spool"
+    spool_dir.mkdir()
+    matrix, enc, _ = ingest_files([path], schema_for("leaky"), spool_dir=spool_dir)
+    assert list(spool_dir.iterdir()) == []
+    assert len(_open_files_in(spool_dir)) == 1
+    save_matrix(tmp_path / "m.tjm", matrix, enc)
+    assert np.array_equal(load_matrix(tmp_path / "m.tjm")[0].values, matrix.values)
+    del matrix
+    gc.collect()
+    assert _open_files_in(spool_dir) == []
+
+
+def test_a_failed_ingest_leaves_no_spool(tmp_path, monkeypatch):
+    """The input growing after it was counted, or vanishing mid-ingest under the CLI
+    (exit 2), leaves no spool file or descriptor behind."""
+    lines = b"".join(jam_line(street=f"s{i}") + b"\n" for i in range(3000))
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    first.write_bytes(lines)
+    second.write_bytes(lines)
+    spool_dir = tmp_path / "spool"
+    spool_dir.mkdir()
+
+    def count_then_grow(p):
+        n = count_lines(p)
+        with open(p, "ab") as fh:
+            fh.write(lines)
+        return n
+
+    monkeypatch.setattr(ingest, "count_lines", count_then_grow)
+    with pytest.raises(ValidationError, match="grew"):
+        ingest_files([first], schema_for("leaky"), spool_dir=spool_dir)
+    assert list(spool_dir.iterdir()) == [] and _open_files_in(spool_dir) == []
+
+    def count_then_vanish(p):
+        n = count_lines(p)
+        if Path(p) == second:
+            second.unlink()
+        return n
+
+    monkeypatch.setattr(ingest, "count_lines", count_then_vanish)
+    out_dir = tmp_path / "out"
+    rc = main(["ingest", "--input", str(tmp_path / "*.jsonl"), "--out", str(out_dir / "m.tjm")])
+    assert rc == 2
+    assert list(out_dir.iterdir()) == [] and _open_files_in(out_dir) == []
+
+
+@pytest.mark.parametrize("copy", ["copy_file_range", "read_write"])
+def test_save_matrix_peak_does_not_grow_with_rows(tmp_path, corpora, monkeypatch, copy):
+    """save_matrix copies each column from its store, the spool or a loaded .tjm file,
+    a bounded chunk at a time, with or without copy_file_range, whatever the rows."""
+    if copy == "read_write":
+        def refuse(*args):
+            raise OSError(errno.EXDEV, "cross-device copy")
+        monkeypatch.setattr(os, "copy_file_range", refuse, raising=False)
+    peaks = {}
+    for n_jams, path in corpora.items():
+        matrix, enc, _ = ingest_files([path], schema_for("leaky"))
+        _, peaks["encoded", n_jams] = _traced_peak(save_matrix, tmp_path / "m.tjm", matrix, enc)
+        loaded, enc = load_matrix(tmp_path / "m.tjm")
+        _, peaks["loaded", n_jams] = _traced_peak(save_matrix, tmp_path / "m2.tjm", loaded, enc)
+        assert (tmp_path / "m.tjm").read_bytes() == (tmp_path / "m2.tjm").read_bytes()
+    # the header, plus one chunk in memory where the kernel does not copy
+    bound = (64 << 10) + (ingest._COPY_BYTES if copy == "read_write" else 0)
+    assert max(peaks.values()) < bound, peaks
+
+
+def test_a_failed_save_leaves_the_previous_file(tmp_path, monkeypatch):
+    """save_matrix replaces its output only once the new file is whole."""
+    path = tmp_path / "m.tjm"
+    save_matrix(path, *synthetic_matrix(2_000, seed=5))
+    before = path.read_bytes()
+    write_column = ingest._write_column
+
+    def fail_after_the_first(matrix, j, fd, pos):
+        if j:
+            raise OSError(errno.ENOSPC, "no space left")
+        return write_column(matrix, j, fd, pos)
+
+    monkeypatch.setattr(ingest, "_write_column", fail_after_the_first)
+    with pytest.raises(OSError, match="no space"):
+        save_matrix(path, *synthetic_matrix(3_000, seed=6))
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_input_grown_after_its_lines_were_counted_is_an_error(tmp_path, monkeypatch):
