@@ -259,12 +259,14 @@ def corpora(tmp_path_factory):
     return paths
 
 
-def test_ingest_peak_grows_by_under_two_bytes_a_row(corpora):
-    """ingest_files spools its columns: memory holds a block of lines plus a label
-    byte per row, never the float matrix."""
+@pytest.mark.parametrize("feature_set", ["honest", "leaky"])
+def test_ingest_peak_above_its_matrix_does_not_grow_with_rows(corpora, feature_set):
+    """ingest_files spools its columns, so the float matrix stays on disk: memory
+    holds a block of lines plus a label byte per row, and the whole peak grows
+    by under 2 bytes a row."""
     peak = {}
     for n_jams, path in corpora.items():
-        (matrix, _, _), peak[n_jams] = _traced_peak(ingest_files, [path], schema_for("leaky"))
+        (matrix, _, _), peak[n_jams] = _traced_peak(ingest_files, [path], schema_for(feature_set))
         assert matrix.n_rows == n_jams
     assert peak[320_000] - peak[20_000] < 2 * (320_000 - 20_000)
 
