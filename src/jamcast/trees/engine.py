@@ -233,10 +233,7 @@ class _Engine:
 
     def close(self) -> None:
         if self._cpus_before is not None:  # the parent's thread runs where it ran before
-            try:
-                os.sched_setaffinity(0, self._cpus_before)
-            except OSError:  # those CPUs are gone: keep the one it has
-                pass
+            os.sched_setaffinity(0, self._cpus_before)
             self._cpus_before = None
         for conn in self._conns:
             try:
