@@ -602,37 +602,26 @@ def save_matrix(
 
 
 def _write_column(matrix: FeatureMatrix, j: int, fd: int, pos: int) -> int:
-    """Write feature j's values at `pos` in fd; the position after them."""
+    """Write feature j's values at `pos` in fd; the position after them. A column the
+    matrix does not hold is copied from its store through one buffer of at most
+    _COPY_BYTES."""
     if matrix._values is not None:
         return _pwrite_all(fd, np.ascontiguousarray(matrix._values[:, j], dtype="<f8"), pos)
-    stored, nbytes = matrix._stored, 8 * matrix.n_rows
+    stored, end = matrix._stored, pos + 8 * matrix.n_rows
+    src_pos = stored.start + 8 * j * stored.pitch
+    buf = np.empty(min(end - pos, _COPY_BYTES), dtype=np.uint8)
     with _stored_fd(stored) as src:
-        if _copy_range(src, stored.start + 8 * j * stored.pitch, fd, pos, nbytes) != nbytes:
-            raise _changed(stored)
-    return pos + nbytes
+        while pos < end:
+            chunk = buf[: end - pos]
+            if _pread_all(src, chunk, src_pos) != len(chunk):
+                raise _changed(stored)
+            src_pos, pos = src_pos + len(chunk), _pwrite_all(fd, chunk, pos)
+    return pos
 
 
-# bytes moved by one copy_file_range, or one read and write where it is missing
+# bytes of a column save_matrix copies at a time; copy_file_range, which keeps
+# the bytes in the kernel, was no faster on 1M-row matrices
 _COPY_BYTES = 1 << 20
-
-
-def _copy_range(src: int, src_pos: int, dst: int, dst_pos: int, nbytes: int) -> int:
-    """Copy nbytes between file positions, a chunk at a time, inside the kernel where
-    it can; the bytes copied, fewer only where src ends first."""
-    done = 0
-    while done < nbytes:
-        want = min(nbytes - done, _COPY_BYTES)
-        try:
-            n = os.copy_file_range(src, dst, want, src_pos + done, dst_pos + done)
-        except (AttributeError, OSError):  # not on this platform, or not between these files
-            data = os.pread(src, want, src_pos + done)
-            n = len(data)
-            _pwrite_all(dst, data, dst_pos + done)
-            del data  # one chunk at a time in memory
-        if not n:
-            break
-        done += n
-    return done
 
 
 def _pwrite_all(fd: int, data, pos: int) -> int:

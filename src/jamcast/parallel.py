@@ -36,32 +36,6 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def spread_cpus(n: int) -> list[int]:
-    """One CPU each for n threads or processes of this process to be pinned to
-    (`pin_thread`): the first n of its affinity set, or none where the OS
-    cannot pin a thread.
-
-    Threads that hand the GIL back and forth, and processes that hand pipe
-    messages back and forth, wake each other, and the scheduler may keep
-    waking them on the waker's CPU while another CPU idles. On a 2-CPU VM,
-    quantize's two threads ran on CPU 0 alone for all of a 0.88 s call
-    while CPU 1 was idle; pinned, each keeps a CPU of its own.
-    """
-    if not hasattr(os, "sched_setaffinity"):
-        return []
-    return sorted(os.sched_getaffinity(0))[:n]
-
-
-def pin_thread(cpu: int | None) -> None:
-    """Run the calling thread on `cpu` alone; nothing for None, or where the OS
-    refuses that CPU."""
-    if cpu is not None:
-        try:
-            os.sched_setaffinity(0, {cpu})  # pid 0: the calling thread
-        except OSError:  # not a CPU this thread may use: it stays unpinned
-            pass
-
-
 def partition_rows(n_rows: int, n_workers: int) -> list[tuple[int, int]]:
     """Split 0..n_rows into n_workers contiguous (lo, hi) ranges, sizes differing by <= 1.
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from jamcast.errors import ConfigError, ValidationError
-from jamcast.parallel import pin_thread, spread_cpus, usable_cpus
+from jamcast.parallel import usable_cpus
 
 
 @dataclass
@@ -109,9 +109,8 @@ def quantize(
     a whole.
 
     Features are independent, so n_threads > 1 only parallelizes the
-    per-feature work (sorting dominates and releases the GIL), each thread
-    pinned to its own CPU (see `parallel.spread_cpus`); the output is
-    identical for any thread count.
+    per-feature work (sorting dominates and releases the GIL); the output
+    is identical for any thread count.
     """
     if max_bins < 2:
         raise ConfigError(f"max_bins must be >= 2, got {max_bins}")
@@ -125,9 +124,7 @@ def quantize(
     def _map(fn, items):
         if n_threads == 1 or n_rows * n_features < 1 << 20:
             return [fn(x) for x in items]
-        cpus = spread_cpus(n_threads)  # each thread pins itself to one of them
-        with ThreadPoolExecutor(n_threads, initializer=lambda: pin_thread(
-                cpus.pop() if cpus else None)) as pool:
+        with ThreadPoolExecutor(n_threads) as pool:
             return list(pool.map(fn, items))
 
     edges: list[np.ndarray] = _map(

@@ -21,9 +21,7 @@ built which partition, so every process count produces bit-identical trees.
 Workers are forked after the binned matrix exists (inherited
 copy-on-write), and the process count is clamped to the cores this process
 may use; the requested n_workers stays a purely logical degree of
-parallelism. While workers exist, the parent's thread and each worker run
-on a CPU of their own, so the scheduler cannot stack them on one CPU while
-another idles. Every state writes its partitions' histograms in place into
+parallelism. Every state writes its partitions' histograms in place into
 its slots of one (N_HIST_PARTS, F, B, 3) block, which is fork-inherited
 shared memory when workers exist, so no histogram is piped or copied. A
 split plus the resulting child histogram build travel as one round-trip,
@@ -36,15 +34,12 @@ one worker or for several.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 from typing import Sequence
 
 import numpy as np
 
 from jamcast.errors import JamcastError
-from jamcast.parallel import (
-    N_HIST_PARTS, partition_rows, pin_thread, reduce_histograms, spread_cpus, usable_cpus,
-)
+from jamcast.parallel import N_HIST_PARTS, partition_rows, reduce_histograms, usable_cpus
 from jamcast.trees.grower import GradHistogram, build_histograms, logistic_grad_hess, split_rows
 
 
@@ -175,23 +170,17 @@ class _Engine:
         self.state = PartitionState(edges[p_lo : p_hi + 1], binned, labels, self._slots[p_lo:p_hi])
         self._conns = []
         self._procs = []
-        # with workers, each process runs on a CPU of its own, the parent's
-        # thread until close (see parallel.spread_cpus)
-        cpus = spread_cpus(n_procs) if forked else []
-        for k, (p_lo, p_hi) in enumerate(forked, 1):
+        for p_lo, p_hi in forked:
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, edges[p_lo : p_hi + 1], binned, labels, self._slots[p_lo:p_hi],
-                      cpus[k] if k < len(cpus) else None),
+                args=(child_conn, edges[p_lo : p_hi + 1], binned, labels, self._slots[p_lo:p_hi]),
                 daemon=True,
             )
             proc.start()
             child_conn.close()
             self._conns.append(parent_conn)
             self._procs.append(proc)
-        self._cpus_before = os.sched_getaffinity(0) if cpus else None
-        pin_thread(cpus[0] if cpus else None)
 
     def _run(self, method, args=(), build_id=None, row_args=()) -> GradHistogram | None:
         """Send one step to every worker, run the parent's own, then collect every reply.
@@ -232,9 +221,6 @@ class _Engine:
         return GradHistogram(sums=sums, n_real_bins=self.binned.n_real_bins)
 
     def close(self) -> None:
-        if self._cpus_before is not None:  # the parent's thread runs where it ran before
-            os.sched_setaffinity(0, self._cpus_before)
-            self._cpus_before = None
         for conn in self._conns:
             try:
                 conn.send(None)
@@ -274,16 +260,14 @@ class _Engine:
         return self._run("apply_split", split, build_id)
 
 
-def _worker_main(conn, bounds, binned, labels, hist, cpu=None) -> None:
+def _worker_main(conn, bounds, binned, labels, hist) -> None:
     """Forked worker loop: runs each received step on its state until None.
 
     The state covers the partitions with row edges `bounds`; their
     histograms are written into `hist`, its slots of the shared block.
-    The worker runs on `cpu` alone, when given. The reply is None, or the
-    type and message of the exception the step raised, which the parent
-    reports.
+    The reply is None, or the type and message of the exception the step
+    raised, which the parent reports.
     """
-    pin_thread(cpu)
     state = PartitionState(bounds, binned, labels, hist)
     try:
         while (msg := conn.recv()) is not None:

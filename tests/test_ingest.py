@@ -337,14 +337,9 @@ def test_a_failed_ingest_leaves_no_spool(tmp_path, monkeypatch):
     assert list(out_dir.iterdir()) == [] and _open_files_in(out_dir) == []
 
 
-@pytest.mark.parametrize("copy", ["copy_file_range", "read_write"])
-def test_save_matrix_peak_does_not_grow_with_rows(tmp_path, corpora, monkeypatch, copy):
+def test_save_matrix_peak_does_not_grow_with_rows(tmp_path, corpora):
     """save_matrix copies each column from its store, the spool or a loaded .tjm file,
-    a bounded chunk at a time, with or without copy_file_range, whatever the rows."""
-    if copy == "read_write":
-        def refuse(*args):
-            raise OSError(errno.EXDEV, "cross-device copy")
-        monkeypatch.setattr(os, "copy_file_range", refuse, raising=False)
+    through one bounded buffer, whatever the rows."""
     peaks = {}
     for n_jams, path in corpora.items():
         matrix, enc, _ = ingest_files([path], schema_for("leaky"))
@@ -352,9 +347,8 @@ def test_save_matrix_peak_does_not_grow_with_rows(tmp_path, corpora, monkeypatch
         loaded, enc = load_matrix(tmp_path / "m.tjm")
         _, peaks["loaded", n_jams] = _traced_peak(save_matrix, tmp_path / "m2.tjm", loaded, enc)
         assert (tmp_path / "m.tjm").read_bytes() == (tmp_path / "m2.tjm").read_bytes()
-    # the header, plus one chunk in memory where the kernel does not copy
-    bound = (64 << 10) + (ingest._COPY_BYTES if copy == "read_write" else 0)
-    assert max(peaks.values()) < bound, peaks
+    # the header, plus the copy buffer
+    assert max(peaks.values()) < (64 << 10) + ingest._COPY_BYTES, peaks
 
 
 def test_a_failed_save_leaves_the_previous_file(tmp_path, monkeypatch):

@@ -3,7 +3,6 @@ import math
 import os
 import pickle
 import tempfile
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -270,49 +269,6 @@ def test_quantize_threads_no_more_than_the_process_may_use(monkeypatch):
     monkeypatch.setattr(binning, "ThreadPoolExecutor", no_threads)
     got = quantize(values, 64, n_threads=4)
     assert got.codes.tobytes() == want.codes.tobytes()
-
-
-def _two_cpus() -> list[int]:
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
-    if len(cpus) < 2:
-        pytest.skip("needs two CPUs this process may pin threads to")
-    return cpus[:2]
-
-
-def test_quantize_threads_run_on_cpus_of_their_own(monkeypatch):
-    cpus, before = _two_cpus(), os.sched_getaffinity(0)
-    values = np.random.default_rng(4).normal(size=(1 << 17, 8))  # big enough for threads
-    want = quantize(values, 64)
-    pinned = {}  # thread -> the CPUs it ran on while binning a feature
-
-    def record(fn):
-        def binned_on_cpu(column, *args):
-            pinned.setdefault(threading.get_ident(), set()).update(os.sched_getaffinity(0))
-            return fn(column, *args)
-        return binned_on_cpu
-
-    monkeypatch.setattr(binning, "bin_codes", record(binning.bin_codes))
-    got = quantize(values, 64, n_threads=2)
-    assert got.codes.tobytes() == want.codes.tobytes()
-    assert threading.get_ident() not in pinned
-    assert sorted(map(sorted, pinned.values())) == [[cpus[0]], [cpus[1]]]
-    assert os.sched_getaffinity(0) == before
-
-
-def test_pool_processes_run_on_cpus_of_their_own_until_close(small_matrix):
-    cpus, before = _two_cpus(), os.sched_getaffinity(0)
-    binned = quantize(small_matrix.values[:1000], 16)
-    source = engine.PoolSource(binned, small_matrix.labels[:1000].astype(np.float64), 2)
-    try:
-        source.init_boost(0.0)  # one round trip: the worker has pinned itself
-        assert os.sched_getaffinity(0) == {cpus[0]}
-        assert os.sched_getaffinity(source._procs[0].pid) == {cpus[1]}
-    finally:
-        source.close()
-    assert os.sched_getaffinity(0) == before
-    inline = engine.InlineSource(binned, small_matrix.labels[:1000].astype(np.float64))
-    inline.close()
-    assert os.sched_getaffinity(0) == before
 
 
 class _RecordingConn:
