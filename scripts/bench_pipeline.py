@@ -48,7 +48,6 @@ from jamcast.evaluation import bench
 from jamcast.ingest import (
     FEATURE_SETS,
     clean,
-    count_lines,
     encode,
     load_matrix,
     parse_jams,
@@ -98,21 +97,15 @@ def timed_blocks(blocks, seconds: dict, key: str):
 
 
 def ingest(path: Path, feature_set: str, spool_dir: Path) -> tuple[object, object, dict]:
-    """Stream parse -> clean -> encode, with each stage's own seconds.
-
-    As in `ingest_files`, the file's lines are counted first so encode
-    spools each column, in `spool_dir`, with room for that many rows; the
-    count is in the encode stage's time.
-    """
+    """Stream parse -> clean -> encode, spooling in `spool_dir`, with each stage's
+    own seconds."""
     spent = {"parse": 0.0, "parse+clean": 0.0}
     t0 = time.perf_counter()
-    n_upper = count_lines(path)
     with open(path, "rb") as fh:
         parsed, _ = parse_jams(fh)
         cleaned, _ = clean(timed_blocks(parsed, spent, "parse"))
         blocks = timed_blocks(cleaned, spent, "parse+clean")
-        matrix, encoding = encode(blocks, schema_for(feature_set), max_rows=n_upper,
-                                  spool_dir=spool_dir)
+        matrix, encoding = encode(blocks, schema_for(feature_set), spool_dir=spool_dir)
     total = time.perf_counter() - t0
     return matrix, encoding, {
         "parse": spent["parse"],

@@ -6,9 +6,11 @@ key are transposed into columns, and each column is checked with one
 set-of-types test and one numpy mask. Only rows failing a fast check go to
 the scalar validator `_jam_rejection`, whose order of checks decides which
 rejection reason wins. `clean` drops rows with ordered masks and `encode`
-writes each block's columns into a spool file, so memory holds one block of
-lines and decoded objects plus one label byte per row, whatever the corpus
-size; the matrix's columns are read from the spool when asked for.
+appends each block's columns to a spool of one file per column, so each
+input is read once, with no count of its rows first, and memory holds one
+block of lines and decoded objects plus one label byte per row, whatever
+the corpus size; the matrix's columns are read from the spool when asked
+for.
 
 Parsing is line-tolerant: every non-empty line either yields a row or
 increments a rejection reason, and rows_accepted + rows_rejected always
@@ -410,7 +412,6 @@ def _validate_schema_sources(schema: FeatureSchema) -> None:
 def encode(
     blocks: Iterable[JamBlock],
     schema: FeatureSchema,
-    max_rows: int | None = None,
     spool_dir: str | Path | None = None,
 ) -> tuple[FeatureMatrix, EncodingMap]:
     """Encode cleaned jam blocks into a FeatureMatrix in schema order.
@@ -419,49 +420,36 @@ def encode(
     observed category text (deterministic, no hashing); index 0 is reserved
     and never assigned. Labels come from the jam level and nothing else.
 
-    Each block's columns are written to a spool: an unnamed temporary file
-    in `spool_dir` (tempfile's default without it), column-major with room
-    for `max_rows` rows per column. Memory holds one block and a label
-    vector of `max_rows` bytes; the matrix returned reads its columns from
-    the spool, which is deleted when the matrix is dropped or encode raises.
-    `max_rows` bounds the rows the blocks hold (`ingest_files` counts its
-    inputs' lines); without it `blocks` is listed and its rows counted.
-    More rows than the bound are a ValidationError: the input grew after
-    it was counted.
+    Each block's columns are appended to a spool: one unnamed temporary
+    file per feature in `spool_dir` (tempfile's default without it). Memory
+    holds one block and a label byte per row, however many rows the blocks
+    hold; the matrix returned reads its columns from the spool, which is
+    deleted when the matrix is dropped or encode raises.
     """
     _validate_schema_sources(schema)
-    if max_rows is None:
-        blocks = list(blocks)
-        max_rows = sum(map(len, blocks))
-    spool = tempfile.TemporaryFile(dir=spool_dir, buffering=0)
-    try:
-        labels, final = _spool_columns(spool.fileno(), blocks, schema.features, max_rows)
-    except BaseException:
-        spool.close()
-        raise
-    stored = _Stored("<spool>", 0, max_rows, file=spool)
-    matrix = FeatureMatrix(None, labels, schema, stored=stored)
-    weakref.finalize(matrix, spool.close)
+    with contextlib.ExitStack() as stack:
+        spool = tuple(
+            stack.enter_context(tempfile.TemporaryFile(dir=spool_dir, buffering=0))
+            for _ in schema.features
+        )
+        labels, final = _spool_columns(spool, blocks, schema.features)
+        close_spool = stack.pop_all().close
+    matrix = FeatureMatrix(None, labels, schema, stored=_Stored(spool=spool))
+    weakref.finalize(matrix, close_spool)
     return matrix, EncodingMap(by_feature=final)
 
 
 def _spool_columns(
-    fd: int, blocks: Iterable[JamBlock], specs: tuple[FeatureSpec, ...], max_rows: int
+    spool: tuple[BinaryIO, ...], blocks: Iterable[JamBlock], specs: tuple[FeatureSpec, ...]
 ) -> tuple[np.ndarray, dict[str, dict[str, int]]]:
-    """Write each block's columns into the spool fd, column j's rows from byte
-    8 * j * max_rows on; the labels and the lexicographic categorical indices."""
+    """Append each block's column j to the spool file j; the labels and the
+    lexicographic categorical indices."""
     # first-seen provisional indices, remapped lexicographically at the end
     prov: dict[str, dict[str, int]] = {s.name: {} for s in specs if s.kind == "categorical"}
-    labels = np.empty(max_rows, dtype=bool)
-    n = 0
+    labels = bytearray()  # one byte per row, as the bool labels are
     for block in blocks:
-        end = n + len(block)
-        if end > max_rows:
-            raise ValidationError(
-                f"more than the {max_rows} rows counted: the input grew while it was read"
-            )
         time_fields = decompose_epoch_ms(block["pub_date"])
-        for j, spec in enumerate(specs):
+        for fh, spec in zip(spool, specs):
             if spec.kind == "categorical":
                 seen = prov[spec.name]
                 col = [seen.setdefault(cat, len(seen)) for cat in block[spec.source]]
@@ -469,23 +457,23 @@ def _spool_columns(
                 col = time_fields[spec.source.split(".", 1)[1]]
             else:
                 col = block[spec.source]
-            _pwrite_all(fd, np.ascontiguousarray(col, dtype="<f8"), 8 * (j * max_rows + n))
-        labels[n:end] = jam_labels(block["level"])
-        n = end
+            _pwrite_all(fh.fileno(), np.ascontiguousarray(col, dtype="<f8"), 8 * len(labels))
+        labels += jam_labels(block["level"]).tobytes()
+    n = len(labels)
 
     final = {name: {c: i + 1 for i, c in enumerate(sorted(cats))} for name, cats in prov.items()}
     # remap provisional (first-seen) indices to lexicographic ones inside the
     # spool, a block of rows at a time
     part = np.empty(min(n, _BLOCK_LINES), dtype="<f8")
-    for j, spec in enumerate(specs):
+    for fh, spec in zip(spool, specs):
         if prov.get(spec.name):  # a dict iterates in first-seen order
             lut = np.array([final[spec.name][cat] for cat in prov[spec.name]], dtype="<f8")
             for lo in range(0, n, _BLOCK_LINES):
-                chunk = part[: min(n - lo, _BLOCK_LINES)]
-                _pread_all(fd, chunk, 8 * (j * max_rows + lo))
+                chunk = part[: n - lo]
+                _pread_all(fh.fileno(), chunk, 8 * lo)
                 np.take(lut, chunk.astype(np.intp), out=chunk)
-                _pwrite_all(fd, chunk, 8 * (j * max_rows + lo))
-    return labels[:n], final
+                _pwrite_all(fh.fileno(), chunk, 8 * lo)
+    return np.frombuffer(labels, dtype=bool), final
 
 
 # ---------------------------------------------------------------------------
@@ -503,19 +491,6 @@ class IngestSummary:
         return asdict(self)
 
 
-_COUNT_BYTES = 1 << 20  # read size of count_lines
-
-
-def count_lines(path: str | Path) -> int:
-    """An upper bound on a file's lines: its newlines plus one, read a MiB at a time."""
-    n = 1
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_COUNT_BYTES):
-            # twice as fast as chunk.count(b"\n")
-            n += int(np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n")))
-    return n
-
-
 def ingest_files(
     paths: Iterable[str | Path],
     schema: FeatureSchema,
@@ -525,12 +500,11 @@ def ingest_files(
     """Parse -> clean -> encode a set of jam JSONL files, streaming.
 
     Files are processed in sorted-name order so the output is independent
-    of filesystem enumeration order. Their lines are counted first, so
-    `encode` spools each column with room for at most that many rows, in
-    `spool_dir`; memory holds one block of lines and one label byte per row.
+    of filesystem enumeration order. Each file is read once, and `encode`
+    spools its columns in `spool_dir`; memory holds one block of lines and
+    one label byte per row.
     """
     ordered = sorted(str(p) for p in paths)
-    n_upper = sum(map(count_lines, ordered))
     parse_report = IngestReport()
 
     def all_blocks() -> Iterator[JamBlock]:
@@ -542,7 +516,7 @@ def ingest_files(
             parse_report.merge(rep)
 
     cleaned, clean_report = clean(all_blocks(), window=window)
-    matrix, enc = encode(cleaned, schema, max_rows=n_upper, spool_dir=spool_dir)
+    matrix, enc = encode(cleaned, schema, spool_dir=spool_dir)
     summary = IngestSummary(
         files=ordered, parse=parse_report, clean=clean_report, n_rows=matrix.n_rows
     )
@@ -607,15 +581,12 @@ def _write_column(matrix: FeatureMatrix, j: int, fd: int, pos: int) -> int:
     _COPY_BYTES."""
     if matrix._values is not None:
         return _pwrite_all(fd, np.ascontiguousarray(matrix._values[:, j], dtype="<f8"), pos)
-    stored, end = matrix._stored, pos + 8 * matrix.n_rows
-    src_pos = stored.start + 8 * j * stored.pitch
-    buf = np.empty(min(end - pos, _COPY_BYTES), dtype=np.uint8)
-    with _stored_fd(stored) as src:
-        while pos < end:
-            chunk = buf[: end - pos]
-            if _pread_all(src, chunk, src_pos) != len(chunk):
-                raise _changed(stored)
-            src_pos, pos = src_pos + len(chunk), _pwrite_all(fd, chunk, pos)
+    n, step = matrix.n_rows, _COPY_BYTES // 8
+    buf = np.empty(min(n, step), dtype="<f8")
+    for row in range(0, n, step):
+        chunk = buf[: n - row]
+        _read_stored(matrix._stored, j, chunk, row)
+        pos = _pwrite_all(fd, chunk, pos)
     return pos
 
 
@@ -648,16 +619,16 @@ def _pread_all(fd: int, out: np.ndarray, pos: int) -> int:
 
 @dataclass(frozen=True)
 class _Stored:
-    """Where a matrix's values are while it does not hold them: column j's rows start
-    `start + 8 * j * pitch` bytes into `file`, the open spool `encode` wrote, or
-    else into the .tjm file at `path`, whose (size, mtime_ns, inode) were `stamp`
-    when it was loaded."""
+    """Where a matrix's values are while it does not hold them: column j is `spool[j]`,
+    the unnamed file `encode` wrote, from byte 0; or else it is `n_rows` values from
+    byte `start + 8 * j * n_rows` of the .tjm file at `path`, whose (size, mtime_ns,
+    inode) were `stamp` when it was loaded."""
 
-    path: str
-    start: int
-    pitch: int
+    path: str = "<spool>"
+    start: int = 0
+    n_rows: int = 0
     stamp: tuple[int, int, int] | None = None
-    file: BinaryIO | None = None
+    spool: tuple[BinaryIO, ...] = ()
 
 
 def _changed(stored: _Stored) -> FileChangedError:
@@ -669,24 +640,18 @@ def _stamp(fh) -> tuple[int, int, int]:
     return st.st_size, st.st_mtime_ns, st.st_ino
 
 
-@contextlib.contextmanager
-def _stored_fd(stored: _Stored) -> Iterator[int]:
-    """A descriptor to read the store from: the spool's, or the .tjm file opened and
-    checked to be the one loaded."""
-    if stored.file is not None:
-        yield stored.file.fileno()
-        return
-    with open(stored.path, "rb") as fh:
-        if _stamp(fh) != stored.stamp:
-            raise _changed(stored)
-        yield fh.fileno()
-
-
-def _read_stored(stored: _Stored, j: int, out: np.ndarray) -> None:
-    """Fill `out` with the first rows of column j of a matrix's store."""
-    with _stored_fd(stored) as fd:
-        if _pread_all(fd, out, stored.start + 8 * j * stored.pitch) != out.nbytes:
-            raise _changed(stored)
+def _read_stored(stored: _Stored, j: int, out: np.ndarray, row: int = 0) -> None:
+    """Fill `out` with column j's values from `row` on, read from the column's spool
+    file, or from the .tjm file opened and checked to be the one loaded."""
+    if stored.spool:
+        got = _pread_all(stored.spool[j].fileno(), out, 8 * row)
+    else:
+        with open(stored.path, "rb") as fh:
+            if _stamp(fh) != stored.stamp:
+                raise _changed(stored)
+            got = _pread_all(fh.fileno(), out, stored.start + 8 * (j * stored.n_rows + row))
+    if got != out.nbytes:
+        raise _changed(stored)
 
 
 def load_matrix(path: str | Path) -> tuple[FeatureMatrix, EncodingMap]:

@@ -101,7 +101,10 @@ def quantize(
     a time (see `feature_columns`). Per-feature quantile edges over at most
     max_bins real bins; constant features get a single bin; NaN maps to the
     feature's reserved missing bin. Binning preserves order: a <= b implies
-    bin(a) <= bin(b).
+    bin(a) <= bin(b). Each feature's column is read once, for its edges and
+    its codes. The codes' type is the narrowest unsigned one holding
+    `max_bins`, which bounds every feature's real bins and so its missing
+    bin's code: uint8 up to 255 bins, else uint16.
 
     With `rows`, only those rows are quantized, in that order, exactly as
     quantize(values[rows]) would be; each feature's rows are gathered from
@@ -127,11 +130,14 @@ def quantize(
         with ThreadPoolExecutor(n_threads) as pool:
             return list(pool.map(fn, items))
 
-    edges: list[np.ndarray] = _map(
-        lambda j: _feature_thresholds(column(j), max_bins), range(n_features)
-    )
+    codes = np.empty((n_features, n_rows), dtype=np.min_scalar_type(max_bins))
+
+    def _bin(j: int) -> np.ndarray:
+        col = column(j)
+        edges = _feature_thresholds(col, max_bins)
+        bin_codes(col, edges, codes[j])
+        return edges
+
+    edges: list[np.ndarray] = _map(_bin, range(n_features))
     n_real = np.array([e.size + 1 for e in edges], dtype=np.int64)
-    # the narrowest type holding every feature's missing bin, n_real
-    codes = np.empty((n_features, n_rows), dtype=np.min_scalar_type(int(n_real.max())))
-    _map(lambda j: bin_codes(column(j), edges[j], codes[j]), range(n_features))
     return BinnedMatrix(codes=codes, edges=edges, n_real_bins=n_real, n_rows=n_rows)

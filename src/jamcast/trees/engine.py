@@ -170,17 +170,22 @@ class _Engine:
         self.state = PartitionState(edges[p_lo : p_hi + 1], binned, labels, self._slots[p_lo:p_hi])
         self._conns = []
         self._procs = []
-        for p_lo, p_hi in forked:
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(child_conn, edges[p_lo : p_hi + 1], binned, labels, self._slots[p_lo:p_hi]),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._procs.append(proc)
+        try:
+            for p_lo, p_hi in forked:
+                parent_conn, child_conn = ctx.Pipe()
+                self._conns.append(parent_conn)
+                proc = ctx.Process(
+                    target=_worker_main,
+                    args=(child_conn, edges[p_lo : p_hi + 1], binned, labels,
+                          self._slots[p_lo:p_hi]),
+                    daemon=True,
+                )
+                with child_conn:
+                    proc.start()
+                self._procs.append(proc)
+        except BaseException:  # a fork that fails (EAGAIN, ENOMEM) stops the workers started
+            self.close()
+            raise
 
     def _run(self, method, args=(), build_id=None, row_args=()) -> GradHistogram | None:
         """Send one step to every worker, run the parent's own, then collect every reply.

@@ -22,7 +22,6 @@ from jamcast.ingest import (
     FeatureSchema,
     FeatureSpec,
     clean,
-    count_lines,
     encode,
     ingest_files,
     load_matrix,
@@ -295,7 +294,7 @@ def test_the_spool_is_unnamed_and_closed_with_its_matrix(tmp_path):
     spool_dir.mkdir()
     matrix, enc, _ = ingest_files([path], schema_for("leaky"), spool_dir=spool_dir)
     assert list(spool_dir.iterdir()) == []
-    assert len(_open_files_in(spool_dir)) == 1
+    assert len(_open_files_in(spool_dir)) == matrix.n_features  # one file per column
     save_matrix(tmp_path / "m.tjm", matrix, enc)
     assert np.array_equal(load_matrix(tmp_path / "m.tjm")[0].values, matrix.values)
     del matrix
@@ -304,8 +303,8 @@ def test_the_spool_is_unnamed_and_closed_with_its_matrix(tmp_path):
 
 
 def test_a_failed_ingest_leaves_no_spool(tmp_path, monkeypatch):
-    """The input growing after it was counted, or vanishing mid-ingest under the CLI
-    (exit 2), leaves no spool file or descriptor behind."""
+    """A block stream that raises mid-ingest, or a second input vanishing after the
+    first is parsed under the CLI (exit 2), leaves no spool file or descriptor behind."""
     lines = b"".join(jam_line(street=f"s{i}") + b"\n" for i in range(3000))
     first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     first.write_bytes(lines)
@@ -313,27 +312,32 @@ def test_a_failed_ingest_leaves_no_spool(tmp_path, monkeypatch):
     spool_dir = tmp_path / "spool"
     spool_dir.mkdir()
 
-    def count_then_grow(p):
-        n = count_lines(p)
-        with open(p, "ab") as fh:
-            fh.write(lines)
-        return n
+    def blocks_then_fail():
+        yield from clean(parse_jams(BytesIO(lines))[0])[0]
+        raise OSError(errno.EIO, "input error")
 
-    monkeypatch.setattr(ingest, "count_lines", count_then_grow)
-    with pytest.raises(ValidationError, match="grew"):
-        ingest_files([first], schema_for("leaky"), spool_dir=spool_dir)
+    # `failed` keeps encode's frame alive, so its spool files must be closed, not dropped
+    with pytest.raises(OSError, match="input error") as failed:
+        encode(blocks_then_fail(), schema_for("leaky"), spool_dir=spool_dir)
     assert list(spool_dir.iterdir()) == [] and _open_files_in(spool_dir) == []
+    del failed
 
-    def count_then_vanish(p):
-        n = count_lines(p)
-        if Path(p) == second:
-            second.unlink()
-        return n
+    parse = ingest.parse_jams
 
-    monkeypatch.setattr(ingest, "count_lines", count_then_vanish)
+    def parse_then_vanish(fh):
+        blocks, report = parse(fh)
+
+        def gen():
+            yield from blocks
+            if fh.name == str(first):
+                second.unlink()
+
+        return gen(), report
+
+    monkeypatch.setattr(ingest, "parse_jams", parse_then_vanish)
     out_dir = tmp_path / "out"
     rc = main(["ingest", "--input", str(tmp_path / "*.jsonl"), "--out", str(out_dir / "m.tjm")])
-    assert rc == 2
+    assert rc == 2 and not second.exists()
     assert list(out_dir.iterdir()) == [] and _open_files_in(out_dir) == []
 
 
@@ -368,32 +372,6 @@ def test_a_failed_save_leaves_the_previous_file(tmp_path, monkeypatch):
         save_matrix(path, *synthetic_matrix(3_000, seed=6))
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
-
-
-def test_input_grown_after_its_lines_were_counted_is_an_error(tmp_path, monkeypatch):
-    path = tmp_path / "jams.jsonl"
-    lines = b"".join(jam_line(street=f"s{i}") + b"\n" for i in range(50))
-    path.write_bytes(lines)
-    def count_then_grow(p):
-        n = count_lines(p)
-        with open(p, "ab") as fh:
-            fh.write(lines)
-        return n
-
-    monkeypatch.setattr(ingest, "count_lines", count_then_grow)
-    with pytest.raises(ValidationError, match="grew"):
-        ingest_files([path], schema_for("leaky"))
-    blocks, _ = parse_all([jam_line()] * 3)
-    with pytest.raises(ValidationError, match="grew"):
-        encode(blocks, schema_for("leaky"), max_rows=2)
-
-
-def test_count_lines_bounds_the_lines_of_a_file(tmp_path, monkeypatch):
-    monkeypatch.setattr(ingest, "_COUNT_BYTES", 3)  # newlines fall on every read boundary
-    path = tmp_path / "f"
-    for data in (b"", b"a", b"a\n", b"\n\n\n", b"ab\ncd\r\nef", b"x\n" * 10):
-        path.write_bytes(data)
-        assert count_lines(path) == data.count(b"\n") + 1  # >= the lines, last one included
 
 
 def test_load_matrix_holds_the_matrix_once(tmp_path):

@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import multiprocessing
 import os
 import pickle
 import tempfile
@@ -255,6 +257,27 @@ def test_a_failing_parent_step_collects_every_reply_first(monkeypatch, small_mat
     finally:
         source.close()
     assert not any(proc.is_alive() for proc in procs)
+
+
+def test_a_failed_fork_stops_the_workers_already_started(monkeypatch, small_matrix):
+    """A worker that cannot be forked (EAGAIN, ENOMEM) closes the engine before the
+    error propagates, so the workers started before it do not outlive it."""
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 3)
+    start = multiprocessing.context.ForkProcess.start
+    started = []
+
+    def fail_the_second(proc):
+        if started:
+            raise OSError(errno.EAGAIN, "fork failed")
+        started.append(proc)
+        start(proc)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", fail_the_second)
+    binned = quantize(small_matrix.values[:1000], 16)
+    with pytest.raises(OSError, match="fork failed"):
+        engine.open_engine(binned, small_matrix.labels[:1000].astype(np.float64), 3)
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_quantize_threads_no_more_than_the_process_may_use(monkeypatch):
