@@ -1,16 +1,14 @@
 """Parse, validate, clean and encode jam JSONL streams into feature matrices.
 
 Jams stream through in blocks of `_BLOCK_LINES` non-empty lines and never
-become row objects. Each line is decoded once; objects holding every jam
-key are transposed into columns, and each column is checked with one
-set-of-types test and one numpy mask. Only rows failing a fast check go to
-the scalar validator `_jam_rejection`, whose order of checks decides which
-rejection reason wins. `clean` drops rows with ordered masks and `encode`
-appends each block's columns to a spool of one file per column, so each
-input is read once, with no count of its rows first, and memory holds one
-block of lines and decoded objects plus one label byte per row, whatever
-the corpus size; the matrix's columns are read from the spool when asked
-for.
+become row objects: each line is decoded once, objects holding every jam
+key are transposed into columns, and parse and clean check a block with
+one ordered list of (reason, row mask) rules, in the order of
+docs/formats.md, counting each row under the first rule it fails
+(`_keep`); only lines that cannot be transposed get a scalar check.
+`encode` appends each block's columns to a spool of one file per column,
+so each input is read once, with no count of its rows first, and memory
+holds one block plus one label byte per row, whatever the corpus size.
 
 Parsing is line-tolerant: every non-empty line either yields a row or
 increments a rejection reason, and rows_accepted + rows_rejected always
@@ -29,7 +27,6 @@ import contextlib
 import hashlib
 import itertools
 import json
-import math
 import operator
 import os
 import secrets
@@ -148,11 +145,10 @@ class IngestReport:
 class FeatureMatrix:
     """Encoded design matrix: (n_rows, n_features) float64 values plus boolean labels.
 
-    A matrix from `encode` or `load_matrix` holds only its labels: each
-    `column(j)` is read from its store, the spool `encode` wrote or the
-    .tjm file, when asked for, and `values` reads every column the first
-    time it is used and keeps them. `take` returns a matrix that holds
-    its values.
+    A matrix from `encode` or `load_matrix` holds only its labels, and its
+    store is fixed when it is built: `column(j)` and `values` read from the
+    spool `encode` wrote or the .tjm file each time they are asked for.
+    `take` returns a matrix that holds its values.
     """
 
     def __init__(
@@ -163,7 +159,7 @@ class FeatureMatrix:
         stored: _Stored | None = None,
     ):
         self._values = values
-        self._stored = stored  # where the values are, while they are not held
+        self._stored = stored  # where the values are, if they are not held
         self.labels = labels
         self.schema = schema
         if values is None:
@@ -173,12 +169,12 @@ class FeatureMatrix:
 
     @property
     def values(self) -> np.ndarray:
-        if self._values is None:
-            columns = np.empty((self.n_features, self.n_rows), dtype="<f8")
-            for j, col in enumerate(columns):
-                _read_stored(self._stored, j, col)
-            self._values = columns.T
-        return self._values
+        if self._values is not None:
+            return self._values
+        columns = np.empty((self.n_features, self.n_rows), dtype="<f8")
+        for j, col in enumerate(columns):
+            _read_stored(self._stored, j, col)
+        return columns.T
 
     def column(self, j: int) -> np.ndarray:
         """Feature j's values: a view of the values held, else a fresh read from the store."""
@@ -208,7 +204,7 @@ class FeatureMatrix:
 # peak by about 4 MB but parsed 3-6% slower, so the block stays at 2048
 _BLOCK_LINES = 2048
 
-# per jam key: the JSON value types the fast check accepts, and the column dtype
+# per jam key: the JSON value types its column accepts, and the column's dtype
 _INTEGER = (frozenset({int}), np.int64)
 _TEXT = (frozenset({str, type(None)}), object)
 _NUMBER = (frozenset({int, float, type(None)}), np.float64)
@@ -219,6 +215,7 @@ _JAM_COLUMNS = {
     **dict.fromkeys(_JAM_NUMERICS, _NUMBER),
 }
 _jam_values = operator.itemgetter(*_JAM_COLUMNS)
+_Mask = np.ndarray | bool  # a row mask, or False for no row
 _raw_decode = json.JSONDecoder().raw_decode
 
 
@@ -239,30 +236,17 @@ class JamBlock:
         return JamBlock({key: col[keep] for key, col in self.columns.items()})
 
 
-def _jam_rejection(obj) -> str | None:
-    """Why parse rejects a decoded jam line, or None; the order of checks picks the reason."""
+def _untransposed_rejection(obj) -> str:
+    """Why parse rejects a decoded line that is not an object holding every jam key."""
     if not isinstance(obj, dict):
         return "malformed_json"
     if "level" not in obj:
         return "missing_field"
-    level = obj["level"]
-    if type(level) is not int:
+    if type(obj["level"]) is not int:
         return "bad_field_type"
-    if not 1 <= level <= 5:
+    if not 1 <= obj["level"] <= 5:
         return "level_out_of_range"
-    if any(key not in obj for key in _JAM_COLUMNS):
-        return "missing_field"
-    for key, (types, dtype) in _JAM_COLUMNS.items():
-        value = obj[key]
-        # a float64 column must also hold the value: the integer 10**400 does not fit
-        if type(value) not in types or (dtype is np.float64 and not _fits(value, dtype)):
-            return "bad_field_type"
-    # 1e400 and Infinity decode to float inf; NaN stays missing, as null is
-    if any(obj[key] is not None and math.isinf(obj[key]) for key in _JAM_NUMERICS):
-        return "non_finite"
-    if not 0 < obj["pub_date"] < 2**63:  # epoch-ms must fit int64
-        return "invalid_pub_date"
-    return None
+    return "missing_field"
 
 
 def _iter_nonempty(stream: BinaryIO | Iterable[bytes]) -> Iterator[bytes]:
@@ -299,21 +283,21 @@ def _decode(lines: list[bytes]) -> Iterator:
         yield obj if end == len(part) else None
 
 
-def _column(values: tuple, types: frozenset, dtype) -> tuple[np.ndarray, np.ndarray | bool]:
-    """`values` as an array, and the mask of values of another type or out of dtype's range."""
+def _column(values: tuple, types: frozenset, dtype) -> tuple[np.ndarray, _Mask, _Mask]:
+    """`values` as an array, the mask of values of another type, and the mask of values
+    outside dtype's range; a masked value is stored as 0."""
     present = set(map(type, values))
-    wrong = False
+    wrong = over = False
     if not present <= types:
         wrong = np.fromiter((type(v) not in types for v in values), bool, len(values))
         values = [0 if w else v for v, w in zip(values, wrong)]
     if dtype is object and type(None) in present:
         values = ["" if v is None else v for v in values]
     try:
-        return np.array(values, dtype=dtype), wrong
+        return np.array(values, dtype=dtype), wrong, over
     except OverflowError:
         over = np.fromiter((not _fits(v, dtype) for v in values), bool, len(values))
-        values = [0 if o else v for v, o in zip(values, over)]
-        return np.array(values, dtype=dtype), wrong | over
+        return np.array([0 if o else v for v, o in zip(values, over)], dtype=dtype), wrong, over
 
 
 def _fits(value, dtype) -> bool:
@@ -324,28 +308,41 @@ def _fits(value, dtype) -> bool:
     return True
 
 
+def _keep(rules: Iterable[tuple[str, _Mask]], n: int, report: IngestReport) -> np.ndarray:
+    """Count each of n rows under the first (reason, mask) rule it fails, or as accepted if
+    it fails none; the mask of the rows accepted."""
+    kept = np.ones(n, dtype=bool)
+    for reason, hit in rules:
+        hit = hit & kept
+        report.reject(reason, int(np.count_nonzero(hit)))
+        kept &= ~hit
+    report.rows_accepted += int(np.count_nonzero(kept))
+    return kept
+
+
 def _parse_block(lines: list[bytes], report: IngestReport) -> JamBlock:
-    """Decode, transpose and check one block; rows failing a fast check get their reason."""
-    rows, whole, rejected = [], [], []
+    """Decode, transpose and check one block by the rules of docs/formats.md, in their
+    order; a line that cannot be transposed gets its reason from a scalar check."""
+    rows = []
     for obj in _decode(lines):
         try:
             rows.append(_jam_values(obj))
-            whole.append(obj)
         except (TypeError, KeyError):  # not an object, or a jam key is missing
-            rejected.append(obj)
-    columns = {key: np.empty(0, dtype=dtype) for key, (_, dtype) in _JAM_COLUMNS.items()}
-    bad = np.zeros(len(whole), dtype=bool)
-    for key, values in zip(_JAM_COLUMNS, zip(*rows)):
-        columns[key], wrong = _column(values, *_JAM_COLUMNS[key])
-        bad |= wrong
-    bad |= (columns["level"] < 1) | (columns["level"] > 5) | (columns["pub_date"] <= 0)
-    for key in _JAM_NUMERICS:
-        bad |= np.isinf(columns[key])
-    for obj in itertools.chain(rejected, itertools.compress(whole, bad)):
-        report.reject(_jam_rejection(obj))
-    block = JamBlock(columns).take(~bad)
-    report.rows_accepted += len(block)
-    return block
+            report.reject(_untransposed_rejection(obj))
+    columns, wrong, over = {}, {}, {}
+    for key, values in zip(_JAM_COLUMNS, list(zip(*rows)) or [()] * len(_JAM_COLUMNS)):
+        columns[key], wrong[key], over[key] = _column(values, *_JAM_COLUMNS[key])
+    # int64 overflow is out of range; an integer too large for float64 has a bad type
+    rules = [
+        ("bad_field_type", wrong["level"]),
+        ("level_out_of_range", over["level"] | (columns["level"] < 1) | (columns["level"] > 5)),
+        ("bad_field_type", wrong["pub_date"]),
+        *(("bad_field_type", wrong[key] | over[key]) for key in _JAM_STRINGS + _JAM_NUMERICS),
+        # 1e400 and Infinity decode to float inf; NaN is missing, as null is
+        *(("non_finite", np.isinf(columns[key])) for key in _JAM_NUMERICS),
+        ("invalid_pub_date", over["pub_date"] | (columns["pub_date"] <= 0)),
+    ]
+    return JamBlock(columns).take(_keep(rules, len(rows), report))
 
 
 def parse_jams(stream: BinaryIO | Iterable[bytes]) -> tuple[Iterator[JamBlock], IngestReport]:
@@ -384,12 +381,7 @@ def clean(
             if window is not None:
                 pub = block["pub_date"]
                 rules.append(("out_of_window", (pub < window[0]) | (pub >= window[1])))
-            dropped = np.zeros(len(block), dtype=bool)
-            for reason, hit in rules:
-                report.reject(reason, int(np.count_nonzero(hit & ~dropped)))
-                dropped |= hit
-            kept = block.take(~dropped)
-            report.rows_accepted += len(kept)
+            kept = block.take(_keep(rules, len(block), report))
             if len(kept):
                 yield kept
 

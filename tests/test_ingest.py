@@ -302,6 +302,18 @@ def test_the_spool_is_unnamed_and_closed_with_its_matrix(tmp_path):
     assert _open_files_in(spool_dir) == []
 
 
+def test_values_of_a_spooled_matrix_are_read_afresh_each_time():
+    """`values` never switches a matrix from its spool to held values: each read is a
+    new array, and writing into one leaves the store as it was."""
+    matrix, _ = synthetic_matrix(2_000, seed=5)
+    first, second = matrix.values, matrix.values
+    assert np.array_equal(first, second, equal_nan=True)
+    assert not np.shares_memory(first, second)
+    before = matrix.column(0)
+    first[:, 0] = -1.0
+    assert np.array_equal(matrix.column(0), before, equal_nan=True)
+
+
 def test_a_failed_ingest_leaves_no_spool(tmp_path, monkeypatch):
     """A block stream that raises mid-ingest, or a second input vanishing after the
     first is parsed under the CLI (exit 2), leaves no spool file or descriptor behind."""

@@ -161,6 +161,12 @@ def _jam(**overrides) -> bytes:
     return _dumps({**JAM_LINE_DEFAULTS, **overrides}).encode()
 
 
+def _jam_without(key: str, **overrides) -> bytes:
+    obj = {**JAM_LINE_DEFAULTS, **overrides}
+    del obj[key]
+    return _dumps(obj).encode()
+
+
 def test_every_rejection_reason_matches_row_reference():
     lines = [
         _jam(),
@@ -195,6 +201,23 @@ def test_every_rejection_reason_matches_row_reference():
         json.dumps({**JAM_LINE_DEFAULTS, "street": "utf16"}).encode("utf-16-le"),
         _jam(street="crlf") + b"\r",
         _jam(speed=None, street="a\u2028b", city=None),
+        # the edges of each rule
+        _jam(level=True),
+        _jam(level=-(10**30)),
+        _jam(pub_date=-(2**63) - 1),
+        _jam(pub_date=2**64),
+        _jam(pub_date="1"),
+        _jam(speed=2**1024 - 2**970),  # rounds to 2**1024: too large for float64
+        _jam(speed=2**1024 - 2**971),  # the largest float64
+        # where two rules fail, the earlier one is the reason
+        _jam(level="3", pub_date=0),
+        _jam(level=9, speed="x"),
+        _jam(speed="x", delay="<raw:Infinity>"),
+        _jam(delay="<raw:Infinity>", pub_date=0),
+        # a missing key comes after level's own checks
+        _jam_without("speed", level=9),
+        _jam_without("speed", level="3"),
+        _jam_without("speed", level=True),
         b"",
         b"  ",
     ]
