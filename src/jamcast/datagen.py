@@ -16,10 +16,19 @@ the default level weights put the positive fraction near 0.66.
 All draws come from the documented counter-based streams in jamcast.rng,
 indexed by absolute row number: output bytes depend only on the config,
 never on chunking, and scale linearly in row count.
+
+Lines are rendered by numpy a chunk of rows at a time, with no Python
+string per row: each field's values become a NUL-padded column of bytes in
+one (rows, line width) matrix, digits come from a table of 4-digit groups,
+and the NULs are dropped. Floats are written as Python's `format(v, ".Nf")`
+writes them, round-half-even on the exact binary value; a non-finite value
+(possible only with a huge `coupling_noise`) is written as Python writes
+it, e.g. `inf`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -98,7 +107,7 @@ _CH_DESC = 15
 _TAG_JAMS = 0x4A414D53  # "JAMS"
 _TAG_ALERTS = 0x414C5254  # "ALRT"
 
-_CHUNK = 1 << 16  # rows rendered at once; their lines, text and bytes are all held together
+_CHUNK = 1 << 12  # rows rendered at once; their byte matrix, about 1 MB, is all a chunk holds
 
 
 @dataclass(frozen=True)
@@ -154,9 +163,9 @@ def _pub_dates(seed: int, start_row: int, n: int, window: tuple[int, int]) -> np
     return lo + (u * (hi - lo)).astype(np.int64)
 
 
-def _pick(seed: int, channel: int, start_row: int, n: int, items: tuple) -> list:
-    idx = rng.integers(seed, channel, start_row, n, len(items))
-    return [items[i] for i in idx]
+def _pick(seed: int, channel: int, start_row: int, n: int, items: tuple) -> np.ndarray:
+    """Indices into `items`, one per row."""
+    return rng.integers(seed, channel, start_row, n, len(items))
 
 
 def _banded(
@@ -177,7 +186,8 @@ def _banded(
     return np.maximum(value, 0.0)
 
 
-def _jam_chunk(config: GenConfig, seed: int, start_row: int, n: int) -> list[str]:
+def _jam_columns(config: GenConfig, seed: int, start_row: int, n: int) -> tuple:
+    """The columns of jam rows start_row.. start_row + n, in `_JAM_LINE` order."""
     pub = _pub_dates(seed, start_row, n, config.date_window)
     hour = decompose_epoch_ms(pub)["hour"]
     rush = np.isin(hour, list(RUSH_HOURS))
@@ -198,28 +208,11 @@ def _jam_chunk(config: GenConfig, seed: int, start_row: int, n: int) -> list[str
     streets = _pick(seed, _CH_STREET, start_row, n, STREETS)
     cities = _pick(seed, _CH_CITY, start_row, n, CITIES)
     roads = _pick(seed, _CH_ROAD, start_row, n, ROAD_TYPES)
-
-    rows = zip(
-        lon.tolist(),
-        lat.tolist(),
-        streets,
-        cities,
-        roads,
-        pub.tolist(),
-        (level0 + 1).tolist(),
-        speed.tolist(),
-        length.tolist(),
-        delay.tolist(),
-    )
-    return [
-        f'{{"location_x":{x:.5f},"location_y":{y:.5f},"street":"{st}","city":"{ci}",'
-        f'"country":"US","road_type":{rt},"pub_date":{p},"level":{lv},'
-        f'"speed":{sp:.2f},"length":{ln:.1f},"delay":{dl:.1f}}}'
-        for x, y, st, ci, rt, p, lv, sp, ln, dl in rows
-    ]
+    return lon, lat, streets, cities, roads, pub, level0 + 1, speed, length, delay
 
 
-def _alert_chunk(config: GenConfig, seed: int, start_row: int, n: int) -> list[str]:
+def _alert_columns(config: GenConfig, seed: int, start_row: int, n: int) -> tuple:
+    """The columns of alert rows start_row.. start_row + n, in `_ALERT_LINE` order."""
     pub = _pub_dates(seed, start_row, n, config.date_window)
     lon = -118.7 + rng.uniforms(seed, _CH_LON, start_row, n)
     lat = 33.7 + 0.7 * rng.uniforms(seed, _CH_LAT, start_row, n)
@@ -228,13 +221,144 @@ def _alert_chunk(config: GenConfig, seed: int, start_row: int, n: int) -> list[s
     roads = _pick(seed, _CH_ROAD, start_row, n, ROAD_TYPES)
     types = _pick(seed, _CH_TYPE, start_row, n, EVENT_TYPES)
     descs = _pick(seed, _CH_DESC, start_row, n, DESCRIPTIONS)
-    rows = zip(lon.tolist(), lat.tolist(), streets, cities, roads, descs, types, pub.tolist())
-    return [
-        f'{{"location_x":{x:.5f},"location_y":{y:.5f},"street":"{st}","city":"{ci}",'
-        f'"country":"US","road_type":{rt},"report_description":"{de}",'
-        f'"type":"{ty}","pub_date":{p}}}'
-        for x, y, st, ci, rt, de, ty, p in rows
+    return lon, lat, streets, cities, roads, descs, types, pub
+
+
+@functools.cache
+def _digit_table() -> np.ndarray:
+    """Row k < 10**4 holds the 4 ASCII digits of k as one uint32; row
+    10**4 + k holds them with leading zeros NUL, so all four are NUL for 0.
+
+    Built on first use, so commands that only import this module (every
+    CLI command does) do not pay for it.
+    """
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    padded = np.stack([np.tile(np.repeat(digits, 10 ** (3 - j)), 10**j) for j in range(4)], 1)
+    blank = padded.copy()
+    for j in range(4):
+        blank[: 10 ** (3 - j), j] = 0  # k < 10**(3 - j): digit j is a leading zero
+    return np.concatenate([padded, blank]).view(np.uint32).ravel()
+
+
+def _n_digits(v: np.ndarray) -> int:
+    return len(str(int(v.max()))) if v.size else 1
+
+
+def _digits(v: np.ndarray, width: int, pad: bool) -> np.ndarray:
+    """Non-negative int64s as (n, width) right-aligned ASCII digits.
+
+    With `pad` leading zeros are written (every value must fit in `width`);
+    without, they are NUL and 0 is written "0".
+    """
+    table = _digit_table()
+    n_groups = -(-width // 4)
+    groups = np.empty((v.shape[0], n_groups), np.uint32)
+    rest = v
+    for g in range(n_groups - 1, -1, -1):
+        rest, low = np.divmod(rest, 10_000)
+        groups[:, g] = table[low if pad else np.where(rest == 0, low + 10_000, low)]
+    cells = groups.view(np.uint8)[:, 4 * n_groups - width:]
+    if not pad:
+        cells[v == 0, -1] = ord("0")
+    return cells
+
+
+def _cells(texts: list[bytes]) -> np.ndarray:
+    """Byte strings as rows of a NUL-padded uint8 matrix."""
+    return np.array(texts, dtype=bytes).view(np.uint8).reshape(len(texts), -1)
+
+
+def _ints(v: np.ndarray) -> np.ndarray:
+    """Cells of non-negative ints as `str` writes them."""
+    return _digits(v, _n_digits(v), pad=False)
+
+
+def _fixed(decimals: int):
+    """Cells of floats as `format(v, ".{decimals}f")` writes them.
+
+    A value is written from k = rint(p), p = |v| * 10**decimals in float64,
+    as the digits of k // 10**decimals and k % 10**decimals, after a "-"
+    wherever v's sign bit is set (so -0.0 and small negatives give "-0.00",
+    as Python does). p is off the exact product by at most p * 2**-53, so
+    where it lies farther than p * 2**-50 from a half-integer both round to
+    the same integer: Python's round-half-even of the exact binary value.
+    Values nearer a tie, with p >= 2**52, or not finite are written by
+    Python's own `format`, in a slot widened to hold them.
+    """
+    spec = f".{decimals}f"
+
+    def cells(v: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            p = np.abs(v) * 10.0**decimals
+        exact = ~(p < 2.0**52)  # also inf and nan
+        p[exact] = 0.0
+        exact |= np.abs(p - np.floor(p) - 0.5) <= p * 2.0**-50
+        whole, frac = np.divmod(np.rint(p).astype(np.int64), 10**decimals)
+        n = v.shape[0]
+        block = np.concatenate(
+            [
+                (np.signbit(v) * ord("-")).astype(np.uint8)[:, None],
+                _digits(whole, _n_digits(whole), pad=False),
+                np.full((n, 1), ord("."), np.uint8),
+                _digits(frac, decimals, pad=True),
+            ],
+            axis=1,
+        )
+        if exact.any():
+            texts = _cells([format(x, spec).encode() for x in v[exact].tolist()])
+            block = np.pad(block, ((0, 0), (max(texts.shape[1] - block.shape[1], 0), 0)))
+            block[exact] = 0
+            block[exact, block.shape[1] - texts.shape[1]:] = texts
+        return block
+
+    return cells
+
+
+def _table(items: tuple):
+    """Cells of indices into `items`, each written as `str` writes it."""
+    table = _cells([str(item).encode() for item in items])
+    return lambda idx: table[idx]
+
+
+# A line is a tuple of segments: literal bytes, or a function from one
+# column to that column's cells, an (n, w) uint8 block whose unused bytes
+# are NUL. Each function takes the next column in order.
+_JAM_LINE = (
+    b'{"location_x":', _fixed(5), b',"location_y":', _fixed(5),
+    b',"street":"', _table(STREETS), b'","city":"', _table(CITIES),
+    b'","country":"US","road_type":', _table(ROAD_TYPES),
+    b',"pub_date":', _ints, b',"level":', _ints,
+    b',"speed":', _fixed(2), b',"length":', _fixed(1), b',"delay":', _fixed(1), b"}\n",
+)  # fmt: skip
+
+_ALERT_LINE = (
+    b'{"location_x":', _fixed(5), b',"location_y":', _fixed(5),
+    b',"street":"', _table(STREETS), b'","city":"', _table(CITIES),
+    b'","country":"US","road_type":', _table(ROAD_TYPES),
+    b',"report_description":"', _table(DESCRIPTIONS), b'","type":"', _table(EVENT_TYPES),
+    b'","pub_date":', _ints, b"}\n",
+)  # fmt: skip
+
+
+def _render(line: tuple, n: int, columns: tuple) -> bytes:
+    """n lines laid out side by side in one (n, width) matrix, NULs dropped."""
+    cols = iter(columns)
+    blocks = [
+        np.broadcast_to(np.frombuffer(seg, np.uint8), (n, len(seg)))
+        if isinstance(seg, bytes)
+        else seg(next(cols))
+        for seg in line
     ]
+    matrix = np.concatenate(blocks, axis=1)
+    return matrix[matrix != 0].tobytes()
+
+
+def _jam_chunk(config: GenConfig, seed: int, start_row: int, n: int) -> bytes:
+    return _render(_JAM_LINE, n, _jam_columns(config, seed, start_row, n))
+
+
+def _alert_chunk(config: GenConfig, seed: int, start_row: int, n: int) -> bytes:
+    return _render(_ALERT_LINE, n, _alert_columns(config, seed, start_row, n))
 
 
 def _generate(config: GenConfig, sink: BinaryIO, n_rows: int, seed_tag: int, chunk_fn) -> int:
@@ -243,8 +367,7 @@ def _generate(config: GenConfig, sink: BinaryIO, n_rows: int, seed_tag: int, chu
     written = 0
     while written < n_rows:
         n = min(_CHUNK, n_rows - written)
-        lines = chunk_fn(config, seed, written, n)
-        sink.write(("\n".join(lines) + "\n").encode())
+        sink.write(chunk_fn(config, seed, written, n))
         written += n
     return written
 

@@ -7,9 +7,10 @@ built one partition at a time, bin edges take their distinct values from
 np.unique and their quantiles from a second sort, split search over a
 histogram goes one feature at a time, the exact-greedy tree enumerates
 splits over raw (unquantized) values, prediction routes raw values by each
-split's `threshold` instead of bin codes, and jam ingest goes one record at
-a time through json.loads and scalar checks. Keeping these separate is what
-makes agreement with the library meaningful.
+split's `threshold` instead of bin codes, jam ingest goes one record at
+a time through json.loads and scalar checks, and generator lines are one
+f-string per row. Keeping these separate is what makes agreement with the
+library meaningful.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
+from jamcast.datagen import CITIES, DESCRIPTIONS, ROAD_TYPES, STREETS
 from jamcast.errors import DegenerateNodeError
-from jamcast.events import decompose_epoch_ms
+from jamcast.events import EVENT_TYPES, decompose_epoch_ms
 from jamcast.ingest import EncodingMap, FeatureMatrix, IngestReport
 from jamcast.trees.grower import _OBJECTIVES, SplitCandidate, sigmoid
 
@@ -516,3 +518,34 @@ def reference_encode(rows, schema):
             values[:, j] = lut[values[:, j].astype(np.int64)]
     matrix = FeatureMatrix(values=values, labels=labels, schema=schema)
     return matrix, EncodingMap(by_feature=final)
+
+
+def reference_jam_lines(columns) -> bytes:
+    """Jam JSONL lines of `datagen._JAM_LINE`'s columns, one f-string per row."""
+    lon, lat, streets, cities, roads, pub, level, speed, length, delay = columns
+    rows = zip(
+        lon.tolist(), lat.tolist(), streets.tolist(), cities.tolist(), roads.tolist(),
+        pub.tolist(), level.tolist(), speed.tolist(), length.tolist(), delay.tolist(),
+    )  # fmt: skip
+    return "".join(
+        f'{{"location_x":{x:.5f},"location_y":{y:.5f},"street":"{STREETS[st]}",'
+        f'"city":"{CITIES[ci]}","country":"US","road_type":{ROAD_TYPES[rt]},'
+        f'"pub_date":{p},"level":{lv},"speed":{sp:.2f},"length":{ln:.1f},"delay":{dl:.1f}}}\n'
+        for x, y, st, ci, rt, p, lv, sp, ln, dl in rows
+    ).encode()
+
+
+def reference_alert_lines(columns) -> bytes:
+    """Alert JSONL lines of `datagen._ALERT_LINE`'s columns, one f-string per row."""
+    lon, lat, streets, cities, roads, descs, types, pub = columns
+    rows = zip(
+        lon.tolist(), lat.tolist(), streets.tolist(), cities.tolist(), roads.tolist(),
+        descs.tolist(), types.tolist(), pub.tolist(),
+    )  # fmt: skip
+    return "".join(
+        f'{{"location_x":{x:.5f},"location_y":{y:.5f},"street":"{STREETS[st]}",'
+        f'"city":"{CITIES[ci]}","country":"US","road_type":{ROAD_TYPES[rt]},'
+        f'"report_description":"{DESCRIPTIONS[de]}","type":"{EVENT_TYPES[ty]}",'
+        f'"pub_date":{p}}}\n'
+        for x, y, st, ci, rt, de, ty, p in rows
+    ).encode()

@@ -1,15 +1,21 @@
 import hashlib
 import json
+import tracemalloc
 from io import BytesIO
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import jamcast.datagen as dg
 from helpers import column
+from jamcast import rng
 from jamcast.datagen import GenConfig, generate_alerts, generate_jams
 from jamcast.errors import ValidationError
 from jamcast.events import EVENT_TYPES
 from jamcast.ingest import clean, parse_jams
+from oracles import reference_alert_lines, reference_jam_lines
 
 ALERT_KEYS = [
     "location_x",
@@ -163,3 +169,125 @@ def test_positive_fraction_near_two_thirds():
     labels = [level > 2 for level in column(records, "level")]
     frac = np.mean(labels)
     assert 0.60 < frac < 0.73
+
+
+def _ulp_neighbours(values):
+    out = []
+    for v in values:
+        out += [v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)]
+    return out
+
+
+# Floats where a fixed-point renderer is easiest to get wrong, and their
+# negatives: exact binary ties at 1, 2 and 5 decimals (odd multiples of 1/4,
+# 1/8 and 1/64) and their one-ulp neighbours, carries into the next digit,
+# values that round to zero, the scale where |v| * 10**N reaches 2**52, the
+# largest finite float, and non-finite values.
+_TIES = [k / 64 for k in (1, 3, 5, 63, 65, 127, 6401)] + [k / 8 for k in (1, 3, 5, 79)]
+_TIES += [k / 4 for k in (1, 3, 39, 4001)]
+_CARRIES = [9.995, 99.995, 999.995, 9.95, 99.95, 0.99999, 0.999995, 9.999995, 0.005, 0.05]
+_HUGE = [2.0**52 / 10**n for n in (1, 2, 5)] + [2.0**53, 1e17, 1e22, 1e300]
+_ADVERSARIAL_FLOATS = [
+    float(x)
+    for v in _ulp_neighbours(_TIES + _CARRIES + _HUGE) + [0.0, 4e-6, 1e-9, 5e-324]
+    for x in (v, -v)
+] + [np.finfo(np.float64).max, np.inf, -np.inf, np.nan, -np.nan]
+_ADVERSARIAL_INTS = [0, 9, 10, 2**63 - 1] + [x for k in range(2, 19) for x in (10**k - 1, 10**k)]
+
+_FLOAT_COLUMNS = {"jam": (0, 1, 7, 8, 9), "alert": (0, 1)}
+_TABLES = {
+    "jam": {2: dg.STREETS, 3: dg.CITIES, 4: dg.ROAD_TYPES},
+    "alert": {2: dg.STREETS, 3: dg.CITIES, 4: dg.ROAD_TYPES, 5: dg.DESCRIPTIONS, 6: EVENT_TYPES},
+}
+_LINES = {
+    "jam": (dg._JAM_LINE, 10, reference_jam_lines),
+    "alert": (dg._ALERT_LINE, 8, reference_alert_lines),
+}
+
+
+def _columns(kind, n, floats, ints, picks):
+    """One chunk's columns: float, table and int columns drawn from the given callables."""
+    _, n_columns, _ = _LINES[kind]
+    cols = []
+    for j in range(n_columns):
+        if j in _FLOAT_COLUMNS[kind]:
+            cols.append(np.array(floats(j, n), dtype=np.float64))
+        elif j in _TABLES[kind]:
+            cols.append(np.array(picks(j, n, len(_TABLES[kind][j])), dtype=np.int64))
+        else:
+            cols.append(np.array(ints(j, n), dtype=np.int64))
+    return tuple(cols)
+
+
+def _assert_renders_as_oracle(kind, n, cols):
+    line, _, oracle = _LINES[kind]
+    assert dg._render(line, n, cols) == oracle(cols)
+
+
+@pytest.mark.parametrize("kind", ["jam", "alert"])
+def test_renderer_matches_oracle_on_adversarial_columns(kind):
+    """Every adversarial value alone in a 1-row chunk, all of them in one chunk, and 0 rows."""
+    floats, ints = _ADVERSARIAL_FLOATS, _ADVERSARIAL_INTS
+
+    def cycle(values):
+        return lambda j, n: [values[(i + 7 * j) % len(values)] for i in range(n)]
+
+    def picks(j, n, size):
+        return [(i * 5 + j) % size for i in range(n)]
+
+    for n in (0, len(floats), len(ints)):
+        _assert_renders_as_oracle(kind, n, _columns(kind, n, cycle(floats), cycle(ints), picks))
+    for value in floats:
+        _assert_renders_as_oracle(kind, 1, _columns(kind, 1, lambda j, n: [value], cycle(ints), picks))
+    for value in ints:
+        _assert_renders_as_oracle(kind, 1, _columns(kind, 1, cycle(floats), lambda j, n: [value], picks))
+
+
+@settings(max_examples=500, deadline=None)
+@given(kind=st.sampled_from(["jam", "alert"]), n=st.integers(0, 12), data=st.data())
+def test_renderer_matches_oracle(kind, n, data):
+    """Random chunks mixing adversarial values with arbitrary floats and ints."""
+    float_st = st.one_of(st.sampled_from(_ADVERSARIAL_FLOATS), st.floats(width=64))
+    int_st = st.one_of(st.sampled_from(_ADVERSARIAL_INTS), st.integers(0, 2**63 - 1))
+
+    def floats(j, n):
+        return data.draw(st.lists(float_st, min_size=n, max_size=n))
+
+    def ints(j, n):
+        return data.draw(st.lists(int_st, min_size=n, max_size=n))
+
+    def picks(j, n, size):
+        return data.draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n))
+
+    _assert_renders_as_oracle(kind, n, _columns(kind, n, floats, ints, picks))
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3, 50.0, 1e308])
+def test_generated_jams_match_the_oracle(noise):
+    """Drawn columns through the oracle, across a chunk boundary; 1e308 overflows some to inf."""
+    config = GenConfig(n_jams=5000, seed=17, coupling_noise=noise)
+    seed = rng.derive_seed(config.seed, dg._TAG_JAMS)
+    assert _jam_bytes(n_jams=5000, seed=17, coupling_noise=noise) == reference_jam_lines(
+        dg._jam_columns(config, seed, 0, 5000)
+    )
+
+
+class _Discard:
+    def write(self, data):
+        return len(data)
+
+
+def _generate_peak(n_jams: int) -> int:
+    tracemalloc.start()
+    try:
+        generate_jams(GenConfig(n_jams=n_jams, seed=3), _Discard())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generator_peak_does_not_grow_with_rows():
+    """One chunk's byte matrix, mask and bytes are all the generator holds."""
+    small, large = _generate_peak(50_000), _generate_peak(200_000)
+    assert large < small + 64 * 1024
+    assert large < 6 * 2**20
