@@ -21,9 +21,9 @@ Lines are rendered by numpy a chunk of rows at a time, with no Python
 string per row: each field's values become a NUL-padded column of bytes in
 one (rows, line width) matrix, digits come from a table of 4-digit groups,
 and the NULs are dropped. Floats are written as Python's `format(v, ".Nf")`
-writes them, round-half-even on the exact binary value; a non-finite value
-(possible only with a huge `coupling_noise`) is written as Python writes
-it, e.g. `inf`.
+writes them, round-half-even on the exact binary value. `coupling_noise` is
+bounded so that every value drawn is finite (see GenConfig), and every
+generated line ingests.
 """
 
 from __future__ import annotations
@@ -109,10 +109,20 @@ _TAG_ALERTS = 0x414C5254  # "ALRT"
 
 _CHUNK = 1 << 12  # rows rendered at once; their byte matrix, about 1 MB, is all a chunk holds
 
+# the largest coupling_noise accepted; GenConfig's docstring derives it
+MAX_COUPLING_NOISE = 1e307
+
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Generator configuration; every stream derives from `seed`."""
+    """Generator configuration; every stream derives from `seed`.
+
+    `coupling_noise` is at most MAX_COUPLING_NOISE, so that every banded value
+    is finite. A normal draw is sqrt(-2 ln(1 - u)) cos(2 pi u') with u at most
+    1 - 2**-53 (jamcast.rng), so |z| <= sqrt(106 ln 2) ~ 8.572; a band's value
+    before noise lies in [0, 7000]; so |value| <= 7000 + 8.572 * noise, which
+    is finite for noise below about 2.09e307. 1e307 keeps a factor of two.
+    """
 
     n_jams: int = 0
     n_alerts: int = 0
@@ -131,8 +141,9 @@ class GenConfig:
             raise ValidationError("level_weights must be 5 finite non-negative reals")
         if sum(weights) <= 0:
             raise ValidationError("level_weights must sum to > 0")
-        if not (_is_finite(self.coupling_noise) and self.coupling_noise >= 0):
-            raise ValidationError("coupling_noise must be finite and >= 0")
+        noise = self.coupling_noise
+        if not (_is_finite(noise) and 0 <= noise <= MAX_COUPLING_NOISE):
+            raise ValidationError(f"coupling_noise must be in [0, {MAX_COUPLING_NOISE:g}]")
         window = self.date_window
         # pub_dates lie in [start, end), and ingest accepts epoch-ms below 2**63
         ok = len(window) == 2 and all(_is_int(v) for v in window)

@@ -198,9 +198,9 @@ def bench(
 
     The split is by row index and no row is copied: quantize gathers the
     training rows from each feature's column, and predict gathers the test
-    rows of each feature its trees split on. A matrix from `encode` or
-    `load_matrix` is read a column at a time, so bench never holds its
-    float values.
+    rows of each feature its trees split on. A FeatureMatrix is read a
+    column at a time from its store, so bench never holds its float
+    values.
 
     Kinds run one at a time so timings are not contaminated by
     co-scheduling; wall times cover the split's quantize, training and

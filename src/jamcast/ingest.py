@@ -145,56 +145,27 @@ class IngestReport:
 class FeatureMatrix:
     """Encoded design matrix: (n_rows, n_features) float64 values plus boolean labels.
 
-    A matrix from `encode` or `load_matrix` holds only its labels, and its
-    store is fixed when it is built: `column(j)` and `values` read from the
-    spool `encode` wrote or the .tjm file each time they are asked for.
-    `take` returns a matrix that holds its values.
+    A matrix holds its labels, its schema and its store, fixed when it is
+    built: the spool `encode` wrote or the .tjm file `load_matrix` checked.
+    Its values stay in the store and are read a column at a time; data held
+    in memory is a plain 2-d array, which `quantize` and `predict` take too.
     """
 
-    def __init__(
-        self,
-        values: np.ndarray | None,
-        labels: np.ndarray,
-        schema: FeatureSchema,
-        stored: _Stored | None = None,
-    ):
-        self._values = values
-        self._stored = stored  # where the values are, if they are not held
+    def __init__(self, labels: np.ndarray, schema: FeatureSchema, store: _Stored):
         self.labels = labels
         self.schema = schema
-        if values is None:
-            self.n_rows, self.n_features = len(labels), len(schema.features)
-        else:
-            self.n_rows, self.n_features = (int(d) for d in values.shape)
-
-    @property
-    def values(self) -> np.ndarray:
-        if self._values is not None:
-            return self._values
-        columns = np.empty((self.n_features, self.n_rows), dtype="<f8")
-        for j, col in enumerate(columns):
-            _read_stored(self._stored, j, col)
-        return columns.T
+        self._store = store
+        self.n_rows, self.n_features = len(labels), len(schema.features)
 
     def column(self, j: int) -> np.ndarray:
-        """Feature j's values: a view of the values held, else a fresh read from the store."""
-        if self._values is not None:
-            return self._values[:, j]
+        """Feature j's values, read afresh from the store."""
         col = np.empty(self.n_rows, dtype="<f8")
-        _read_stored(self._stored, j, col)
+        _read_stored(self._store, j, col)
         return col
 
     @property
     def schema_fingerprint(self) -> str:
         return self.schema.fingerprint()
-
-    def take(self, rows: np.ndarray) -> FeatureMatrix:
-        """A row-major matrix holding a copy of `rows`, in that order, gathered a
-        column at a time."""
-        values = np.empty((len(rows), self.n_features), dtype="<f8")
-        for j in range(self.n_features):
-            values[:, j] = self.column(j)[rows]
-        return FeatureMatrix(values, self.labels[rows], self.schema)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +397,7 @@ def encode(
         )
         labels, final = _spool_columns(spool, blocks, schema.features)
         close_spool = stack.pop_all().close
-    matrix = FeatureMatrix(None, labels, schema, stored=_Stored(spool=spool))
+    matrix = FeatureMatrix(labels, schema, _Stored(spool=spool))
     weakref.finalize(matrix, close_spool)
     return matrix, EncodingMap(by_feature=final)
 
@@ -532,8 +503,8 @@ def save_matrix(
 
     The file is written as a sibling temporary file that replaces `path`
     only once it is whole, so a failed save leaves any file at `path` as it
-    was. Columns the matrix does not hold are copied from its store a
-    bounded chunk at a time.
+    was. Each column is copied from the matrix's store a bounded chunk at a
+    time.
     """
     header = {
         "format": "tjm",
@@ -568,16 +539,13 @@ def save_matrix(
 
 
 def _write_column(matrix: FeatureMatrix, j: int, fd: int, pos: int) -> int:
-    """Write feature j's values at `pos` in fd; the position after them. A column the
-    matrix does not hold is copied from its store through one buffer of at most
-    _COPY_BYTES."""
-    if matrix._values is not None:
-        return _pwrite_all(fd, np.ascontiguousarray(matrix._values[:, j], dtype="<f8"), pos)
+    """Copy feature j's values from the matrix's store to `pos` in fd, through one
+    buffer of at most _COPY_BYTES; the position after them."""
     n, step = matrix.n_rows, _COPY_BYTES // 8
     buf = np.empty(min(n, step), dtype="<f8")
     for row in range(0, n, step):
         chunk = buf[: n - row]
-        _read_stored(matrix._stored, j, chunk, row)
+        _read_stored(matrix._store, j, chunk, row)
         pos = _pwrite_all(fd, chunk, pos)
     return pos
 
@@ -611,10 +579,10 @@ def _pread_all(fd: int, out: np.ndarray, pos: int) -> int:
 
 @dataclass(frozen=True)
 class _Stored:
-    """Where a matrix's values are while it does not hold them: column j is `spool[j]`,
-    the unnamed file `encode` wrote, from byte 0; or else it is `n_rows` values from
-    byte `start + 8 * j * n_rows` of the .tjm file at `path`, whose (size, mtime_ns,
-    inode) were `stamp` when it was loaded."""
+    """Where a matrix's values are: column j is `spool[j]`, the unnamed file `encode`
+    wrote, from byte 0; or else it is `n_rows` values from byte
+    `start + 8 * j * n_rows` of the .tjm file at `path`, whose (size, mtime_ns, inode)
+    were `stamp` when it was loaded."""
 
     path: str = "<spool>"
     start: int = 0
@@ -650,9 +618,9 @@ def load_matrix(path: str | Path) -> tuple[FeatureMatrix, EncodingMap]:
     """Check a .tjm file's header and size and read its labels; a corrupt or short file
     is a ValidationError.
 
-    The matrix returned holds no values: its columns are read from the file
-    when asked for (`FeatureMatrix.column`, `.values`), and a file cut short
-    or rewritten by then is a FileChangedError.
+    The matrix returned holds no values: each column is read from the file
+    when asked for (`FeatureMatrix.column`), and a file cut short or
+    rewritten by then is a FileChangedError.
     """
     with open(path, "rb") as fh:
         if fh.read(4) != _TJM_MAGIC:
@@ -678,5 +646,5 @@ def load_matrix(path: str | Path) -> tuple[FeatureMatrix, EncodingMap]:
         labels = np.empty(n, dtype=np.uint8)
         fh.seek(stored.start + n * f * 8)
         fh.readinto(labels)
-    matrix = FeatureMatrix(None, labels.astype(bool), schema, stored=stored)
+    matrix = FeatureMatrix(labels.astype(bool), schema, stored)
     return matrix, EncodingMap(by_feature=cats)

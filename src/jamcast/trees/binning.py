@@ -76,9 +76,9 @@ def feature_columns(data, rows: np.ndarray | None = None):
     without it), the number of features, and column(j), feature j's values
     at those rows, in that order.
 
-    `data` is a 2-d (n_rows, n_features) array, or a matrix with `column(j)`,
-    `n_rows` and `n_features` (an `ingest.FeatureMatrix`, which may read each
-    column from its spool or .tjm file when asked for it).
+    `data` is a 2-d (n_rows, n_features) array, the in-memory form, or an
+    `ingest.FeatureMatrix`, whose `column(j)` reads feature j from its spool
+    or .tjm file each time it is asked for.
     """
     if hasattr(data, "column"):
         read, (n_rows, n_features) = data.column, (data.n_rows, data.n_features)
@@ -97,8 +97,8 @@ def quantize(
 ) -> BinnedMatrix:
     """Quantize an (n_rows, n_features) float matrix into bin codes.
 
-    `values` is a row-major array or a matrix whose columns are read one at
-    a time (see `feature_columns`). Per-feature quantile edges over at most
+    `values` is a 2-d array or a FeatureMatrix, read a column at a time
+    (see `feature_columns`). Per-feature quantile edges over at most
     max_bins real bins; constant features get a single bin; NaN maps to the
     feature's reserved missing bin. Binning preserves order: a <= b implies
     bin(a) <= bin(b). Each feature's column is read once, for its edges and

@@ -247,10 +247,11 @@ def predict(ensemble: Ensemble, matrix, rows: np.ndarray | None = None) -> np.nd
     """Probability of the positive class for each row of `matrix`, or for
     each of `rows` in that order, exactly as for a copy of those rows.
 
-    `matrix` is a FeatureMatrix, whose schema must be the model's, or an
-    (n_rows, n_features) array (a 1-d array is one row). Only the features
-    the trees split on are read, and only at the rows predicted; each tree
-    routes rows by their bin codes under bin_edges, as training did.
+    `matrix` is a FeatureMatrix, whose schema must be the model's and whose
+    columns are read from its store, or an in-memory (n_rows, n_features)
+    array (a 1-d array is one row). Only the features the trees split on
+    are read, and only at the rows predicted; each tree routes rows by
+    their bin codes under bin_edges, as training did.
     rf: mean of per-tree leaf fractions. Boosting kinds:
     sigmoid(base_margin + learning_rate * sum of leaf weights).
     """

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import struct
 from io import BytesIO
 
 import numpy as np
 
 from jamcast.datagen import GenConfig, generate_jams
 from jamcast.ingest import FeatureMatrix, clean, encode, parse_jams, schema_for
-from jamcast.trees.binning import quantize
+from jamcast.trees.binning import feature_columns, quantize
 from jamcast.trees.engine import InlineSource
 from jamcast.trees.grower import DecisionTree, grow_best_first
 
@@ -67,16 +68,38 @@ def synthetic_matrix(n_jams: int, seed: int = 42, feature_set: str = "leaky", **
     return matrix, enc
 
 
-def fit(trainer, data, labels=None, *, config):
-    """Quantize `data` as `train` and `bench` do, then train `trainer` on it.
+def dense(matrix, rows=None) -> np.ndarray:
+    """A stored matrix's values as one (n_rows, n_features) array, or those of `rows` in
+    that order, read a column at a time."""
+    n_rows, n_features, column = feature_columns(matrix, rows)
+    values = np.empty((n_rows, n_features))
+    for j in range(n_features):
+        values[:, j] = column(j)
+    return values
 
-    `data` is a FeatureMatrix, whose labels and schema are used, or a raw
+
+def overwrite_value(path, row: int, feature: str, value: float) -> None:
+    """Overwrite one value of a .tjm file in place, at its documented offset: after the
+    magic, the header's length and the header come the values, column-major `<f8`."""
+    with open(path, "r+b") as fh:
+        (hlen,) = struct.unpack("<4xI", fh.read(8))
+        header = json.loads(fh.read(hlen))
+        j = [name for name, _, _ in header["features"]].index(feature)
+        fh.seek(8 + hlen + 8 * (j * header["n_rows"] + row))
+        fh.write(struct.pack("<d", value))
+
+
+def fit(trainer, data, labels=None, *, config, rows=None):
+    """Quantize `data`, or its `rows`, as `train` and `bench` do, then train `trainer` on it.
+
+    `data` is a FeatureMatrix, whose labels (at `rows`) and schema are used, or a raw
     (n_rows, n_features) array trained with `labels` and no schema.
     """
     schema = None
     if isinstance(data, FeatureMatrix):
-        labels, schema = data.labels, data.schema
-    binned = quantize(data, config.max_bins, n_threads=config.n_workers)
+        labels = data.labels if rows is None else data.labels[rows]
+        schema = data.schema
+    binned = quantize(data, config.max_bins, n_threads=config.n_workers, rows=rows)
     return trainer(binned, labels, config, schema)
 
 

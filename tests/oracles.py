@@ -26,7 +26,7 @@ import numpy as np
 from jamcast.datagen import CITIES, DESCRIPTIONS, ROAD_TYPES, STREETS
 from jamcast.errors import DegenerateNodeError
 from jamcast.events import EVENT_TYPES, decompose_epoch_ms
-from jamcast.ingest import EncodingMap, FeatureMatrix, IngestReport
+from jamcast.ingest import EncodingMap, IngestReport
 from jamcast.trees.grower import _OBJECTIVES, SplitCandidate, sigmoid
 
 PST = timezone(timedelta(hours=-8))
@@ -489,7 +489,8 @@ def reference_clean(rows, window=None):
 
 
 def reference_encode(rows, schema):
-    """Per-record getattr encoding with first-seen codes remapped lexicographically."""
+    """Per-record getattr encoding with first-seen codes remapped lexicographically: the
+    (n_rows, n_features) values, the labels and the encoding map."""
     specs = schema.features
     n = len(rows)
     prov = {s.name: {} for s in specs if s.kind == "categorical"}
@@ -516,8 +517,7 @@ def reference_encode(rows, schema):
             for cat, p in mapping.items():
                 lut[p] = final[spec.name][cat]
             values[:, j] = lut[values[:, j].astype(np.int64)]
-    matrix = FeatureMatrix(values=values, labels=labels, schema=schema)
-    return matrix, EncodingMap(by_feature=final)
+    return values, labels, EncodingMap(by_feature=final)
 
 
 def reference_jam_lines(columns) -> bytes:

@@ -26,7 +26,7 @@ from jamcast.parallel import reduce_histograms
 from jamcast.trees.binning import quantize
 from jamcast.trees.grower import logistic_grad_hess
 from jamcast.trees.training import TrainConfig, predict, save_model, train_xgb
-from helpers import fit, grow_tree
+from helpers import dense, fit, grow_tree
 from oracles import brute_auc, exact_greedy_tree, logloss
 
 SEED = 42
@@ -63,18 +63,22 @@ def corpus(tmp_path_factory):
 
 
 def _train_and_score(matrix, n_workers=1, n_trees=20):
-    train_m, test_m = map(matrix.take, split_train_test(matrix, 0.75, SEED))
+    """Train on the split's training rows, read into memory before the clock starts, so
+    train_seconds times quantize and training alone."""
+    train_rows, test_rows = split_train_test(matrix, 0.75, SEED)
+    train_x, test_x = dense(matrix, train_rows), dense(matrix, test_rows)
+    test_labels = matrix.labels[test_rows]
     config = TrainConfig(
         n_trees=n_trees, max_depth=5, max_leaves=256, seed=SEED, n_workers=n_workers
     )
     t0 = time.perf_counter()
-    model = fit(train_xgb, train_m, config=config)
+    model = fit(train_xgb, train_x, matrix.labels[train_rows], config=config)
     train_seconds = time.perf_counter() - t0
-    scores = predict(model, test_m)
-    cm = confusion(scores, test_m.labels, 0.5)
+    scores = predict(model, test_x)
+    cm = confusion(scores, test_labels, 0.5)
     pr = precision_recall(cm)
     return {
-        "auc": auc(scores, test_m.labels),
+        "auc": auc(scores, test_labels),
         "precision": pr.precision,
         "recall": pr.recall,
         "train_seconds": train_seconds,
@@ -199,11 +203,11 @@ def test_criterion_5_gradient_checks():
 
 
 def test_criterion_6_determinism_and_worker_invariance(corpus, tmp_path):
-    sub = corpus["leaky"].take(np.arange(50_000))
+    rows = np.arange(50_000)
     files = {}
     for w in (1, 2, 4, 8):
         config = TrainConfig(n_trees=3, max_depth=5, max_leaves=256, seed=SEED, n_workers=w)
-        model = fit(train_xgb, sub, config=config)
+        model = fit(train_xgb, corpus["leaky"], config=config, rows=rows)
         path = tmp_path / f"model_w{w}.json"
         save_model(path, model, run_id="fixed")
         files[w] = path.read_bytes()

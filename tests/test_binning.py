@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import synthetic_matrix
+from helpers import dense, synthetic_matrix
 from jamcast.errors import ConfigError, ValidationError
 from jamcast.ingest import load_matrix, save_matrix
 from jamcast.trees import binning
@@ -176,7 +176,7 @@ def test_a_loaded_matrix_quantizes_as_its_values(stored_matrix, n_threads, max_b
     rng = np.random.default_rng(5)
     for rows in (None, np.sort(rng.choice(matrix.n_rows, 67_500, replace=False)),
                  rng.integers(0, matrix.n_rows, 500)):
-        want = quantize(matrix.values, max_bins, n_threads=n_threads, rows=rows)
+        want = quantize(dense(matrix), max_bins, n_threads=n_threads, rows=rows)
         got = quantize(loaded, max_bins, n_threads=n_threads, rows=rows)
         assert got.n_rows == want.n_rows and got.codes.dtype == want.codes.dtype == dtype
         assert got.codes.flags.c_contiguous

@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import jam_line, strict_json
+from helpers import jam_line, overwrite_value, strict_json
 from jamcast import cli, evaluation
 from jamcast.cli import main
-from jamcast.ingest import FeatureMatrix, load_matrix, save_matrix
+from jamcast.datagen import MAX_COUPLING_NOISE
+from jamcast.ingest import load_matrix
 from jamcast.trees.binning import quantize
 from jamcast.trees.training import TRAINERS, TrainConfig, load_model
 
@@ -105,12 +106,14 @@ def test_generate_config_file_flags_win(tmp_path):
         ("{}", ["--level-weights", "1,1,1,1,inf"]),
         ("{}", ["--coupling-noise", "nan"]),
         ("{}", ["--coupling-noise", "inf"]),
+        ("{}", ["--coupling-noise", str(float(np.nextafter(MAX_COUPLING_NOISE, np.inf)))]),
+        ('{"coupling_noise": 1e308}', []),
     ],
     ids=[
         "malformed-json", "unknown-key", "string-count", "fractional-count", "not-an-object",
         "scalar-window", "three-item-window", "nan-weight-in-config", "nan-noise-in-config",
         "non-numeric-weights", "three-weights", "nan-weight", "inf-weight", "nan-noise",
-        "inf-noise",
+        "inf-noise", "noise-above-bound", "huge-noise-in-config",
     ],
 )
 def test_generate_bad_config_exits_one(tmp_path, capsys, config_text, flags):
@@ -121,6 +124,22 @@ def test_generate_bad_config_exits_one(tmp_path, capsys, config_text, flags):
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (out / "jams.jsonl").exists()
+
+
+def test_generate_at_the_largest_coupling_noise_ingests_every_line(tmp_path):
+    """Every value drawn at the largest noise accepted is finite: numpy meets no overflow
+    or invalid value, and ingest rejects no line."""
+    out, matrix_path = tmp_path / "data", tmp_path / "m.tjm"
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        rc = main(["generate", "--jams", "5000", "--alerts", "0", "--seed", "1",
+                   "--coupling-noise", repr(MAX_COUPLING_NOISE), "--out", str(out)])
+        assert rc == 0
+        rc = main(["ingest", "--input", str(out / "jams.jsonl"), "--out", str(matrix_path)])
+        assert rc == 0
+    report = json.loads((tmp_path / "m.tjm.report.json").read_text())
+    assert report["parse"]["rows_rejected"] == report["clean"]["rows_rejected"] == 0
+    assert report["n_rows"] == 5000
 
 
 def test_ingest_round_trip(tmp_path):
@@ -594,10 +613,7 @@ def test_a_matrix_cut_short_after_it_was_loaded_exits_one(tmp_path, monkeypatch,
 def test_train_on_a_matrix_holding_minus_inf_exits_one(tmp_path, capsys):
     """-inf becomes a bin edge, which strict JSON cannot hold: no model file is written."""
     matrix_path = _ingest(tmp_path)
-    matrix, encoding = load_matrix(matrix_path)
-    values = matrix.values.copy()
-    values[0, matrix.schema.names().index("road_type")] = -np.inf
-    save_matrix(matrix_path, FeatureMatrix(values, matrix.labels, matrix.schema), encoding)
+    overwrite_value(matrix_path, 0, "road_type", -np.inf)
     out = tmp_path / "m.json"
     rc = main(["train", "--matrix", str(matrix_path), "--model", "xgb", "--trees", "1",
                "--out", str(out)])

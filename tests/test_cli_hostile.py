@@ -1,8 +1,9 @@
 """Every command under hostile flag values: exit code 0, 1 or 2, no traceback, strict JSON.
 
-Flags are drawn from nan, +-inf, the empty string, a reversed window,
-degenerate train fractions and a matrix holding -inf. Sizes, tree counts
-and worker counts stay small: they scale the work, not the hostility.
+Flags are drawn from nan, +-inf, the empty string, integers beyond int64, a
+coupling noise at and beside its bound, a reversed window, degenerate train
+fractions and a matrix holding -inf. Sizes, tree counts and worker counts
+stay small: they scale the work, not the hostility.
 """
 
 import contextlib
@@ -15,13 +16,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import strict_json
+from helpers import overwrite_value, strict_json
 from jamcast.cli import main
-from jamcast.ingest import FeatureMatrix, load_matrix, save_matrix
+from jamcast.datagen import MAX_COUPLING_NOISE
+from jamcast.ingest import load_matrix, save_matrix
 
 _HOSTILE = ["nan", "inf", "-inf", ""]
 _FLOATS = st.sampled_from(_HOSTILE + ["-1", "0", "0.5", "1", "2"])
-_INTS = st.sampled_from(_HOSTILE + ["-1", "0", "1", "2", "3"])
+_INTS = st.sampled_from(
+    _HOSTILE + ["-1", "0", "1", "2", "3", "99999999999999999999", "-99999999999999999999"]
+)
+_NOISE = st.sampled_from(_HOSTILE + ["-1", "0", "0.5", "2", "1e308"] + [
+    str(float(np.nextafter(MAX_COUPLING_NOISE, to))) for to in (0, MAX_COUPLING_NOISE, np.inf)
+])
 _WHEN = st.sampled_from(_HOSTILE + ["2018-01-05", "2018-01-01", "1515110400000", "-1", "0"])
 _TRAIN_FLAGS = {
     "--learning-rate": _FLOATS, "--lambda": _FLOATS, "--gamma": _FLOATS,
@@ -55,7 +62,7 @@ def runs(draw) -> list[list[str]]:
     matrix = draw(st.sampled_from([f"{_IN}/good.tjm", f"{_IN}/minus_inf.tjm"]))
     weights = st.builds(lambda w: f"{w},1,1,1,1", _FLOATS)
     generate = ["generate", "--jams", "60", "--alerts", "5", "--out", f"{_OUT}/gen",
-                *_some(draw, {"--coupling-noise": _FLOATS, "--level-weights": weights,
+                *_some(draw, {"--coupling-noise": _NOISE, "--level-weights": weights,
                               "--seed": _INTS}),
                 *_window(draw, "--start", "--end")]
     ingest = ["ingest", "--input", f"{_IN}/jams.jsonl", "--out", f"{_OUT}/m.tjm",
@@ -75,10 +82,8 @@ def fixture_dir(tmp_path_factory) -> Path:
     d = tmp_path_factory.mktemp("hostile")
     assert main(["generate", "--jams", "300", "--alerts", "5", "--seed", "3", "--out", str(d)]) == 0
     assert main(["ingest", "--input", str(d / "jams.jsonl"), "--out", str(d / "good.tjm")]) == 0
-    matrix, encoding = load_matrix(d / "good.tjm")
-    values = matrix.values.copy()
-    values[0, matrix.schema.names().index("road_type")] = -np.inf
-    save_matrix(d / "minus_inf.tjm", FeatureMatrix(values, matrix.labels, matrix.schema), encoding)
+    save_matrix(d / "minus_inf.tjm", *load_matrix(d / "good.tjm"))
+    overwrite_value(d / "minus_inf.tjm", 0, "road_type", -np.inf)
     return d
 
 

@@ -159,6 +159,10 @@ def test_config_validation():
         GenConfig(level_weights=(0, 0, 0, 0, 0)).validate()
     with pytest.raises(ValidationError):
         GenConfig(coupling_noise=-0.1).validate()
+    for noise in (np.nextafter(dg.MAX_COUPLING_NOISE, np.inf), 1e308):
+        with pytest.raises(ValidationError):
+            GenConfig(coupling_noise=noise).validate()
+    GenConfig(coupling_noise=dg.MAX_COUPLING_NOISE).validate()
     with pytest.raises(ValidationError):
         GenConfig(date_window=(10, 5)).validate()
 
@@ -262,9 +266,10 @@ def test_renderer_matches_oracle(kind, n, data):
     _assert_renders_as_oracle(kind, n, _columns(kind, n, floats, ints, picks))
 
 
-@pytest.mark.parametrize("noise", [0.0, 0.3, 50.0, 1e308])
+@pytest.mark.parametrize("noise", [0.0, 0.3, 50.0, dg.MAX_COUPLING_NOISE])
 def test_generated_jams_match_the_oracle(noise):
-    """Drawn columns through the oracle, across a chunk boundary; 1e308 overflows some to inf."""
+    """Drawn columns through the oracle, across a chunk boundary; the largest noise
+    accepted writes values of 300-odd digits."""
     config = GenConfig(n_jams=5000, seed=17, coupling_noise=noise)
     seed = rng.derive_seed(config.seed, dg._TAG_JAMS)
     assert _jam_bytes(n_jams=5000, seed=17, coupling_noise=noise) == reference_jam_lines(

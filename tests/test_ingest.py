@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import column, jam_line, parse_all, synthetic_matrix
+from helpers import column, dense, jam_line, parse_all, synthetic_matrix
 from jamcast.cli import main
 from jamcast.datagen import GenConfig, generate_jams
 from jamcast.errors import FileChangedError, JamcastError, SchemaError, ValidationError
@@ -145,7 +145,7 @@ def test_encode_single_row_shape():
     )
     records, _ = parse_all([jam_line(level=4)])
     matrix, _ = encode(records, schema)
-    assert matrix.values.shape == (1, 5)
+    assert dense(matrix).shape == (1, 5)
     assert matrix.labels.tolist() == [True]
 
 
@@ -155,7 +155,7 @@ def test_encode_lexicographic_assignment():
     )
     matrix, enc = encode(records, schema_for("honest"))
     street_col = matrix.schema.names().index("street")
-    assert matrix.values[:, street_col].tolist() == [1.0, 2.0, 1.0]
+    assert matrix.column(street_col).tolist() == [1.0, 2.0, 1.0]
     assert enc.by_feature["street"] == {"A": 1, "B": 2}
 
 
@@ -192,7 +192,7 @@ def test_ingest_files_deterministic(tmp_path):
     p1.write_bytes(lines)
     m1, e1, s1 = ingest_files([p1], schema_for("leaky"))
     m2, e2, s2 = ingest_files([p1], schema_for("leaky"))
-    assert np.array_equal(m1.values, m2.values)
+    assert np.array_equal(dense(m1), dense(m2))
     assert e1.by_feature == e2.by_feature
     assert s1.as_dict() == s2.as_dict()
 
@@ -221,9 +221,9 @@ def test_matrix_file_round_trip(tmp_path):
     assert loaded.n_rows == matrix.n_rows
     assert loaded.schema == matrix.schema
     assert enc2.by_feature == enc.by_feature
-    assert np.array_equal(np.isnan(loaded.values), np.isnan(matrix.values))
-    mask = ~np.isnan(matrix.values)
-    assert np.array_equal(loaded.values[mask], matrix.values[mask])
+    assert np.array_equal(np.isnan(dense(loaded)), np.isnan(dense(matrix)))
+    mask = ~np.isnan(dense(matrix))
+    assert np.array_equal(dense(loaded)[mask], dense(matrix)[mask])
     assert np.array_equal(loaded.labels, matrix.labels)
     # byte-identical re-save
     path2 = tmp_path / "m2.tjm"
@@ -242,7 +242,7 @@ def test_encode_and_save_matrix_hold_the_matrix_once(tmp_path, feature_set):
 
     (matrix, enc), encode_peak = _traced_peak(encode, blocks, schema_for(feature_set))
     _, save_peak = _traced_peak(save_matrix, tmp_path / "m.tjm", matrix, enc)
-    nbytes = matrix.values.nbytes
+    nbytes = 8 * matrix.n_rows * matrix.n_features
     assert encode_peak < 1.5 * nbytes
     assert save_peak < 0.5 * nbytes
 
@@ -296,22 +296,23 @@ def test_the_spool_is_unnamed_and_closed_with_its_matrix(tmp_path):
     assert list(spool_dir.iterdir()) == []
     assert len(_open_files_in(spool_dir)) == matrix.n_features  # one file per column
     save_matrix(tmp_path / "m.tjm", matrix, enc)
-    assert np.array_equal(load_matrix(tmp_path / "m.tjm")[0].values, matrix.values)
+    assert np.array_equal(dense(load_matrix(tmp_path / "m.tjm")[0]), dense(matrix))
     del matrix
     gc.collect()
     assert _open_files_in(spool_dir) == []
 
 
 def test_values_of_a_spooled_matrix_are_read_afresh_each_time():
-    """`values` never switches a matrix from its spool to held values: each read is a
-    new array, and writing into one leaves the store as it was."""
+    """`column(j)` reads the spool each time: each read is a new array, and writing
+    into one leaves the store as it was."""
     matrix, _ = synthetic_matrix(2_000, seed=5)
-    first, second = matrix.values, matrix.values
-    assert np.array_equal(first, second, equal_nan=True)
-    assert not np.shares_memory(first, second)
-    before = matrix.column(0)
-    first[:, 0] = -1.0
-    assert np.array_equal(matrix.column(0), before, equal_nan=True)
+    for j in range(matrix.n_features):
+        first, second = matrix.column(j), matrix.column(j)
+        assert np.array_equal(first, second, equal_nan=True)
+        assert not np.shares_memory(first, second)
+        before = first.copy()
+        first[:] = -1.0
+        assert np.array_equal(matrix.column(j), before, equal_nan=True)
 
 
 def test_a_failed_ingest_leaves_no_spool(tmp_path, monkeypatch):
@@ -390,8 +391,8 @@ def test_load_matrix_holds_the_matrix_once(tmp_path):
     matrix, enc = synthetic_matrix(20_000, seed=5, feature_set="honest")
     save_matrix(tmp_path / "m.tjm", matrix, enc)
     (loaded, _), load_peak = _traced_peak(load_matrix, tmp_path / "m.tjm")
-    assert load_peak < 1.5 * matrix.values.nbytes
-    assert np.array_equal(loaded.values, matrix.values, equal_nan=True)
+    assert load_peak < 1.5 * 8 * matrix.n_rows * matrix.n_features
+    assert np.array_equal(dense(loaded), dense(matrix), equal_nan=True)
     assert np.array_equal(loaded.labels, matrix.labels)
 
 
@@ -425,7 +426,8 @@ def test_a_matrix_file_changed_after_loading_fails_its_reads(tmp_path, change):
     with pytest.raises(FileChangedError, match="changed after it was loaded"):
         loaded.column(0)
     with pytest.raises(FileChangedError):
-        loaded.values
+        save_matrix(tmp_path / "copy.tjm", loaded, enc)
+    assert not (tmp_path / "copy.tjm").exists()
 
 
 def test_truncated_matrix_file_is_a_validation_error(tmp_path):

@@ -1,7 +1,8 @@
 """The columnar block ingest against the row-at-a-time reference in oracles.py.
 
 On random dirty corpora both paths must give the same parse report, the
-same clean report, the same encoding map and the same .tjm bytes. The block
+same clean report, the same encoding map, and bit for bit the same values
+and labels, read back from the .tjm file the columnar matrix saves. The block
 size is drawn small, so block boundaries fall between every pair of lines.
 """
 
@@ -16,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jamcast.ingest as ingest
-from helpers import JAM_LINE_DEFAULTS
-from jamcast.ingest import clean, encode, parse_jams, save_matrix, schema_for
+from helpers import JAM_LINE_DEFAULTS, dense
+from jamcast.ingest import clean, encode, load_matrix, parse_jams, save_matrix, schema_for
 from oracles import reference_clean, reference_encode, reference_parse_jams
 
 WINDOW = (1514678400000, 1515456000000)
@@ -114,15 +115,17 @@ def _columnar(data: bytes, feature_set: str, window, path: Path):
     cleaned, clean_report = clean(blocks, window=window)
     matrix, enc = encode(cleaned, schema_for(feature_set))
     save_matrix(path, matrix, enc, run_id="r")
-    return parse_report.as_dict(), clean_report.as_dict(), enc.by_feature, path.read_bytes()
+    loaded, _ = load_matrix(path)
+    arrays = dense(loaded).tobytes(), loaded.labels.tobytes()
+    return parse_report.as_dict(), clean_report.as_dict(), enc.by_feature, arrays
 
 
-def _reference(data: bytes, feature_set: str, window, path: Path):
+def _reference(data: bytes, feature_set: str, window):
     rows, parse_report = reference_parse_jams(BytesIO(data))
     kept, clean_report = reference_clean(rows, window=window)
-    matrix, enc = reference_encode(kept, schema_for(feature_set))
-    save_matrix(path, matrix, enc, run_id="r")
-    return parse_report.as_dict(), clean_report.as_dict(), enc.by_feature, path.read_bytes()
+    values, labels, enc = reference_encode(kept, schema_for(feature_set))
+    arrays = values.tobytes(), labels.tobytes()
+    return parse_report.as_dict(), clean_report.as_dict(), enc.by_feature, arrays
 
 
 def _assert_same(data: bytes, feature_set: str, window, block_lines: int) -> dict:
@@ -130,11 +133,11 @@ def _assert_same(data: bytes, feature_set: str, window, block_lines: int) -> dic
         ingest, "_BLOCK_LINES", block_lines
     ):
         got = _columnar(data, feature_set, window, Path(tmp) / "a.tjm")
-        want = _reference(data, feature_set, window, Path(tmp) / "b.tjm")
+        want = _reference(data, feature_set, window)
     assert got[0] == want[0]  # parse report
     assert got[1] == want[1]  # clean report
     assert got[2] == want[2]  # encoding map
-    assert got[3] == want[3]  # .tjm bytes
+    assert got[3] == want[3]  # the saved matrix's values and labels, bit for bit
     return {**want[0]["rejection_reasons"], **want[1]["rejection_reasons"]}
 
 

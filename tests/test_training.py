@@ -32,7 +32,7 @@ from jamcast.trees.training import (
     train_rf,
     train_xgb,
 )
-from helpers import fit, synthetic_matrix
+from helpers import dense, fit, synthetic_matrix
 from oracles import reference_leaf_values, reference_predict
 
 
@@ -245,7 +245,7 @@ def test_a_failing_parent_step_collects_every_reply_first(monkeypatch, small_mat
         begin_round(self, second_order)
 
     monkeypatch.setattr(engine.PartitionState, "begin_round", fail_in_parent)
-    binned = quantize(small_matrix.values[:1000], 16)
+    binned = quantize(small_matrix, 16, rows=np.arange(1000))
     source = engine.PoolSource(binned, small_matrix.labels[:1000].astype(np.float64), 3)
     procs = list(source._procs)
     try:
@@ -273,7 +273,7 @@ def test_a_failed_fork_stops_the_workers_already_started(monkeypatch, small_matr
         start(proc)
 
     monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", fail_the_second)
-    binned = quantize(small_matrix.values[:1000], 16)
+    binned = quantize(small_matrix, 16, rows=np.arange(1000))
     with pytest.raises(OSError, match="fork failed"):
         engine.open_engine(binned, small_matrix.labels[:1000].astype(np.float64), 3)
     assert len(started) == 1
@@ -311,7 +311,7 @@ class _RecordingConn:
 
 def test_pool_workers_receive_only_their_own_rows_weights(monkeypatch, small_matrix):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    binned = quantize(small_matrix.values[:1000], 16)
+    binned = quantize(small_matrix, 16, rows=np.arange(1000))
     y = small_matrix.labels[:1000].astype(np.float64)
     mult = np.arange(1000, dtype=np.int64) % 3
     source = engine.PoolSource(binned, y, n_workers=2)
@@ -336,14 +336,17 @@ def test_pool_workers_receive_only_their_own_rows_weights(monkeypatch, small_mat
 
 
 def test_margin_update_identity(small_matrix):
-    train = small_matrix.take(split_train_test(small_matrix, 0.75, 1)[0])
+    rows = split_train_test(small_matrix, 0.75, 1)[0]
     tc = TrainConfig(n_trees=4, max_depth=4, seed=2)
-    model = fit(train_xgb, train, config=tc)
+    model = fit(train_xgb, small_matrix, config=tc, rows=rows)
     # recompute margins from scratch over all trees
-    margins = np.full(train.n_rows, model.base_margin)
+    values = dense(small_matrix, rows)
+    margins = np.full(rows.size, model.base_margin)
     for tree in model.trees:
-        margins += model.learning_rate * reference_leaf_values(tree, train.values)
-    np.testing.assert_allclose(predict(model, train), sigmoid(margins), atol=1e-12, rtol=0)
+        margins += model.learning_rate * reference_leaf_values(tree, values)
+    np.testing.assert_allclose(
+        predict(model, small_matrix, rows=rows), sigmoid(margins), atol=1e-12, rtol=0
+    )
 
 
 def test_monotone_binning_invariance():
@@ -557,14 +560,8 @@ def test_model_doc_excludes_worker_count(small_matrix):
 
 
 def test_schema_fingerprint_checked(small_matrix):
-    from jamcast.ingest import FeatureMatrix, schema_for
-
     model = fit(train_xgb, small_matrix, config=TrainConfig(n_trees=1, max_depth=2))
-    honest = FeatureMatrix(
-        values=small_matrix.values[:10, :10],
-        labels=small_matrix.labels[:10],
-        schema=schema_for("honest"),
-    )
+    honest, _ = synthetic_matrix(10, seed=42, feature_set="honest")
     with pytest.raises(ValidationError):
         predict(model, honest)
 
@@ -677,7 +674,7 @@ def test_exact_sums_needs_0_1_labels_and_integer_weights_below_2_to_53():
 
 
 def test_engine_sets_the_exact_sums_flag_per_tree(small_matrix):
-    binned = quantize(small_matrix.values[:500], 16)
+    binned = quantize(small_matrix, 16, rows=np.arange(500))
     y = small_matrix.labels[:500].astype(np.float64)
     source = engine.InlineSource(binned, y)
     assert not source.exact_sums
@@ -700,9 +697,10 @@ def test_predict_rows_equal_predict_of_their_copy(small_matrix, tmp_path):
     row_sets = (np.sort(rng.choice(n, n // 4, replace=False)), rng.integers(0, n, 3000),
                 np.array([n - 1]))
     tc = TrainConfig(n_trees=3, max_depth=4, seed=3)
+    values = dense(small_matrix)
     for trainer in (train_rf, train_gbt, train_xgb):
         model = fit(trainer, small_matrix, config=tc)
         for rows in row_sets:
-            want = predict(model, small_matrix.take(rows))
-            for data in (small_matrix, loaded, small_matrix.values):
+            want = predict(model, values[rows])
+            for data in (small_matrix, loaded, values):
                 assert predict(model, data, rows=rows).tobytes() == want.tobytes()
