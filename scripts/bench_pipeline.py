@@ -13,17 +13,18 @@ The quantize, train and predict seconds are the bench reports', so no
 train time includes the quantize; a kind that fails ends the run with exit
 code 1. Every run appends one point to --out (a JSON list, created if
 missing) with the git revision, os.cpu_count(), `usable_cpus` (the CPUs
-this process may run on, which cap the training engine's process count,
-this one included), the sizes, each stage's seconds, the ingest rows per
-second, this process's peak RSS and a host yardstick, `host_sort_s`: the
-median seconds of 3 sorts of a seeded 4M-value float64 array, taken after
-the peak RSS is read, so points taken while the host ran slow can be told
-apart. No stage holds the float matrix: ingest holds one block of lines
-and a label byte per row, and bench the quantized training rows, so the
-peak RSS is the highest of the generate, ingest and bench stages, as the
-peak of the three CLI commands would be. This process holds the training
-state of the first run of partitions, so its share is in the peak RSS; the
-forked workers' memory is not.
+this process may run on, which cap the process count of quantize and of
+the training engine, this one included), the sizes, each stage's seconds,
+the ingest rows per second, this process's peak RSS and a host yardstick,
+`host_sort_s`: the median seconds of 3 sorts of a seeded 4M-value float64
+array, taken after the peak RSS is read, so points taken while the host
+ran slow can be told apart. No stage holds the float matrix: ingest holds
+one block of lines and a label byte per row, and bench the quantized
+training rows, so the peak RSS is the highest of the generate, ingest and
+bench stages, as the peak of the three CLI commands would be. This
+process bins the first share of quantize's features and holds the
+training state of the first run of partitions, so its share of both is
+in the peak RSS; the forked workers' memory is not.
 
     PYTHONPATH=src python scripts/bench_pipeline.py --rows 1000000 \\
         --feature-set honest --workers 1

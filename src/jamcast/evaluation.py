@@ -226,7 +226,7 @@ def bench(
     ]
     try:
         t0 = time.perf_counter()
-        binned = quantize(matrix, config.max_bins, n_threads=config.n_workers, rows=train_rows)
+        binned = quantize(matrix, config.max_bins, n_workers=config.n_workers, rows=train_rows)
         quantize_seconds = time.perf_counter() - t0
     except FileChangedError:
         raise

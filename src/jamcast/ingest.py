@@ -566,7 +566,7 @@ def _pwrite_all(fd: int, data, pos: int) -> int:
 
 def _pread_all(fd: int, out: np.ndarray, pos: int) -> int:
     """Fill a contiguous array from `pos` in fd until it is full or the file ends; the
-    bytes read. Reads are positional, so threads may share fd."""
+    bytes read. Reads are positional, so forked workers may share fd."""
     view = memoryview(out).cast("B")
     done = 0
     while done < len(view):
@@ -637,7 +637,7 @@ def load_matrix(path: str | Path) -> tuple[FeatureMatrix, EncodingMap]:
             raise ValidationError(f"{path}: corrupt tjm header ({exc!r})") from None
         if version != TJM_VERSION:
             raise ValidationError(f"{path}: unsupported tjm version {version}")
-        if type(n) is not int or n < 0 or f != len(features):
+        if type(n) is not int or n < 0 or f != len(features) or f < 1:
             raise ValidationError(f"{path}: tjm header has a bad shape ({n} x {f})")
         # the size is checked before allocating, so a corrupt n_rows cannot ask for all memory
         stored = _Stored(os.path.abspath(path), fh.tell(), n, _stamp(fh))

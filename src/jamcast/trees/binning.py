@@ -9,13 +9,11 @@ feature occupies at most max_bins + 1 histogram slots.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from jamcast.errors import ConfigError, ValidationError
-from jamcast.parallel import usable_cpus
 
 
 @dataclass
@@ -92,8 +90,11 @@ def feature_columns(data, rows: np.ndarray | None = None):
     return len(rows), n_features, lambda j: read(j)[rows]
 
 
+SERIAL_VALUES = 1 << 20  # below this many values a fork costs quantize more than it saves
+
+
 def quantize(
-    values, max_bins: int = 256, n_threads: int = 1, rows: np.ndarray | None = None
+    values, max_bins: int = 256, n_workers: int = 1, rows: np.ndarray | None = None
 ) -> BinnedMatrix:
     """Quantize an (n_rows, n_features) float matrix into bin codes.
 
@@ -111,33 +112,40 @@ def quantize(
     its column when it is binned, so the selected rows are never copied as
     a whole.
 
-    Features are independent, so n_threads > 1 only parallelizes the
-    per-feature work (sorting dominates and releases the GIL); the output
-    is identical for any thread count.
+    From SERIAL_VALUES values on, n_workers > 1 splits the features into
+    contiguous shares, one per process of a jamcast.parallel.Pool (at most
+    one per usable CPU), which write their codes into a shared array and
+    return their edges; the output is the same for any worker count.
     """
     if max_bins < 2:
         raise ConfigError(f"max_bins must be >= 2, got {max_bins}")
     if max_bins > 65534:
         raise ConfigError(f"max_bins too large for uint16 codes: {max_bins}")
+    # here, so that importing binning does not load multiprocessing
+    from jamcast.parallel import Pool, fork_context, partition_rows, shared_array, usable_cpus
+
     n_rows, n_features, column = feature_columns(values, rows)
-    if n_rows < 1:
-        raise ValidationError(f"expected at least one row, got {n_rows}")
-    n_threads = max(1, min(n_threads, n_features, usable_cpus()))
+    if n_rows < 1 or n_features < 1:
+        raise ValidationError(f"expected at least one row and feature, got {n_rows}x{n_features}")
+    n_procs = min(n_workers, n_features, usable_cpus())
+    if n_procs < 2 or n_rows * n_features < SERIAL_VALUES or fork_context() is None:
+        n_procs = 1
+    shape, dtype = (n_features, n_rows), np.min_scalar_type(max_bins)
+    codes = np.empty(shape, dtype) if n_procs == 1 else shared_array(shape, dtype)
 
-    def _map(fn, items):
-        if n_threads == 1 or n_rows * n_features < 1 << 20:
-            return [fn(x) for x in items]
-        with ThreadPoolExecutor(n_threads) as pool:
-            return list(pool.map(fn, items))
-
-    codes = np.empty((n_features, n_rows), dtype=np.min_scalar_type(max_bins))
-
-    def _bin(j: int) -> np.ndarray:
-        col = column(j)
-        edges = _feature_thresholds(col, max_bins)
-        bin_codes(col, edges, codes[j])
+    def bin_features(share: tuple[int, int]) -> list[np.ndarray]:
+        edges = []
+        for j in range(*share):
+            col = column(j)
+            edges.append(_feature_thresholds(col, max_bins))
+            bin_codes(col, edges[-1], codes[j])
         return edges
 
-    edges: list[np.ndarray] = _map(_bin, range(n_features))
+    pool = Pool(lambda serve: serve(bin_features), [()] * (n_procs - 1))
+    try:  # the parent bins the first share of features
+        parts = pool.run(partition_rows(n_features, n_procs), bin_features)
+    finally:
+        pool.close()
+    edges = [e for part in parts for e in part]
     n_real = np.array([e.size + 1 for e in edges], dtype=np.int64)
     return BinnedMatrix(codes=codes, edges=edges, n_real_bins=n_real, n_rows=n_rows)

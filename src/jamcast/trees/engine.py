@@ -3,43 +3,38 @@
 A PartitionState owns a contiguous run of the fixed partitions (see
 jamcast.parallel): their labels, margins, gradients and per-node row sets,
 and each of its methods is one training step. The engine splits the
-N_HIST_PARTS partitions into one contiguous run per process: the parent
-holds the state of the first run and forks one worker per later run. With
-one process (one worker requested, one usable CPU, or no fork on the
-platform) nothing is forked and the parent's state covers every partition.
-So a step runs once per node and process, not once per partition, and a
-node histogram is built for all of a state's partitions in one
-cache-blocked pass (see build_histograms). The engine has a single
-primitive, `_run(method, args, build_id, row_args)`: call PartitionState
-`method(*args, *row_args)` on every state, each state receiving only its
-own rows of the whole-matrix arrays in `row_args`, then, when `build_id` is
-not None, return node `build_id`'s histogram, which is always the
-fixed-shape reduction of the N_HIST_PARTS per-partition histograms in
-partition order. The summation structure never depends on which process
-built which partition, so every process count produces bit-identical trees.
-
-Workers are forked after the binned matrix exists (inherited
-copy-on-write), and the process count is clamped to the cores this process
-may use; the requested n_workers stays a purely logical degree of
-parallelism. Every state writes its partitions' histograms in place into
-its slots of one (N_HIST_PARTS, F, B, 3) block, which is fork-inherited
-shared memory when workers exist, so no histogram is piped or copied. A
-split plus the resulting child histogram build travel as one round-trip,
-and per-row arguments are sliced so each worker receives only its own
-rows, so per-node traffic is a few bytes. InlineSource and PoolSource are
-this one engine under the two names that tracing tells apart: opened for
-one worker or for several.
+N_HIST_PARTS partitions into one contiguous run per process, at most one
+per usable CPU: the parent holds the first run's state and each worker of
+a jamcast.parallel.Pool, forked after the binned matrix exists, a later
+run's. With one process nothing is forked. A state builds a node's
+histograms for all of its partitions in one cache-blocked pass (see
+build_histograms), in place into its slots of one (N_HIST_PARTS, F, B, 3)
+block, a shared_array when workers exist, so no histogram is piped. The
+engine's primitive is `_run(method, args, build_id, row_args)`: PartitionState
+`method(*args, *row_args)` on every state, each on its own rows of the
+arrays in `row_args`, then, when `build_id` is not None, node `build_id`'s
+histogram: always the fixed-shape reduction of the block in partition
+order, so every process count produces bit-identical trees. A split and
+the child histogram it asks for are one round-trip of a few bytes.
+InlineSource and PoolSource are this one engine under the two names that
+tracing tells apart: opened for one worker or for several.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 from typing import Sequence
 
 import numpy as np
 
-from jamcast.errors import JamcastError
-from jamcast.parallel import N_HIST_PARTS, partition_rows, reduce_histograms, usable_cpus
+from jamcast.parallel import (
+    N_HIST_PARTS,
+    Pool,
+    fork_context,
+    partition_rows,
+    reduce_histograms,
+    shared_array,
+    usable_cpus,
+)
 from jamcast.trees.grower import GradHistogram, build_histograms, logistic_grad_hess, split_rows
 
 
@@ -152,93 +147,31 @@ class _Engine:
         self.binned = binned
         self.labels = labels
         n_procs = max(1, min(n_workers, N_HIST_PARTS, usable_cpus()))
-        try:
-            ctx = mp.get_context("fork")
-        except ValueError:  # no fork on this platform: the parent holds every partition
+        if n_procs > 1 and fork_context() is None:  # the parent holds every partition
             n_procs = 1
         # row edges 0 = b_0 <= ... <= b_N = n_rows of the N_HIST_PARTS fixed partitions
         edges = [lo for lo, _ in partition_rows(binned.n_rows, N_HIST_PARTS)] + [binned.n_rows]
-        assign = partition_rows(N_HIST_PARTS, n_procs)
-        self._rows = [(edges[p_lo], edges[p_hi]) for p_lo, p_hi in assign]
         shape = (N_HIST_PARTS, binned.n_features, binned.hist_bins, 3)
-        if n_procs == 1:
-            self._slots = np.empty(shape)
-        else:  # forked workers fill their slots in place
-            shm = ctx.RawArray("d", int(np.prod(shape)))
-            self._slots = np.frombuffer(shm, dtype=np.float64).reshape(shape)
-        (p_lo, p_hi), forked = assign[0], assign[1:]
-        self.state = PartitionState(edges[p_lo : p_hi + 1], binned, labels, self._slots[p_lo:p_hi])
-        self._conns = []
-        self._procs = []
-        try:
-            for p_lo, p_hi in forked:
-                parent_conn, child_conn = ctx.Pipe()
-                self._conns.append(parent_conn)
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(child_conn, edges[p_lo : p_hi + 1], binned, labels,
-                          self._slots[p_lo:p_hi]),
-                    daemon=True,
-                )
-                with child_conn:
-                    proc.start()
-                self._procs.append(proc)
-        except BaseException:  # a fork that fails (EAGAIN, ENOMEM) stops the workers started
-            self.close()
-            raise
+        self._slots = np.empty(shape) if n_procs == 1 else shared_array(shape, np.float64)
+        # each process's state arguments; the parent holds the first run of partitions
+        runs = [(edges[lo : hi + 1], binned, labels, self._slots[lo:hi])
+                for lo, hi in partition_rows(N_HIST_PARTS, n_procs)]
+        self._rows = [(bounds[0], bounds[-1]) for bounds, *_ in runs]
+        self.state = PartitionState(*runs[0])
+        self._pool = Pool(_worker_main, runs[1:])
 
     def _run(self, method, args=(), build_id=None, row_args=()) -> GradHistogram | None:
-        """Send one step to every worker, run the parent's own, then collect every reply.
-
-        Each state receives only its own rows' slice of `row_args`. Every
-        worker's reply is received before an exception of the parent's own
-        step propagates. A worker that died or whose step raised stops the
-        engine and is reported as a JamcastError naming the worker; forked
-        workers are numbered from 0.
-        """
+        """Run one step on every state (see Pool.run), each on its rows of `row_args`."""
         steps = [(method, args + tuple(a[lo:hi] for a in row_args), build_id)
                  for lo, hi in self._rows]
-        failed = own_error = None
-        try:
-            for worker, conn in enumerate(self._conns):
-                conn.send(steps[worker + 1])
-            try:
-                _step(self.state, *steps[0])
-            except Exception as exc:  # raised once every worker has replied
-                own_error = exc
-            for worker, conn in enumerate(self._conns):
-                error = conn.recv()
-                if error is not None and failed is None:
-                    failed = (worker, f"failed: {error}")
-        except (EOFError, OSError):
-            failed = (worker, None)
-        if failed is not None:
-            worker, what = failed
-            proc = self._procs[worker]
-            self.close()
-            what = what or f"died with exit code {proc.exitcode}"
-            raise JamcastError(f"pool worker {worker} (pid {proc.pid}) {what}")
-        if own_error is not None:
-            raise own_error
+        self._pool.run(steps, lambda step: _step(self.state, *step))
         if build_id is None:
             return None
         sums = reduce_histograms(self._slots)  # the fixed reduction of the partition sums
         return GradHistogram(sums=sums, n_real_bins=self.binned.n_real_bins)
 
     def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(None)
-            except OSError:  # the worker is already gone
-                pass
-            conn.close()
-        for proc in self._procs:
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - defensive cleanup
-                proc.terminate()
-                proc.join()
-        self._conns = []
-        self._procs = []
+        self._pool.close()
 
     def init_boost(self, base_margin: float) -> None:
         self._run("init_boost", (base_margin,))
@@ -265,25 +198,12 @@ class _Engine:
         return self._run("apply_split", split, build_id)
 
 
-def _worker_main(conn, bounds, binned, labels, hist) -> None:
-    """Forked worker loop: runs each received step on its state until None.
-
-    The state covers the partitions with row edges `bounds`; their
-    histograms are written into `hist`, its slots of the shared block.
-    The reply is None, or the type and message of the exception the step
-    raised, which the parent reports.
-    """
+def _worker_main(serve, bounds, binned, labels, hist) -> None:
+    """A forked worker's life: its state over the partitions with row edges `bounds`,
+    whose histograms are written into `hist`, its slots of the shared block, then
+    each step the parent sends, until the engine closes."""
     state = PartitionState(bounds, binned, labels, hist)
-    try:
-        while (msg := conn.recv()) is not None:
-            error = None
-            try:
-                _step(state, *msg)
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-            conn.send(error)
-    finally:
-        conn.close()
+    serve(lambda step: _step(state, *step))
 
 
 def _own_steps(cls):

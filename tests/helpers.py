@@ -99,7 +99,7 @@ def fit(trainer, data, labels=None, *, config, rows=None):
     if isinstance(data, FeatureMatrix):
         labels = data.labels if rows is None else data.labels[rows]
         schema = data.schema
-    binned = quantize(data, config.max_bins, n_threads=config.n_workers, rows=rows)
+    binned = quantize(data, config.max_bins, n_workers=config.n_workers, rows=rows)
     return trainer(binned, labels, config, schema)
 
 

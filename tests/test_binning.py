@@ -1,3 +1,7 @@
+import errno
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +75,11 @@ def test_max_bins_validation():
         quantize(col([1, 2]), max_bins=1)
 
 
+def test_no_features_is_a_validation_error():
+    with pytest.raises(ValidationError, match="at least one row and feature, got 5x0"):
+        quantize(np.empty((5, 0)))
+
+
 def test_dtype_upgrade_when_many_bins():
     values = np.arange(300, dtype=np.float64).reshape(-1, 1)
     binned = quantize(values, max_bins=300)
@@ -80,8 +89,8 @@ def test_dtype_upgrade_when_many_bins():
     assert small.codes.dtype == np.uint8
 
 
-@pytest.mark.parametrize("n_threads", [1, 3])
-def test_rows_quantize_exactly_as_their_copy(n_threads):
+@pytest.mark.parametrize("n_workers", [1, 3])
+def test_rows_quantize_exactly_as_their_copy(n_workers):
     rng = np.random.default_rng(6)
     values = rng.normal(size=(300_000, 4))
     values[rng.random(values.shape) < 0.1] = np.nan
@@ -89,8 +98,8 @@ def test_rows_quantize_exactly_as_their_copy(n_threads):
     columns = np.asfortranarray(values)  # column-major, as encode and load_matrix hold it
     for rows in (np.sort(rng.choice(len(values), 200_000, replace=False)),
                  rng.permutation(len(values))[:1000], np.array([7])):
-        want = quantize(values[rows], 512, n_threads=n_threads)
-        got = quantize(columns, 512, n_threads=n_threads, rows=rows)
+        want = quantize(values[rows], 512, n_workers=n_workers)
+        got = quantize(columns, 512, n_workers=n_workers, rows=rows)
         assert got.n_rows == rows.size and got.codes.dtype == want.codes.dtype
         assert got.codes.tobytes() == want.codes.tobytes()
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got.edges, want.edges))
@@ -106,8 +115,8 @@ def test_thread_count_does_not_change_output():
     values[:, 3] = rng.choice(special, 4000)
     values[:, 4] = np.where(rng.random(4000) < 0.5, rng.choice(special, 4000), values[:, 4])
     values[rng.random((4000, 5)) < 0.05] = np.nan
-    a = quantize(values, max_bins=32, n_threads=1)
-    b = quantize(values, max_bins=32, n_threads=4)
+    a = quantize(values, max_bins=32, n_workers=1)
+    b = quantize(values, max_bins=32, n_workers=4)
     assert np.array_equal(a.codes, b.codes)
     assert all(np.array_equal(x, y) for x, y in zip(a.edges, b.edges))
     # a short column keeps its zeros in input order, so a zero edge's sign shows which
@@ -167,19 +176,67 @@ def stored_matrix(tmp_path_factory):
     return matrix, load_matrix(path)[0]
 
 
-@pytest.mark.parametrize("n_threads", [1, 2])
+@pytest.mark.parametrize("n_workers", [1, 2])
 @pytest.mark.parametrize("max_bins", [255, 300])  # uint8 and uint16 codes
-def test_a_loaded_matrix_quantizes_as_its_values(stored_matrix, n_threads, max_bins):
+def test_a_loaded_matrix_quantizes_as_its_values(stored_matrix, n_workers, max_bins):
     """quantize reads a loaded matrix a column at a time: the same codes, dtype and edges."""
     matrix, loaded = stored_matrix
     dtype = np.uint8 if max_bins < 256 else np.uint16
     rng = np.random.default_rng(5)
     for rows in (None, np.sort(rng.choice(matrix.n_rows, 67_500, replace=False)),
                  rng.integers(0, matrix.n_rows, 500)):
-        want = quantize(dense(matrix), max_bins, n_threads=n_threads, rows=rows)
-        got = quantize(loaded, max_bins, n_threads=n_threads, rows=rows)
+        want = quantize(dense(matrix), max_bins, n_workers=n_workers, rows=rows)
+        got = quantize(loaded, max_bins, n_workers=n_workers, rows=rows)
         assert got.n_rows == want.n_rows and got.codes.dtype == want.codes.dtype == dtype
         assert got.codes.flags.c_contiguous
         assert got.codes.tobytes() == want.codes.tobytes()
         assert np.array_equal(got.n_real_bins, want.n_real_bins)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got.edges, want.edges))
+
+
+@pytest.mark.parametrize("form", ["in-memory", "spooled", "loaded"])
+def test_forked_quantize_equals_serial(stored_matrix, monkeypatch, form):
+    """Codes and edges of 3 forked processes are those of one, on every matrix form,
+    with and without `rows`; no worker outlives the call."""
+    matrix, loaded = stored_matrix
+    data = {"in-memory": dense(matrix), "spooled": matrix, "loaded": loaded}[form]
+    rows = np.random.default_rng(3).permutation(matrix.n_rows)[:60_000]
+    start, started = multiprocessing.context.ForkProcess.start, []
+
+    def counted(proc):
+        started.append(proc)
+        start(proc)
+
+    for r in (None, rows):
+        want = quantize(data, 300, rows=r)
+        with monkeypatch.context() as patch:
+            patch.setattr(binning, "SERIAL_VALUES", 0)
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+            patch.setattr(multiprocessing.context.ForkProcess, "start", counted)
+            got = quantize(data, 300, n_workers=3, rows=r)
+        assert len(started) == 2 and multiprocessing.active_children() == []
+        started.clear()
+        assert got.codes.dtype == want.codes.dtype and got.codes.tobytes() == want.codes.tobytes()
+        assert np.array_equal(got.n_real_bins, want.n_real_bins)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got.edges, want.edges))
+
+
+def test_a_failed_quantize_fork_stops_the_workers_already_started(monkeypatch):
+    """A worker that cannot be forked (EAGAIN) stops the one started before it, and
+    quantize raises the OSError."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(binning, "SERIAL_VALUES", 0)
+    start = multiprocessing.context.ForkProcess.start
+    started = []
+
+    def fail_the_second(proc):
+        if started:
+            raise OSError(errno.EAGAIN, "fork failed")
+        started.append(proc)
+        start(proc)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", fail_the_second)
+    with pytest.raises(OSError, match="fork failed"):
+        quantize(np.random.default_rng(2).normal(size=(1000, 3)), 16, n_workers=3)
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import multiprocessing
+import os
 import re
 import struct
 import subprocess
@@ -16,7 +18,8 @@ from helpers import jam_line, overwrite_value, strict_json
 from jamcast import cli, evaluation
 from jamcast.cli import main
 from jamcast.datagen import MAX_COUPLING_NOISE
-from jamcast.ingest import load_matrix
+from jamcast.ingest import EncodingMap, FeatureMatrix, FeatureSchema, load_matrix, save_matrix
+from jamcast.trees import binning
 from jamcast.trees.binning import quantize
 from jamcast.trees.training import TRAINERS, TrainConfig, load_model
 
@@ -548,6 +551,51 @@ def test_train_reports_an_error_in_the_parents_own_step(tmp_path):
     assert proc.stderr == "error: parent rows went sideways\n"
 
 
+_FAIL_IN_QUANTIZE_WORKER = """
+import multiprocessing, os, sys
+from jamcast.cli import main
+from jamcast.trees import binning
+
+parent = os.getpid()
+thresholds = binning._feature_thresholds
+
+def fail_in_worker(col, max_bins):
+    if os.getpid() != parent:
+        {failure}
+    return thresholds(col, max_bins)
+
+os.sched_getaffinity = lambda pid: {{0, 1}}
+binning.SERIAL_VALUES = 0  # fork for any size
+binning._feature_thresholds = fail_in_worker
+rc = main(sys.argv[1:])
+print("live workers:", len(multiprocessing.active_children()))
+sys.exit(rc)
+"""
+
+
+@pytest.mark.parametrize("failure, stderr", [
+    ("os._exit(7)", r"error: pool worker 0 \(pid \d+\) died with exit code 7\n"),
+    ('raise ValueError("edges went sideways")',
+     r"error: pool worker 0 \(pid \d+\) failed: ValueError: edges went sideways\n"),
+], ids=["dead", "error"])
+def test_train_reports_a_failed_quantize_worker(tmp_path, failure, stderr):
+    """quantize's forked workers fail as the engine's do: exit 1, the worker named."""
+    matrix_path = _ingest(tmp_path)
+    out = tmp_path / "failed.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAIL_IN_QUANTIZE_WORKER.format(failure=failure), "train",
+         "--matrix", str(matrix_path), "--model", "xgb", "--trees", "2", "--workers", "2",
+         "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.stdout == "live workers: 0\n"
+    assert proc.returncode == 1
+    assert re.fullmatch(stderr, proc.stderr)
+    assert not out.exists()
+
+
 def test_train_on_a_truncated_matrix_exits_one(tmp_path, capsys):
     matrix_path = _ingest(tmp_path)
     data = matrix_path.read_bytes()
@@ -607,6 +655,49 @@ def test_a_matrix_cut_short_after_it_was_loaded_exits_one(tmp_path, monkeypatch,
     assert rc == 1
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: .*m\.tjm: tjm file changed after it was loaded\n", err)
+    assert not out.exists()
+
+
+def test_a_matrix_rewritten_before_a_forked_quantize_fails_the_bench(tmp_path, monkeypatch,
+                                                                    capsys):
+    """A worker's FileChangedError reaches bench as itself, not as a plain JamcastError
+    recorded in each kind's report: the whole bench exits 1."""
+    matrix_path = _ingest(tmp_path, n=300)
+    load = cli.load_matrix
+
+    def rewrite_after_load(path):
+        loaded = load(path)
+        copy = tmp_path / "copy.tjm"
+        copy.write_bytes(matrix_path.read_bytes())
+        os.replace(copy, matrix_path)  # the same bytes in a new file
+        return loaded
+
+    monkeypatch.setattr(cli, "load_matrix", rewrite_after_load)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(binning, "SERIAL_VALUES", 0)
+    out = tmp_path / "out"
+    rc = main(["bench", "--matrix", str(matrix_path), "--trees", "1", "--workers", "2",
+               "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: .*m\.tjm: tjm file changed after it was loaded\n", err)
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_a_matrix_with_no_features_exits_one(tmp_path, capsys, command):
+    """A .tjm whose header lists no features is exit 1, no traceback."""
+    matrix, _ = load_matrix(_ingest(tmp_path))
+    path = tmp_path / "none.tjm"
+    save_matrix(path, FeatureMatrix(matrix.labels, FeatureSchema((), "leaky"), None),
+                EncodingMap(by_feature={}))
+    out = tmp_path / "out"
+    argv = {"train": ["train", "--model", "xgb", "--out", str(out)],
+            "bench": ["bench", "--out-dir", str(out)]}[command]
+    assert main(argv + ["--matrix", str(path), "--trees", "1"]) == 1
+    assert re.fullmatch(r"error: .*none\.tjm: tjm header has a bad shape \(\d+ x 0\)\n",
+                        capsys.readouterr().err)
     assert not out.exists()
 
 

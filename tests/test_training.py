@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jamcast import parallel
 from jamcast import rng as streams
 from jamcast.errors import ConfigError, JamcastError, ValidationError
 from jamcast.evaluation import split_train_test
@@ -195,7 +196,7 @@ def test_pool_forks_no_more_workers_than_the_process_may_use(monkeypatch, honest
 
     def recording_init(self, *args):
         pool_init(self, *args)
-        forked.append(len(self._procs))
+        forked.append(len(self._pool.procs))
 
     monkeypatch.setattr(engine.PoolSource, "__init__", recording_init)
     docs = []
@@ -214,7 +215,7 @@ def test_a_platform_without_fork_trains_in_the_parent(monkeypatch, tmp_path, hon
 
     def recording_init(self, *args):
         pool_init(self, *args)
-        forked.append(len(self._procs))
+        forked.append(len(self._pool.procs))
 
     def no_fork(method=None):
         raise ValueError(f"cannot find context for {method!r}")
@@ -227,7 +228,7 @@ def test_a_platform_without_fork_trains_in_the_parent(monkeypatch, tmp_path, hon
             yield path.read_bytes()
 
     inline = list(model_files(1))
-    monkeypatch.setattr(engine.mp, "get_context", no_fork)
+    monkeypatch.setattr(parallel.mp, "get_context", no_fork)
     monkeypatch.setattr(engine.PoolSource, "__init__", recording_init)
     assert list(model_files(2)) == inline
     assert forked == [0, 0, 0]
@@ -247,13 +248,13 @@ def test_a_failing_parent_step_collects_every_reply_first(monkeypatch, small_mat
     monkeypatch.setattr(engine.PartitionState, "begin_round", fail_in_parent)
     binned = quantize(small_matrix, 16, rows=np.arange(1000))
     source = engine.PoolSource(binned, small_matrix.labels[:1000].astype(np.float64), 3)
-    procs = list(source._procs)
+    procs = list(source._pool.procs)
     try:
         source.init_boost(0.0)
         with pytest.raises(ValueError, match="sideways"):
             source.begin_round(second_order=True)
-        assert len(source._conns) == 2
-        assert not any(conn.poll(0.5) for conn in source._conns)  # no reply left unread
+        assert len(source._pool.conns) == 2
+        assert not any(conn.poll(0.5) for conn in source._pool.conns)  # no reply left unread
     finally:
         source.close()
     assert not any(proc.is_alive() for proc in procs)
@@ -280,17 +281,20 @@ def test_a_failed_fork_stops_the_workers_already_started(monkeypatch, small_matr
     assert multiprocessing.active_children() == []
 
 
-def test_quantize_threads_no_more_than_the_process_may_use(monkeypatch):
+def test_quantize_on_one_usable_cpu_forks_nothing(monkeypatch):
+    """os.cpu_count() counts the host; on one usable CPU quantize forks no worker,
+    however large the matrix, and its codes are those of one worker."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    values = np.random.default_rng(4).normal(size=(1 << 17, 8))  # big enough for threads
+    monkeypatch.setattr(binning, "SERIAL_VALUES", 0)
+    values = np.random.default_rng(4).normal(size=(1 << 17, 8))
     want = quantize(values, 64)
 
-    def no_threads(*args, **kwargs):
-        raise AssertionError("quantize started a thread pool on one CPU")
+    def no_fork(proc):
+        raise AssertionError("quantize forked a worker on one CPU")
 
-    monkeypatch.setattr(binning, "ThreadPoolExecutor", no_threads)
-    got = quantize(values, 64, n_threads=4)
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", no_fork)
+    got = quantize(values, 64, n_workers=4)
     assert got.codes.tobytes() == want.codes.tobytes()
 
 
@@ -316,11 +320,11 @@ def test_pool_workers_receive_only_their_own_rows_weights(monkeypatch, small_mat
     mult = np.arange(1000, dtype=np.int64) % 3
     source = engine.PoolSource(binned, y, n_workers=2)
     try:
-        source._conns = [_RecordingConn(c) for c in source._conns]
+        source._pool.conns = [_RecordingConn(c) for c in source._pool.conns]
         source.begin_tree_weighted(mult)
         own_weights = source.state.h  # the parent's rows, never pickled
         pooled = source.node_hist(0)
-        sent = [c.sent[0] for c in source._conns]
+        sent = [c.sent[0] for c in source._pool.conns]
     finally:
         source.close()
     assert len(sent) == 1 and np.array_equal(own_weights, mult[0:500])
