@@ -12,9 +12,10 @@ rf, gbt and xgb each trained on its result and predicting the test rows.
 The quantize, train and predict seconds are the bench reports', so no
 train time includes the quantize; a kind that fails ends the run with exit
 code 1. Every run appends one point to --out (a JSON list, created if
-missing) with the git revision, os.cpu_count(), `usable_cpus` (the CPUs
-this process may run on, which cap the process count of quantize and of
-the training engine, this one included), the sizes, each stage's seconds,
+missing, and rewritten whole through `write_artifact`, so a crash leaves
+the points before it) with the git revision, os.cpu_count(), `usable_cpus`
+(the CPUs this process may run on, which cap the process count of quantize
+and of the training engine, this one included), the sizes, each stage's seconds,
 the ingest rows per second, this process's peak RSS and a host yardstick,
 `host_sort_s`: the median seconds of 3 sorts of a seeded 4M-value float64
 array, taken after the peak RSS is read, so points taken while the host
@@ -55,6 +56,7 @@ from jamcast.ingest import (
     save_matrix,
     schema_for,
 )
+from jamcast.manifest import write_artifact
 from jamcast.parallel import usable_cpus
 from jamcast.trees.training import TRAINERS, TrainConfig
 
@@ -171,7 +173,8 @@ def main() -> int:
     point["host_sort_s"] = host_yardstick()
     points = json.loads(args.out.read_text()) if args.out.exists() else []
     points.append(point)
-    args.out.write_text(json.dumps(points, indent=1) + "\n")
+    with write_artifact(args.out) as fh:
+        fh.write((json.dumps(points, indent=1) + "\n").encode())
     print(json.dumps(point, indent=1))
     print(f"point {len(points)} -> {args.out}")
     return 0

@@ -10,7 +10,7 @@ produces; the honest run shows what the remaining signal supports.
 Writes into --out-dir: jams.jsonl, table_{leaky,honest}.txt,
 reports_{leaky,honest}.json (one bench report per model) and contrast.json,
 a JSON object with the keys auc (feature set -> model -> AUC), rows, seed
-and noise.
+and noise. Each file is written whole through `write_artifact`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 from jamcast.datagen import GenConfig, generate_jams
 from jamcast.evaluation import bench, render_table, write_reports
 from jamcast.ingest import FEATURE_SETS, ingest_files, schema_for
-from jamcast.manifest import write_json
+from jamcast.manifest import write_artifact, write_json
 from jamcast.trees.training import TRAINERS, TrainConfig
 
 
@@ -41,7 +41,7 @@ def main() -> int:
     corpus = args.out_dir / "jams.jsonl"
     print(f"generating {args.rows} jam rows (seed {args.seed}, noise {args.noise}) ...")
     t0 = time.perf_counter()
-    with open(corpus, "wb") as fh:
+    with write_artifact(corpus) as fh:
         generate_jams(
             GenConfig(n_jams=args.rows, seed=args.seed, coupling_noise=args.noise), fh
         )
@@ -62,7 +62,8 @@ def main() -> int:
         table = render_table(reports)
         print(f"\n=== {feature_set} features ===")
         print(table)
-        (args.out_dir / f"table_{feature_set}.txt").write_text(table)
+        with write_artifact(args.out_dir / f"table_{feature_set}.txt") as fh:
+            fh.write(table.encode())
         write_reports(args.out_dir / f"reports_{feature_set}.json", reports)
         contrast[feature_set] = {r.model_kind: r.auc for r in reports}
 

@@ -1,10 +1,10 @@
 """Command-line pipeline: generate, ingest, train, bench.
 
 Exit codes are a stable scripting contract: 0 success, 1 validation or
-configuration error, 2 I/O error. Every command writes a run manifest next
-to its outputs; all randomness flows from the single --seed flag. Worker
-count comes from --workers, else the JAMCAST_WORKERS environment variable,
-else 1.
+configuration error, 2 I/O error. Each command removes its old run manifest,
+writes its outputs whole (`write_artifact`), then writes the new manifest;
+all randomness flows from the single --seed flag. Worker count comes from
+--workers, else the JAMCAST_WORKERS environment variable, else 1.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from jamcast.datagen import GenConfig, generate_alerts, generate_jams
 from jamcast.errors import ConfigError, JamcastError
 from jamcast.evaluation import bench, render_table, reports_to_csv, write_reports
 from jamcast.ingest import FEATURE_SETS, ingest_files, load_matrix, save_matrix, schema_for
-from jamcast.manifest import file_digest, make_run_id, write_json
+from jamcast.manifest import file_digest, make_run_id, write_artifact, write_json
 from jamcast.trees.binning import quantize
 from jamcast.trees.training import TRAINERS, TrainConfig, save_model
 
@@ -208,12 +208,14 @@ def _cmd_generate(args, argv: list[str]) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     jams_path = out_dir / "jams.jsonl"
     alerts_path = out_dir / "alerts.jsonl"
-    with open(jams_path, "wb") as fh:
+    manifest = out_dir / "generate.manifest.json"
+    manifest.unlink(missing_ok=True)
+    with write_artifact(jams_path) as fh:
         n_jams = generate_jams(config, fh)
-    with open(alerts_path, "wb") as fh:
+    with write_artifact(alerts_path) as fh:
         n_alerts = generate_alerts(config, fh)
-    _record(args, argv, run_id, config_doc, {}, [jams_path, alerts_path],
-            out_dir / "generate.manifest.json", seed=config.seed)
+    _record(args, argv, run_id, config_doc, {}, [jams_path, alerts_path], manifest,
+            seed=config.seed)
     print(f"wrote {n_jams} jams and {n_alerts} alerts to {out_dir}")
     return 0
 
@@ -242,11 +244,12 @@ def _cmd_ingest(args, argv: list[str]) -> int:
         "schema_fingerprint": matrix.schema_fingerprint,
     }
     run_id = make_run_id("ingest", config_doc, digests)
+    manifest = Path(str(args.out) + ".manifest.json")
+    manifest.unlink(missing_ok=True)
     save_matrix(args.out, matrix, encoding, run_id=run_id)
     report_path = Path(str(args.out) + ".report.json")
     write_json(report_path, summary.as_dict())
-    _record(args, argv, run_id, config_doc, digests, [args.out, report_path],
-            Path(str(args.out) + ".manifest.json"))
+    _record(args, argv, run_id, config_doc, digests, [args.out, report_path], manifest)
     print(
         f"ingested {matrix.n_rows} rows "
         f"({summary.parse.rows_rejected} parse-rejected, "
@@ -266,9 +269,11 @@ def _cmd_train(args, argv: list[str]) -> int:
     config_doc = {**config.identity(), "model": args.model}
     run_id = make_run_id("train", config_doc, digests)
     args.out.parent.mkdir(parents=True, exist_ok=True)
+    manifest = Path(str(args.out) + ".manifest.json")
+    manifest.unlink(missing_ok=True)
     save_model(args.out, model, run_id=run_id)
-    _record(args, argv, run_id, config_doc, digests, [args.out],
-            Path(str(args.out) + ".manifest.json"), seed=config.seed, n_workers=config.n_workers)
+    _record(args, argv, run_id, config_doc, digests, [args.out], manifest,
+            seed=config.seed, n_workers=config.n_workers)
     print(f"trained {args.model} ({len(model.trees)} trees) -> {args.out}")
     return 0
 
@@ -303,11 +308,14 @@ def _cmd_bench(args, argv: list[str]) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = [out_dir / "bench_table.txt", out_dir / "bench_table.csv",
                out_dir / "bench_reports.json"]
+    manifest = out_dir / "bench.manifest.json"
+    manifest.unlink(missing_ok=True)
     table = render_table(reports)
-    outputs[0].write_text(table)
-    outputs[1].write_text(reports_to_csv(reports))
+    for path, text in zip(outputs, (table, reports_to_csv(reports))):
+        with write_artifact(path) as fh:
+            fh.write(text.encode())
     write_reports(outputs[2], reports, run_id=run_id)
-    _record(args, argv, run_id, config_doc, digests, outputs, out_dir / "bench.manifest.json",
+    _record(args, argv, run_id, config_doc, digests, outputs, manifest,
             seed=args.seed, n_workers=config.n_workers)
     print(table, end="")
     return 0

@@ -214,25 +214,25 @@ def _jam_columns(config: GenConfig, seed: int, start_row: int, n: int) -> tuple:
     length = _banded(
         seed, _CH_LENGTH, _CH_LENGTH_N, start_row, level0, LENGTH_MID, LENGTH_HALF, noise
     )
-    lon = -118.7 + rng.uniforms(seed, _CH_LON, start_row, n)
-    lat = 33.7 + 0.7 * rng.uniforms(seed, _CH_LAT, start_row, n)
-    streets = _pick(seed, _CH_STREET, start_row, n, STREETS)
-    cities = _pick(seed, _CH_CITY, start_row, n, CITIES)
-    roads = _pick(seed, _CH_ROAD, start_row, n, ROAD_TYPES)
-    return lon, lat, streets, cities, roads, pub, level0 + 1, speed, length, delay
+    return *_place(seed, start_row, n), pub, level0 + 1, speed, length, delay
 
 
 def _alert_columns(config: GenConfig, seed: int, start_row: int, n: int) -> tuple:
     """The columns of alert rows start_row.. start_row + n, in `_ALERT_LINE` order."""
     pub = _pub_dates(seed, start_row, n, config.date_window)
+    types = _pick(seed, _CH_TYPE, start_row, n, EVENT_TYPES)
+    descs = _pick(seed, _CH_DESC, start_row, n, DESCRIPTIONS)
+    return *_place(seed, start_row, n), descs, types, pub
+
+
+def _place(seed: int, start_row: int, n: int) -> tuple:
+    """Longitude, latitude, street, city and road type: the first columns of both lines."""
     lon = -118.7 + rng.uniforms(seed, _CH_LON, start_row, n)
     lat = 33.7 + 0.7 * rng.uniforms(seed, _CH_LAT, start_row, n)
     streets = _pick(seed, _CH_STREET, start_row, n, STREETS)
     cities = _pick(seed, _CH_CITY, start_row, n, CITIES)
     roads = _pick(seed, _CH_ROAD, start_row, n, ROAD_TYPES)
-    types = _pick(seed, _CH_TYPE, start_row, n, EVENT_TYPES)
-    descs = _pick(seed, _CH_DESC, start_row, n, DESCRIPTIONS)
-    return lon, lat, streets, cities, roads, descs, types, pub
+    return lon, lat, streets, cities, roads
 
 
 @functools.cache
@@ -364,30 +364,22 @@ def _render(line: tuple, n: int, columns: tuple) -> bytes:
     return matrix[matrix != 0].tobytes()
 
 
-def _jam_chunk(config: GenConfig, seed: int, start_row: int, n: int) -> bytes:
-    return _render(_JAM_LINE, n, _jam_columns(config, seed, start_row, n))
-
-
-def _alert_chunk(config: GenConfig, seed: int, start_row: int, n: int) -> bytes:
-    return _render(_ALERT_LINE, n, _alert_columns(config, seed, start_row, n))
-
-
-def _generate(config: GenConfig, sink: BinaryIO, n_rows: int, seed_tag: int, chunk_fn) -> int:
+def _generate(config: GenConfig, sink: BinaryIO, n_rows: int, tag: int, line, columns) -> int:
     config.validate()
-    seed = rng.derive_seed(config.seed, seed_tag)
+    seed = rng.derive_seed(config.seed, tag)
     written = 0
     while written < n_rows:
         n = min(_CHUNK, n_rows - written)
-        sink.write(chunk_fn(config, seed, written, n))
+        sink.write(_render(line, n, columns(config, seed, written, n)))
         written += n
     return written
 
 
 def generate_jams(config: GenConfig, sink: BinaryIO) -> int:
     """Write config.n_jams JSONL jam rows to a binary sink; returns row count."""
-    return _generate(config, sink, config.n_jams, _TAG_JAMS, _jam_chunk)
+    return _generate(config, sink, config.n_jams, _TAG_JAMS, _JAM_LINE, _jam_columns)
 
 
 def generate_alerts(config: GenConfig, sink: BinaryIO) -> int:
     """Write config.n_alerts JSONL alert rows to a binary sink; returns row count."""
-    return _generate(config, sink, config.n_alerts, _TAG_ALERTS, _alert_chunk)
+    return _generate(config, sink, config.n_alerts, _TAG_ALERTS, _ALERT_LINE, _alert_columns)

@@ -29,7 +29,6 @@ import itertools
 import json
 import operator
 import os
-import secrets
 import struct
 import tempfile
 import weakref
@@ -41,7 +40,7 @@ import numpy as np
 
 from jamcast.errors import FileChangedError, SchemaError, ValidationError
 from jamcast.events import decompose_epoch_ms, jam_labels
-from jamcast.manifest import canonical_json
+from jamcast.manifest import canonical_json, write_artifact
 
 # ---------------------------------------------------------------------------
 # schema
@@ -501,10 +500,9 @@ def save_matrix(
 ) -> None:
     """Write the versioned columnar binary matrix format (see docs/formats.md).
 
-    The file is written as a sibling temporary file that replaces `path`
-    only once it is whole, so a failed save leaves any file at `path` as it
-    was. Each column is copied from the matrix's store a bounded chunk at a
-    time.
+    The file is written through `write_artifact`, so a failed save leaves any
+    file at `path` as it was. Each column is copied from the matrix's store a
+    bounded chunk at a time, by positional writes.
     """
     header = {
         "format": "tjm",
@@ -520,22 +518,13 @@ def save_matrix(
         "run_id": run_id,
     }
     blob = canonical_json(header)
-    head, name = os.path.split(os.path.abspath(path))
-    tmp = os.path.join(head, f".{name}.{secrets.token_hex(6)}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        try:
-            pos = _pwrite_all(fd, _TJM_MAGIC + struct.pack("<I", len(blob)) + blob, 0)
-            # one contiguous float64 block per feature, in schema order
-            for j in range(matrix.n_features):
-                pos = _write_column(matrix, j, fd, pos)
-            _pwrite_all(fd, np.ascontiguousarray(matrix.labels, dtype=bool).view(np.uint8), pos)
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with write_artifact(path) as fh:
+        fd = fh.fileno()
+        pos = _pwrite_all(fd, _TJM_MAGIC + struct.pack("<I", len(blob)) + blob, 0)
+        # one contiguous float64 block per feature, in schema order
+        for j in range(matrix.n_features):
+            pos = _write_column(matrix, j, fd, pos)
+        _pwrite_all(fd, np.ascontiguousarray(matrix.labels, dtype=bool).view(np.uint8), pos)
 
 
 def _write_column(matrix: FeatureMatrix, j: int, fd: int, pos: int) -> int:

@@ -1,11 +1,13 @@
-"""Run records and the JSON rules of every artifact.
+"""Run records, the JSON rules of every artifact, and their one writer.
+
+`write_artifact` writes every output file, so each is whole or absent.
 
 Two serializations exist, both strict: `canonical_json` is the compact form
 that run ids, schema fingerprints and the `.tjm` header are made of, and
 `write_json` is the one writer of JSON artifacts (manifests, model files,
 ingest reports, bench reports). Neither writes NaN or Infinity, which are
-not JSON: a non-finite number is a ValidationError, raised before any byte
-is written.
+not JSON: a non-finite number is a ValidationError, raised before any file
+is opened.
 
 The run id is a deterministic digest of (command, config, input digests)
 and excludes worker count, wall times and timestamps, so artifacts
@@ -15,9 +17,13 @@ itself may record when and how a particular run happened.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
+import secrets
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 from jamcast.errors import ValidationError
 
@@ -36,7 +42,31 @@ def write_json(path: str | Path, doc) -> None:
         text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise ValidationError(f"{path}: not strict JSON ({exc})") from None
-    Path(path).write_text(text + "\n")
+    with write_artifact(path) as fh:
+        fh.write(text.encode() + b"\n")
+
+
+@contextlib.contextmanager
+def write_artifact(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary file whose bytes replace `path` when the block ends, and vanish if it raises.
+
+    They go to the sibling `.NAME.<12 hex>.tmp`, renamed over `path` with no fsync
+    (docs/formats.md). An existing `path` that is not a regular file is written through.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    head, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(head, f".{name}.{secrets.token_hex(6)}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def file_digest(path: str | Path) -> str:
