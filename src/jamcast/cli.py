@@ -24,7 +24,7 @@ from jamcast.datagen import GenConfig, generate_alerts, generate_jams
 from jamcast.errors import ConfigError, JamcastError
 from jamcast.evaluation import bench, render_table, reports_to_csv, write_reports
 from jamcast.ingest import FEATURE_SETS, ingest_files, load_matrix, save_matrix, schema_for
-from jamcast.manifest import file_digest, make_run_id, write_artifact, write_json
+from jamcast.manifest import file_digest, make_run_id, numeric_env, write_artifact, write_json
 from jamcast.trees.binning import quantize
 from jamcast.trees.training import TRAINERS, TrainConfig, save_model
 
@@ -175,12 +175,12 @@ def _record(
     run_id: str,
     config: dict,
     inputs: dict[str, str],
-    outputs: list[Path],
+    outputs: dict[Path, str],
     manifest: Path,
     seed: int | None = None,
     n_workers: int | None = None,
 ) -> None:
-    """Write a finished command's manifest, digesting the outputs stamped with `run_id`.
+    """Write a finished command's manifest; `outputs` maps each output to its writer's sha256.
 
     `run_id` is `make_run_id(args.command, config, inputs)`, made once by the
     command; worker count and the time stamp are recorded beside it, not in it.
@@ -191,11 +191,12 @@ def _record(
         "run_id": run_id,
         "config": config,
         "input_digests": inputs,
-        "output_digests": {str(p): file_digest(p) for p in outputs},
+        "output_digests": {str(p): d for p, d in outputs.items()},
         "seed": seed,
         "n_workers": n_workers,
         "artifacts": [str(p) for p in outputs],
         "tool_version": __version__,
+        "numeric_env": numeric_env(),
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     })
 
@@ -210,12 +211,12 @@ def _cmd_generate(args, argv: list[str]) -> int:
     alerts_path = out_dir / "alerts.jsonl"
     manifest = out_dir / "generate.manifest.json"
     manifest.unlink(missing_ok=True)
-    with write_artifact(jams_path) as fh:
-        n_jams = generate_jams(config, fh)
-    with write_artifact(alerts_path) as fh:
-        n_alerts = generate_alerts(config, fh)
-    _record(args, argv, run_id, config_doc, {}, [jams_path, alerts_path], manifest,
-            seed=config.seed)
+    with write_artifact(jams_path) as jams:
+        n_jams = generate_jams(config, jams)
+    with write_artifact(alerts_path) as alerts:
+        n_alerts = generate_alerts(config, alerts)
+    outputs = {jams_path: jams.sha256.hexdigest(), alerts_path: alerts.sha256.hexdigest()}
+    _record(args, argv, run_id, config_doc, {}, outputs, manifest, seed=config.seed)
     print(f"wrote {n_jams} jams and {n_alerts} alerts to {out_dir}")
     return 0
 
@@ -246,10 +247,10 @@ def _cmd_ingest(args, argv: list[str]) -> int:
     run_id = make_run_id("ingest", config_doc, digests)
     manifest = Path(str(args.out) + ".manifest.json")
     manifest.unlink(missing_ok=True)
-    save_matrix(args.out, matrix, encoding, run_id=run_id)
+    outputs = {args.out: save_matrix(args.out, matrix, encoding, run_id=run_id)}
     report_path = Path(str(args.out) + ".report.json")
-    write_json(report_path, summary.as_dict())
-    _record(args, argv, run_id, config_doc, digests, [args.out, report_path], manifest)
+    outputs[report_path] = write_json(report_path, summary.as_dict())
+    _record(args, argv, run_id, config_doc, digests, outputs, manifest)
     print(
         f"ingested {matrix.n_rows} rows "
         f"({summary.parse.rows_rejected} parse-rejected, "
@@ -271,8 +272,8 @@ def _cmd_train(args, argv: list[str]) -> int:
     args.out.parent.mkdir(parents=True, exist_ok=True)
     manifest = Path(str(args.out) + ".manifest.json")
     manifest.unlink(missing_ok=True)
-    save_model(args.out, model, run_id=run_id)
-    _record(args, argv, run_id, config_doc, digests, [args.out], manifest,
+    outputs = {args.out: save_model(args.out, model, run_id=run_id)}
+    _record(args, argv, run_id, config_doc, digests, outputs, manifest,
             seed=config.seed, n_workers=config.n_workers)
     print(f"trained {args.model} ({len(model.trees)} trees) -> {args.out}")
     return 0
@@ -280,6 +281,8 @@ def _cmd_train(args, argv: list[str]) -> int:
 
 def _cmd_bench(args, argv: list[str]) -> int:
     kinds = [k.strip() for k in args.models.split(",") if k.strip()]
+    if not kinds:
+        raise ConfigError("--models names no model kind")
     for kind in kinds:
         if kind not in TRAINERS:
             raise ConfigError(f"unknown model kind {kind!r}")
@@ -306,15 +309,16 @@ def _cmd_bench(args, argv: list[str]) -> int:
     run_id = make_run_id("bench", config_doc, digests)
     out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = [out_dir / "bench_table.txt", out_dir / "bench_table.csv",
-               out_dir / "bench_reports.json"]
     manifest = out_dir / "bench.manifest.json"
     manifest.unlink(missing_ok=True)
     table = render_table(reports)
-    for path, text in zip(outputs, (table, reports_to_csv(reports))):
-        with write_artifact(path) as fh:
+    outputs = {}
+    for name, text in (("bench_table.txt", table), ("bench_table.csv", reports_to_csv(reports))):
+        with write_artifact(out_dir / name) as fh:
             fh.write(text.encode())
-    write_reports(outputs[2], reports, run_id=run_id)
+        outputs[out_dir / name] = fh.sha256.hexdigest()
+    report_path = out_dir / "bench_reports.json"
+    outputs[report_path] = write_reports(report_path, reports, run_id=run_id)
     _record(args, argv, run_id, config_doc, digests, outputs, manifest,
             seed=args.seed, n_workers=config.n_workers)
     print(table, end="")

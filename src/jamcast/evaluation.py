@@ -2,7 +2,7 @@
 
 AUC is the Mann-Whitney statistic (ties counted 1/2), computed from average
 ranks in O(n log n); it equals the trapezoidal ROC area exactly. The
-confusion threshold is fixed at 0.5 with score >= threshold counted
+confusion matrix counts score >= `bench`'s `threshold` (0.5 by default)
 positive. The bench harness trains each model kind on the same
 deterministic split and renders the comparison as an AUC / precision /
 recall / computing-time table.
@@ -318,10 +318,10 @@ def reports_to_csv(reports: Sequence[EvalReport]) -> str:
     return buf.getvalue()
 
 
-def write_reports(path, reports: Sequence[EvalReport], run_id: str | None = None) -> None:
-    """Write the reports as one strict JSON list, each stamped with `run_id` when given."""
+def write_reports(path, reports: Sequence[EvalReport], run_id: str | None = None) -> str:
+    """Write the reports as one strict JSON list, stamped with `run_id` if given; its sha256."""
     docs = [r.as_dict() for r in reports]
     if run_id is not None:
         for doc in docs:
             doc["run_id"] = run_id
-    write_json(path, docs)
+    return write_json(path, docs)

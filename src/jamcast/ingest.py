@@ -497,12 +497,12 @@ def save_matrix(
     matrix: FeatureMatrix,
     encoding: EncodingMap,
     run_id: str | None = None,
-) -> None:
-    """Write the versioned columnar binary matrix format (see docs/formats.md).
+) -> str:
+    """Write the versioned columnar binary matrix format (see docs/formats.md); its sha256.
 
-    The file is written through `write_artifact`, so a failed save leaves any
-    file at `path` as it was. Each column is copied from the matrix's store a
-    bounded chunk at a time, by positional writes.
+    The file is written front to back through `write_artifact`, so a failed save
+    leaves any file at `path` as it was. Each column is copied from the matrix's
+    store a bounded chunk at a time.
     """
     header = {
         "format": "tjm",
@@ -519,24 +519,23 @@ def save_matrix(
     }
     blob = canonical_json(header)
     with write_artifact(path) as fh:
-        fd = fh.fileno()
-        pos = _pwrite_all(fd, _TJM_MAGIC + struct.pack("<I", len(blob)) + blob, 0)
+        fh.write(_TJM_MAGIC + struct.pack("<I", len(blob)) + blob)
         # one contiguous float64 block per feature, in schema order
         for j in range(matrix.n_features):
-            pos = _write_column(matrix, j, fd, pos)
-        _pwrite_all(fd, np.ascontiguousarray(matrix.labels, dtype=bool).view(np.uint8), pos)
+            _write_column(matrix, j, fh)
+        fh.write(np.ascontiguousarray(matrix.labels, dtype=bool).view(np.uint8))
+    return fh.sha256.hexdigest()
 
 
-def _write_column(matrix: FeatureMatrix, j: int, fd: int, pos: int) -> int:
-    """Copy feature j's values from the matrix's store to `pos` in fd, through one
-    buffer of at most _COPY_BYTES; the position after them."""
+def _write_column(matrix: FeatureMatrix, j: int, fh) -> None:
+    """Write feature j's values from the matrix's store to fh, through one buffer of at
+    most _COPY_BYTES."""
     n, step = matrix.n_rows, _COPY_BYTES // 8
     buf = np.empty(min(n, step), dtype="<f8")
     for row in range(0, n, step):
         chunk = buf[: n - row]
         _read_stored(matrix._store, j, chunk, row)
-        pos = _pwrite_all(fd, chunk, pos)
-    return pos
+        fh.write(chunk)
 
 
 # bytes of a column save_matrix copies at a time; copy_file_range, which keeps

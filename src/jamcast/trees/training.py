@@ -374,9 +374,10 @@ def model_to_doc(ensemble: Ensemble, run_id: str | None = None) -> dict:
     }
 
 
-def save_model(path: str | Path, ensemble: Ensemble, run_id: str | None = None) -> None:
-    """Write the model file; a non-finite value (a bin edge at -inf) is a ValidationError."""
-    write_json(path, model_to_doc(ensemble, run_id))
+def save_model(path: str | Path, ensemble: Ensemble, run_id: str | None = None) -> str:
+    """Write the model file; its sha256. A non-finite value (a bin edge at -inf) is a
+    ValidationError."""
+    return write_json(path, model_to_doc(ensemble, run_id))
 
 
 def load_model(path: str | Path) -> Ensemble:

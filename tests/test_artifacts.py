@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import hashlib
 import json
 import os
 import signal
@@ -12,6 +13,7 @@ import threading
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from jamcast import cli, evaluation, ingest, manifest
@@ -139,40 +141,83 @@ def test_a_killed_generate_leaves_the_previous_corpus(tmp_path):
     assert not (out / "generate.manifest.json").exists()
 
 
-def _read_fifo(path: Path, got: list, then_write: bool) -> None:
+def _read_fifo(path: Path, got: list) -> None:
     with open(path, "rb") as fh:
         got.append(fh.read())
-    if then_write:
-        with open(path, "wb"):  # the command reads its outputs back to digest them
-            pass
 
 
 @pytest.mark.parametrize("command", ["ingest", "train"])
-def test_an_output_that_is_a_fifo_is_written_through(tmp_path, monkeypatch, capsys, command):
-    """A FIFO at an output path is written into, not replaced: `train` streams its model
-    to the reader, and `ingest`, whose .tjm needs positional writes, exits 2."""
+def test_an_output_that_is_a_fifo_is_written_through(tmp_path, monkeypatch, command):
+    """A FIFO at an output path is written into, not replaced. Its reader gets the bytes
+    a regular file gets from the same command, the command exits 0 with no process
+    writing into the FIFO, and the manifest's digest for the FIFO is of those bytes."""
     monkeypatch.chdir(tmp_path)
     assert main(_GENERATE) == 0
     assert main(_INGEST) == 0
     os.mkfifo("fifo")
     got: list[bytes] = []
-    reader = threading.Thread(target=_read_fifo, args=("fifo", got, command == "train"),
-                              daemon=True)
+    reader = threading.Thread(target=_read_fifo, args=("fifo", got), daemon=True)
     reader.start()
-    argv = {"ingest": _INGEST[:-1], "train": _TRAIN[:-1]}[command] + ["fifo"]
-    rc = main(argv)
-    assert stat.S_ISFIFO(os.stat("fifo").st_mode)
+    argv = {"ingest": _INGEST, "train": _TRAIN}[command]
+    assert main(argv[:-1] + ["fifo"]) == 0
     reader.join(timeout=60)
     assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.stat("fifo").st_mode)
     assert sorted(tmp_path.rglob("*.tmp")) == []
-    if command == "ingest":
-        assert rc == 2
-        assert "Illegal seek" in capsys.readouterr().err
-        assert got == [b""]
-    else:
-        assert rc == 0
-        assert main(_TRAIN) == 0
-        assert got == [Path("model.json").read_bytes()]
+    assert main(argv) == 0
+    assert got == [Path(argv[-1]).read_bytes()]
+    digests = json.loads(Path("fifo.manifest.json").read_text())["output_digests"]
+    assert digests["fifo"] == hashlib.sha256(got[0]).hexdigest()
+
+
+def test_no_command_reads_an_output_back(tmp_path, monkeypatch):
+    """Each command reads only its inputs to digest them; its outputs' digests come from
+    the writer, and equal those of the files beside its manifest."""
+    monkeypatch.chdir(tmp_path)
+    read = []
+
+    def recorded(path):
+        read.append(str(path))
+        return file_digest(path)
+
+    for module in (manifest, cli):
+        monkeypatch.setattr(module, "file_digest", recorded)
+    inputs = {"generate": [], "ingest": ["data/jams.jsonl"], "train": ["m.tjm"],
+              "bench": ["m.tjm"]}
+    for command, (argv, _, _, manifest_path) in _RUNS.items():
+        read.clear()
+        assert main(argv) == 0
+        assert read == inputs[command]
+        assert Path(manifest_path).exists()
+        _check_manifest(manifest_path)
+
+
+def _umath():
+    """numpy's compiled core, which names its SIMD targets."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        from numpy.core import _multiarray_umath as umath
+    return umath
+
+
+def test_every_manifest_names_its_numeric_environment(tmp_path, monkeypatch):
+    """Each command's manifest records numpy's version, its baseline and dispatch SIMD
+    targets and the CPU features it found enabled, outside the run id."""
+    monkeypatch.chdir(tmp_path)
+    umath = _umath()
+    expected = {
+        "numpy": np.__version__,
+        "cpu_baseline": list(umath.__cpu_baseline__),
+        "cpu_dispatch": list(umath.__cpu_dispatch__),
+        "cpu_features": [k for k, on in umath.__cpu_features__.items() if on],
+    }
+    for command, (argv, _, _, manifest_path) in _RUNS.items():
+        assert main(argv) == 0
+        doc = json.loads(Path(manifest_path).read_text())
+        assert doc["numeric_env"] == expected
+        assert doc["run_id"] == manifest.make_run_id(command, doc["config"],
+                                                     doc["input_digests"])
 
 
 def test_a_symlink_at_an_output_is_replaced(tmp_path):
@@ -189,10 +234,7 @@ def test_a_symlink_at_an_output_is_replaced(tmp_path):
 
 def _avx512_targets() -> list[str]:
     """numpy's enabled AVX-512 dispatch targets, or none where the CPU lacks AVX512F."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:
-        from numpy.core import _multiarray_umath as umath
+    umath = _umath()
     enabled = umath.__cpu_features__
     if not enabled.get("AVX512F"):
         return []

@@ -801,6 +801,17 @@ def test_bench_unknown_model_exits_one(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("models", [",", "", " , "])
+def test_bench_with_no_model_kind_exits_one(small_matrix, tmp_path, capsys, models):
+    """A --models that names no kind is a config error, not an empty table."""
+    out_dir = tmp_path / "bench"
+    rc = main(["bench", "--matrix", str(small_matrix), f"--models={models}",
+               "--out-dir", str(out_dir)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --models names no model kind\n"
+    assert not out_dir.exists()
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

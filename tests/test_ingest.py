@@ -375,10 +375,10 @@ def test_a_failed_save_leaves_the_previous_file(tmp_path, monkeypatch):
     before = path.read_bytes()
     write_column = ingest._write_column
 
-    def fail_after_the_first(matrix, j, fd, pos):
+    def fail_after_the_first(matrix, j, fh):
         if j:
             raise OSError(errno.ENOSPC, "no space left")
-        return write_column(matrix, j, fd, pos)
+        write_column(matrix, j, fh)
 
     monkeypatch.setattr(ingest, "_write_column", fail_after_the_first)
     with pytest.raises(OSError, match="no space"):
